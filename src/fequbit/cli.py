@@ -19,6 +19,7 @@ import numpy as np
 from .compiler import Schedule, compile_circuit, parse_circuit, simulate_schedule
 from .errors import CircuitParseError, ConfigurationError, TruncationError, WindowError
 from .ladder import (
+    NORM_TOL,
     BeamParameters,
     LadderState,
     TruncationPolicy,
@@ -81,6 +82,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
+    # a value of the wrong type is listed and replaced by its default, so the
+    # checks below still run; bool is an int subclass but only fits `csv`
+    for f in fields(RunConfig):
+        kind = type(f.default)
+        accepted = (str, int) if f.name == "window" else {float: (int, float)}.get(kind, kind)
+        value = values[f.name]
+        if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+            problems.append(f"{f.name} must be {kind.__name__}, got {value!r}")
+            values[f.name] = f.default
 
     config = RunConfig(**values)
     config.window = str(config.window)
@@ -153,7 +163,17 @@ def _initial_state(config: RunConfig) -> LadderState:
 
 def _state_from_inputs(args, config: RunConfig) -> LadderState:
     if getattr(args, "state", None):
-        return LadderState.load(args.state)
+        try:
+            state = LadderState.load(args.state)
+        except KeyError as exc:
+            raise ConfigurationError(f"state file {args.state}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"state file {args.state}: {exc}") from None
+        if not abs(state.norm() - 1.0) <= NORM_TOL:
+            raise ConfigurationError(
+                f"state file {args.state}: norm {state.norm()!r} is not 1 "
+                f"within {NORM_TOL:.0e}")
+        return state
     circuit = parse_circuit(_read_text(args.circuit), name=os.path.basename(args.circuit))
     beam = _beam(config)
     policy = _policy(config)
@@ -336,11 +356,9 @@ def cmd_bench(args, config: RunConfig) -> int:
     result = apply_pinem_bessel(state, pulse, policy)
     bessel_seconds = time.perf_counter() - t0
 
-    matexp_seconds = None
-    if result.dim <= 1024:
-        t0 = time.perf_counter()
-        apply_pinem_matexp(state, pulse, policy)
-        matexp_seconds = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    apply_pinem_matexp(state, pulse, policy)
+    matexp_seconds = time.perf_counter() - t0
 
     report = {
         "g_magnitude": args.g,

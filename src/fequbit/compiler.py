@@ -29,7 +29,7 @@ import numpy as np
 from .errors import CircuitParseError
 from .ladder import DEFAULT_POLICY, BeamParameters, LadderState, TruncationPolicy, basis_state
 from .operators import FspPhase, PinemPulse, apply_fsp, apply_pinem
-from .qubit import QubitState, pinem_rotation, project_qubit
+from .qubit import pinem_rotation, project_qubit, qubit_gate_of_fsp
 
 ZERO_ANGLE_TOL = 1e-12
 UNITARY_TOL = 1e-9
@@ -189,16 +189,10 @@ def euler_xyx(u: np.ndarray) -> tuple[float, float, float, complex]:
     a = _wrap_angle(0.5 * (arg_x + arg_y))
     b = _wrap_angle(-b_bar)
     c = _wrap_angle(0.5 * (arg_x - arg_y))
-    rec = pinem_rotation(a) @ _ry_from_pulses(b) @ pinem_rotation(c)
+    rec = pinem_rotation(a) @ _ry(b) @ pinem_rotation(c)
     tr = np.trace(rec.conj().T @ u)
     phase = tr / abs(tr)
     return a, b, c, complex(phase)
-
-
-def _ry_from_pulses(theta: float) -> np.ndarray:
-    # F Rx(theta) F^3 with F = diag(1, i); equals _ry(theta) identically
-    f = np.diag([1.0 + 0.0j, 1.0j])
-    return f @ pinem_rotation(theta) @ (f @ f @ f)
 
 
 @dataclass(frozen=True)
@@ -242,7 +236,7 @@ class Schedule:
             if isinstance(el, Pulse):
                 out = pinem_rotation(el.theta) @ out
             else:
-                out = np.diag([1.0 + 0.0j, 1.0j ** (el.quarter_units % 4)]) @ out
+                out = qubit_gate_of_fsp(el.quarter_units % 4) @ out
         return self.global_phase * out
 
     def to_json(self) -> dict:
@@ -405,8 +399,3 @@ def gate_fidelity(achieved: np.ndarray, target: np.ndarray) -> float:
         if defect > UNITARY_TOL:
             raise ValueError(f"{name} gate is not unitary (defect {defect:.2e})")
     return float(abs(np.trace(target.conj().T @ achieved)) / 2.0)
-
-
-def apply_qubit_gate(gate: np.ndarray, state: QubitState) -> QubitState:
-    vec = gate @ state.as_vector()
-    return QubitState(complex(vec[0]), complex(vec[1]))

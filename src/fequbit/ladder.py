@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import jv
 
 from .constants import (
     COMPTON_ANGULAR_FREQUENCY,
@@ -22,7 +23,7 @@ from .constants import (
     HBAR,
     SPEED_OF_LIGHT,
 )
-from .errors import ConfigurationError, WindowError
+from .errors import ConfigurationError, TruncationError, WindowError
 
 NORM_TOL = 1e-10
 """Allowed deviation of the norm of any state produced by this package."""
@@ -208,6 +209,34 @@ def support_leakage(state: LadderState, edge_margin: int) -> float:
         return 0.0
     p = state.probabilities()
     return float(np.sum(p[:edge_margin]) + np.sum(p[-edge_margin:]))
+
+
+def check_edge_leakage(state: LadderState, edge_margin: int, leakage_tol: float) -> None:
+    """Raise TruncationError if more than ``leakage_tol`` probability lies
+    within ``edge_margin`` cells (fewer on narrow windows) of either end."""
+    margin = min(edge_margin, (state.dim - 1) // 2)
+    leak = support_leakage(state, margin)
+    if leak > leakage_tol:
+        raise TruncationError(
+            f"probability {leak:.3e} within {margin} cells of the window edge "
+            f"exceeds {leakage_tol:.1e}; enlarge the window")
+
+
+def bessel_tail_half_width(x: float, budget: float) -> int:
+    """Smallest K >= 0 with 2 * sum_{k>K} J_k(x)^2 <= budget.
+
+    That is the probability a Bessel kernel cut to -K..K drops. The search
+    runs to n > x, past the turnover where J_k(x) falls ever faster, and is
+    extended until J_n(x)^2 <= 1e-6 * budget, so the terms beyond n are
+    negligible.
+    """
+    x = abs(float(x))
+    n = math.ceil(x) + 16
+    while jv(n, x) ** 2 > 1e-6 * budget:
+        n += n - math.ceil(x)  # double the margin past the turnover
+    p = jv(np.arange(n + 1), x) ** 2
+    beyond = 2.0 * (np.cumsum(p[::-1])[::-1] - p)  # beyond[k] = 2 sum_{k<j<=n} p_j
+    return int(np.argmax(beyond <= budget))
 
 
 @dataclass(frozen=True)

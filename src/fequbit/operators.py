@@ -7,8 +7,10 @@ so exp(A) is too; for a single harmonic the kernel is known in closed form,
 
     f_k = exp(i k arg(-g)) J_k(2|g|),
 
-which gives a second, independent way to apply the operator besides the
-matrix exponential. Free-space propagation is diagonal: level l picks up
+which the Bessel path convolves with. Every other pulse goes through one
+propagator, a Chebyshev expansion of exp(A) with coefficients J_k(R); both
+paths cut their Bessel series with ``ladder.bessel_tail_half_width``.
+Free-space propagation is diagonal: level l picks up
 exp(+i 2 pi (z / z_D) l^2). The + sign is a package-wide convention chosen
 so that a quarter dispersion length multiplies odd levels by +i (pinned by
 tests; the gate algebra in the qubit module depends on it).
@@ -16,21 +18,23 @@ tests; the gate algebra in the qubit module depends on it).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, expm
 from scipy.special import jv
 
-from .errors import TruncationError
-from .ladder import DEFAULT_POLICY, LadderState, TruncationPolicy, support_leakage
+from .ladder import (DEFAULT_POLICY, LadderState, TruncationPolicy, bessel_tail_half_width,
+                     check_edge_leakage)
 
 MATEXP_DENSE_MAX_DIM = 1024
-"""Above this dimension the dense scaling-and-squaring exponential is replaced
-by a Chebyshev polynomial apply with an explicit truncation-error bound."""
+"""Selects no path (the Chebyshev apply runs at every size); perfbench/layers.py
+still reads it to label its apply_pinem_matexp timings."""
 
 CHEBYSHEV_TAIL_TOL = 1e-13
+"""Amplitude error bound of every Bessel series the operators truncate."""
+
+_TAIL_BUDGET = CHEBYSHEV_TAIL_TOL ** 2 / 8.0
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -132,17 +136,6 @@ def pinem_generator(pulse: PinemPulse, dim: int) -> np.ndarray:
     return a
 
 
-def _check_leakage(state: LadderState, policy: TruncationPolicy) -> None:
-    margin = min(policy.edge_margin, (state.dim - 1) // 2)
-    if margin == 0:
-        return
-    leak = support_leakage(state, margin)
-    if leak > policy.leakage_tol:
-        raise TruncationError(
-            f"probability {leak:.3e} within {margin} cells of the window edge "
-            f"exceeds {policy.leakage_tol:.1e}; enlarge the window")
-
-
 def _aligned(amps: np.ndarray, l_min: int, target_l_min: int, target_dim: int) -> np.ndarray:
     """Crop/zero-pad a raw amplitude array onto a target window."""
     out = np.zeros(target_dim, dtype=np.complex128)
@@ -153,22 +146,21 @@ def _aligned(amps: np.ndarray, l_min: int, target_l_min: int, target_dim: int) -
     return out
 
 
-def _chebyshev_exp_apply(pulse: PinemPulse, psi: np.ndarray,
-                         tol: float = CHEBYSHEV_TAIL_TOL) -> np.ndarray:
+def _chebyshev_exp_apply(pulse: PinemPulse, psi: np.ndarray) -> np.ndarray:
     """exp(A) psi via a Chebyshev expansion of exp(-i x) over the spectrum.
 
     The generator is A = -iH with H Hermitian and ||H|| <= R (Gershgorin), so
-    exp(A) = J_0(R) I + 2 sum_k (-i)^k J_k(R) T_k(H/R). The series is cut when
-    the remaining-coefficient bound 2 sum_{j>K} |J_j(R)| drops below tol.
+    exp(A) = J_0(R) I + 2 sum_k (-i)^k J_k(R) T_k(H/R); stopping at k = K
+    errs by at most 2 sum_{j>K} |J_j(R)|. K meets the squared tail budget
+    tol^2 / 8 (tol = CHEBYSHEV_TAIL_TOL), so |J_{K+1}| <= tol / 4; past the
+    turnover |J_{j+1} / J_j| <= 1/2, hence 2 sum_{j>K} |J_j| <= tol. (At R in
+    the thousands the ratio at K nears 2/3; at R = 5000 the error is 1.2 tol.)
     """
     r = pulse.spectral_radius
     if r == 0.0:
         return psi.copy()
-    k_max = math.ceil(r) + 60 + math.ceil(10.0 * r ** (1.0 / 3.0))
-    bess = jv(np.arange(k_max + 1), r)
-    tails = 2.0 * np.cumsum(np.abs(bess[::-1]))[::-1]  # tails[k] = 2 sum_{j>=k} |J_j|
-    cut = int(np.searchsorted(tails[::-1], tol))
-    n_terms = max(k_max + 1 - cut, 2)
+    n_terms = max(bessel_tail_half_width(r, _TAIL_BUDGET) + 1, 2)
+    bess = jv(np.arange(n_terms), r)
 
     # scaled Hermitian matvec y = (H/R) x, H = i * generator
     ops = [(h, -1j * g / r, 1j * np.conj(g) / r) for h, g in pulse.couplings]
@@ -193,38 +185,34 @@ def _chebyshev_exp_apply(pulse: PinemPulse, psi: np.ndarray,
 
 def apply_pinem_matexp(state: LadderState, pulse: PinemPulse,
                        policy: TruncationPolicy = DEFAULT_POLICY) -> LadderState:
-    """Apply the laser interaction by exponentiating the truncated generator.
+    """Apply exp(generator) of the truncated window to the state.
 
     Adaptive policies enlarge the window by the pulse half-width before
-    applying; fixed policies keep it. Dense scaling-and-squaring is used up
-    to MATEXP_DENSE_MAX_DIM, the Chebyshev apply beyond. Raises
-    TruncationError if the result carries weight near the window edge.
+    applying; fixed policies keep it. The exponential is applied by its
+    Chebyshev expansion at every window size, to within CHEBYSHEV_TAIL_TOL
+    in amplitude. Raises TruncationError if the result carries weight near
+    the window edge.
     """
     pad = policy.half_width_for(pulse.strength) if policy.mode == "adaptive" else 0
     l_min = state.l_min - pad
     psi = _aligned(state.amplitudes, state.l_min, l_min, state.dim + 2 * pad)
-    if psi.size <= MATEXP_DENSE_MAX_DIM:
-        out = expm(pinem_generator(pulse, psi.size)) @ psi
-    else:
-        out = _chebyshev_exp_apply(pulse, psi)
-    result = LadderState(l_min, out)
-    _check_leakage(result, policy)
+    result = LadderState(l_min, _chebyshev_exp_apply(pulse, psi))
+    check_edge_leakage(result, policy.edge_margin, policy.leakage_tol)
     return result
-
-
-def _kernel_half_width(g_abs: float) -> int:
-    # default-margin adaptive formula; dropped kernel tail is < 1e-14 in probability
-    return DEFAULT_POLICY.half_width_for(g_abs)
 
 
 def pinem_kernel(g: complex, half_width: int | None = None) -> np.ndarray:
     """Closed-form convolution kernel f_k for a single-harmonic pulse.
 
-    Index k runs from -half_width to +half_width. The phase factor scales
-    with k; the matrix-exponential path pins this convention.
+    Index k runs from -half_width to +half_width; by default the kernel is
+    cut where its dropped tail meets the CHEBYSHEV_TAIL_TOL budget. The phase
+    factor scales with k; the Chebyshev path pins this convention.
     """
     g = complex(g)
-    k_half = _kernel_half_width(abs(g)) if half_width is None else int(half_width)
+    if half_width is None:
+        k_half = bessel_tail_half_width(2.0 * abs(g), _TAIL_BUDGET)
+    else:
+        k_half = int(half_width)
     k = np.arange(-k_half, k_half + 1)
     return np.exp(1j * np.angle(-g) * k) * jv(k, 2.0 * abs(g))
 
@@ -234,7 +222,7 @@ def apply_pinem_bessel(state: LadderState, pulse: PinemPulse,
     """Apply a single-harmonic laser interaction as a Bessel-kernel convolution.
 
     Multi-harmonic pulses have no single Jacobi-Anger kernel here and fall
-    back to the matrix-exponential path.
+    back to ``apply_pinem_matexp``.
     """
     if not pulse.is_single_harmonic:
         return apply_pinem_matexp(state, pulse, policy)
@@ -251,7 +239,7 @@ def apply_pinem_bessel(state: LadderState, pulse: PinemPulse,
     else:
         l_min, dim = state.l_min, state.dim
     result = LadderState(l_min, _aligned(conv, conv_l_min, l_min, dim))
-    _check_leakage(result, policy)
+    check_edge_leakage(result, policy.edge_margin, policy.leakage_tol)
     return result
 
 

@@ -14,18 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationError
 from .ladder import (
     DEFAULT_EDGE_MARGIN,
     DEFAULT_POLICY,
     LEAKAGE_TOL,
     LadderState,
     TruncationPolicy,
-    support_leakage,
+    check_edge_leakage,
 )
-from .operators import FspPhase, PinemPulse, apply_fsp, apply_pinem
-
-_I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+from .operators import _I_POW, FspPhase, PinemPulse, apply_fsp, apply_pinem
 
 
 @dataclass(frozen=True)
@@ -65,17 +62,6 @@ class QubitState:
         return cls(complex(*obj["alpha"]), complex(*obj["beta"]))
 
 
-def _require_interior(state: LadderState, edge_margin: int, leakage_tol: float) -> None:
-    if edge_margin == 0:
-        return
-    margin = min(edge_margin, (state.dim - 1) // 2)
-    leak = support_leakage(state, margin)
-    if leak > leakage_tol:
-        raise TruncationError(
-            f"comb projection needs interior support: {leak:.3e} probability "
-            f"within {margin} cells of the window edge (tol {leakage_tol:.1e})")
-
-
 def project_period_p(state: LadderState, p: int,
                      edge_margin: int = DEFAULT_EDGE_MARGIN,
                      leakage_tol: float = LEAKAGE_TOL) -> np.ndarray:
@@ -87,7 +73,7 @@ def project_period_p(state: LadderState, p: int,
     """
     if p < 2:
         raise ValueError("period p must be >= 2")
-    _require_interior(state, edge_margin, leakage_tol)
+    check_edge_leakage(state, edge_margin, leakage_tol)
     components = np.zeros(p, dtype=np.complex128)
     np.add.at(components, state.indices % p, state.amplitudes)
     return components

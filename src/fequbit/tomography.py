@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import least_squares
 from scipy.special import jv
 
-from .ladder import DEFAULT_POLICY, LadderState, TruncationPolicy
+from .ladder import LadderState, TruncationPolicy, bessel_tail_half_width
 from .qubit import QubitState, project_qubit
 
 DEFAULT_PROBE_MAGNITUDE = 1.0
@@ -119,21 +119,17 @@ class Spectrogram:
             toks = ln.split(",")
             levels.append(int(toks[0]))
             rows.append([float(t) for t in toks[1:]])
+        if not levels or levels != list(range(levels[0], levels[0] + len(levels))):
+            raise ValueError(f"{path}: level rows must be contiguous and ascending")
+        if any(len(row) != phases.size for row in rows):
+            raise ValueError(f"{path}: every level row needs {phases.size} values")
         return cls(phases, levels[0], np.asarray(rows), probe)
-
-
-def _probe_half_width(probe_magnitude: float, tail: float = 1e-24) -> int:
-    """Smallest K whose dropped Bessel tail probability is below ``tail``."""
-    bound = DEFAULT_POLICY.half_width_for(probe_magnitude)
-    p = jv(np.arange(bound + 1), 2.0 * probe_magnitude) ** 2
-    beyond = 2.0 * (np.cumsum(p[::-1])[::-1] - p)  # beyond[k] = 2 sum_{j>k} p_j
-    small_count = int(np.searchsorted(beyond[::-1], tail, side="right"))
-    return max(bound + 1 - small_count, 1)
 
 
 def _probe_kernels(probe_magnitude: float, scan_phases: np.ndarray) -> tuple[np.ndarray, int]:
     """Stack of convolution kernels, one per scan phase chi (probe g = m e^{i chi})."""
-    k_half = _probe_half_width(probe_magnitude)
+    # the truncated kernel drops at most 1e-24 probability per column
+    k_half = bessel_tail_half_width(2.0 * probe_magnitude, 1e-24)
     k = np.arange(-k_half, k_half + 1)
     bess = jv(k, 2.0 * probe_magnitude)
     # arg(-g) = chi + pi for g = m e^{i chi}

@@ -112,6 +112,29 @@ def test_invalid_config_json_rejected(tmp_path, circuit_file):
                  *out_args(tmp_path)]) == EXIT_CONFIG
 
 
+def test_config_value_of_wrong_type_is_listed(tmp_path, circuit_file, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beam_kev": "abc", "wavelength_nm": 0}))
+    assert main(["compile", circuit_file, "--config", str(cfg),
+                 *out_args(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "beam_kev" in err
+    assert "wavelength" in err
+
+
+@pytest.mark.parametrize("content", [
+    "{not json",
+    json.dumps({"amplitudes": [[1.0, 0.0]]}),  # no l_min
+    json.dumps({"l_min": 0, "amplitudes": [[2.0, 0.0]]}),  # norm^2 = 4
+])
+def test_bad_state_file_is_config_error(tmp_path, content):
+    state_path = tmp_path / "state.json"
+    state_path.write_text(content)
+    for command in ("spectrum", "tomography"):
+        assert main([command, "--state", str(state_path),
+                     *out_args(tmp_path)]) == EXIT_CONFIG
+
+
 def test_compile_outputs_schedule_json(tmp_path):
     circ = tmp_path / "zs.txt"
     circ.write_text("Z\nS\nH\n")

@@ -172,6 +172,18 @@ def test_chebyshev_path_multi_harmonic_against_dense():
     assert np.linalg.norm(out.amplitudes - expected) < 1e-10
 
 
+def test_chebyshev_path_at_large_spectral_radius():
+    # 1001 levels at |g| = 50: a size the dense expm branch used to take
+    state = basis_state(0, 500)
+    policy = TruncationPolicy.fixed(500)
+    pulse = PinemPulse.single(50.0 * np.exp(0.3j))
+    a = apply_pinem_matexp(state, pulse, policy)
+    b = apply_pinem_bessel(state, pulse, policy)
+    assert a.dim == 1001
+    assert state_distance(a, b) <= 1e-10
+    assert abs(a.norm() - 1.0) <= 1e-10
+
+
 def test_fsp_zero_distance_is_identity():
     state = random_interior_state(np.random.default_rng(6), 4, 8)
     out = apply_fsp(state, FspPhase.quarter(0))

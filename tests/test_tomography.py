@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from fequbit import (
     Gate,
     LadderState,
     PinemPulse,
+    Spectrogram,
     Spectrum,
     add_shot_noise,
     apply_pinem_bessel,
@@ -126,6 +128,30 @@ def test_spectrogram_csv_roundtrip(tmp_path):
     assert again.probe_magnitude == sg.probe_magnitude
     assert np.array_equal(again.scan_phases, sg.scan_phases)
     assert np.array_equal(again.data, sg.data)
+
+
+def test_spectrogram_csv_rejects_bad_level_rows(tmp_path):
+    path = tmp_path / "sg.csv"
+    header = "l,0.0,3.14\nprobe,1.0,1.0\n"
+    path.write_text(header + "0,0.5,0.5\n2,0.5,0.5\n")
+    with pytest.raises(ValueError):
+        Spectrogram.from_csv(path)
+    path.write_text(header + "0,0.5,0.5\n1,0.5\n")
+    with pytest.raises(ValueError):
+        Spectrogram.from_csv(path)
+
+
+@pytest.mark.parametrize("x", [2.0, 10.0, 100.0, 200.0, 500.0])
+def test_probe_window_is_smallest_within_tail_budget(x):
+    # K is the smallest half-width whose dropped tail 2 sum_{k>K} J_k(x)^2 is <= 1e-24
+    state = basis_state(0, 1)
+    sg = spectrogram(state, probe_magnitude=x / 2, n_phases=8)
+    k_half = (sg.n_levels - state.dim) // 2
+
+    def tail(k):
+        return 2.0 * np.sum(jv(np.arange(k + 1, int(x) + 400), x)[::-1] ** 2)
+
+    assert tail(k_half) <= 1e-24 < tail(k_half - 1)
 
 
 def test_shot_noise_determinism_and_normalization():
