@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -39,6 +40,9 @@ EXIT_RECONSTRUCTION = 5
 EXIT_IO = 6
 
 BLOCH_WEIGHT_FLOOR = 1e-9
+
+MAX_COUNTS = 9.2e18
+"""Largest counts per column numpy's Poisson sampler accepts (its limit is near 2**63)."""
 
 
 @dataclass
@@ -82,14 +86,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    # a value of the wrong type is listed and replaced by its default, so the
-    # checks below still run; bool is an int subclass but only fits `csv`
+    # a value of the wrong type or a number no float can hold is listed and
+    # replaced by its default, so the checks below still run; bool is an int
+    # subclass but only fits `csv`
     for f in fields(RunConfig):
         kind = type(f.default)
         accepted = (str, int) if f.name == "window" else {float: (int, float)}.get(kind, kind)
         value = values[f.name]
         if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
             problems.append(f"{f.name} must be {kind.__name__}, got {value!r}")
+            values[f.name] = f.default
+        elif kind is float and not abs(value) <= sys.float_info.max:
+            problems.append(f"{f.name} must be finite, got {value!r}")
             values[f.name] = f.default
 
     config = RunConfig(**values)
@@ -119,8 +127,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         problems.append("probe magnitude must be > 0")
     if config.phases < 8:
         problems.append("need at least 8 scan phases")
-    if config.counts < 0:
-        problems.append("counts per column must be >= 0")
+    if not 0 <= config.counts <= MAX_COUNTS:
+        problems.append(f"counts per column must be in [0, {MAX_COUNTS:.2g}]")
     if config.restarts < 1:
         problems.append("need at least 1 reconstruction restart")
     if problems:
@@ -299,8 +307,8 @@ def load_spectrum_csv(path: str):
 def cmd_eigenphases(args, config: RunConfig) -> int:
     if args.dim < 3 or args.dim % 2 == 0:
         raise ConfigurationError("eigenphases needs an odd dim >= 3")
-    if args.g < 0:
-        raise ConfigurationError("coupling magnitude must be >= 0")
+    if not 0 <= args.g < math.inf:
+        raise ConfigurationError("coupling magnitude must be finite and >= 0")
     phases = eigenphases(PinemPulse.single(args.g), args.dim)
     out = _outdir(config)
     path = os.path.join(out, "eigenphases.csv")
@@ -341,8 +349,8 @@ def cmd_tomography(args, config: RunConfig) -> int:
 def cmd_bench(args, config: RunConfig) -> int:
     if args.dim < 3:
         raise ConfigurationError("bench needs dim >= 3")
-    if args.g < 0:
-        raise ConfigurationError("coupling magnitude must be >= 0")
+    if not 0 <= args.g < math.inf:
+        raise ConfigurationError("coupling magnitude must be finite and >= 0")
     half = args.dim // 2
     needed = TruncationPolicy.adaptive().half_width_for(args.g)
     if half < needed:
@@ -431,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", type=float, default=None,
                    help="Poisson counts per column, 0 = noiseless (default 0)")
     p.add_argument("--restarts", type=int, default=None,
-                   help="reconstruction restarts (default 16)")
+                   help="most fit starts, tried until one fits (default 16)")
     _add_common_flags(p)
     p.set_defaults(func=cmd_tomography)
 

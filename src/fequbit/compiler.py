@@ -113,9 +113,12 @@ def _parse_angle(text: str, line_no: int) -> float:
         if tok == "-":
             return -math.pi
     try:
-        return float(tok) * factor
+        angle = float(tok) * factor
     except ValueError:
         raise CircuitParseError(f"malformed angle {text.strip()!r}", line_no) from None
+    if not math.isfinite(angle):
+        raise CircuitParseError(f"non-finite angle {text.strip()!r}", line_no)
+    return angle
 
 
 def _parse_matrix(text: str, line_no: int) -> Gate:
@@ -128,7 +131,7 @@ def _parse_matrix(text: str, line_no: int) -> Gate:
         raise CircuitParseError("malformed matrix entry", line_no) from None
     gate = Gate("U", entries=entries)
     defect = _unitarity_defect(gate.target_matrix())
-    if defect > UNITARY_TOL:
+    if not defect <= UNITARY_TOL:
         raise CircuitParseError(f"non-unitary matrix (defect {defect:.2e})", line_no)
     return gate
 
@@ -177,7 +180,7 @@ def euler_xyx(u: np.ndarray) -> tuple[float, float, float, complex]:
     """
     u = np.asarray(u, dtype=np.complex128).reshape(2, 2)
     defect = _unitarity_defect(u)
-    if defect > UNITARY_TOL:
+    if not defect <= UNITARY_TOL:
         raise ValueError(f"input is not unitary (defect {defect:.2e})")
     v = _HADAMARD @ u @ _HADAMARD
     det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
@@ -396,6 +399,6 @@ def gate_fidelity(achieved: np.ndarray, target: np.ndarray) -> float:
     target = np.asarray(target, dtype=np.complex128).reshape(2, 2)
     for name, u in (("achieved", achieved), ("target", target)):
         defect = _unitarity_defect(u)
-        if defect > UNITARY_TOL:
+        if not defect <= UNITARY_TOL:
             raise ValueError(f"{name} gate is not unitary (defect {defect:.2e})")
     return float(abs(np.trace(target.conj().T @ achieved)) / 2.0)

@@ -3,14 +3,14 @@
 Populations |psi_l|^2 come straight from energy-loss spectroscopy; phases do
 not. Scanning the phase of a second, known probe pulse and recording a
 spectrum per phase gives interference data that pins the phases too. The
-reconstruction here is a multi-start nonlinear least-squares fit of the
-complex amplitudes against that forward model, with the global phase fixed
-afterwards by making the largest amplitude real-positive.
+reconstruction here is a nonlinear least-squares fit of the complex
+amplitudes against that forward model, started from the measured
+populations, with random restarts only when that fit fails. The global
+phase is fixed afterwards by making the largest amplitude real-positive.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -209,13 +209,15 @@ def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
                       ) -> ReconstructionResult:
     """Least-squares fit of complex amplitudes to a spectrogram.
 
-    Multi-start local optimization with an analytic Jacobian; deterministic
-    for a given seed (ties in cost go to the earlier restart). Up to
-    ``n_restarts`` starts run, stopping early once the cost floor is hit or
-    two starts agree on the best cost (same basin found twice). The result is
-    flagged not-ok when the best residual (Frobenius mismatch between
-    predicted and observed spectrograms) exceeds ``fail_threshold``; the best
-    candidate is still returned.
+    Local optimization with an analytic Jacobian, started from the square
+    roots of the phase-averaged populations. Only when that start fails do
+    random-phase starts follow, at most ``n_restarts`` starts in all: the
+    loop stops at the first start whose residual (Frobenius mismatch between
+    predicted and observed spectrograms) is <= ``fail_threshold``, and the
+    lowest-cost start is kept (ties go to the earlier start), so the result
+    is deterministic for a given seed. It is flagged not-ok when even that
+    best residual exceeds ``fail_threshold``; the best candidate is still
+    returned.
     """
     if n_restarts < 1:
         raise ValueError("need at least one restart")
@@ -226,11 +228,9 @@ def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
     # dense per-phase linear maps C[j] : fit amplitudes -> mixed amplitudes on data rows
     conv_maps = np.zeros((n_phases, n_rows, n_par), dtype=np.complex128)
     for col in range(n_par):
-        src_l = fit_l_min + col
-        lo = src_l - k_half - sg.l_min
-        for j in range(n_phases):
-            row0, row1 = max(lo, 0), min(lo + kernels.shape[1], n_rows)
-            conv_maps[j, row0:row1, col] = kernels[j, row0 - lo:row1 - lo]
+        lo = fit_l_min + col - k_half - sg.l_min
+        row0, row1 = max(lo, 0), min(lo + kernels.shape[1], n_rows)
+        conv_maps[:, row0:row1, col] = kernels[:, row0 - lo:row1 - lo]
 
     observed = sg.data.T  # (n_phases, n_rows)
 
@@ -251,13 +251,8 @@ def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
     start_mag = np.sqrt(np.clip(
         mean_pop[fit_l_min - sg.l_min:fit_l_min - sg.l_min + n_par], 0.0, None))
     rng = np.random.default_rng(seed)
-    n_entries = n_phases * n_rows
-    early_cost = 1e-24 * n_entries
 
-    best = None
-    best_index = 0
-    used = 0
-    agreeing = 0
+    best, best_index = None, 0
     for restart in range(n_restarts):
         if restart == 0:
             psi0 = start_mag.astype(np.complex128)
@@ -266,30 +261,21 @@ def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
         x0 = np.concatenate([psi0.real, psi0.imag])
         fit = least_squares(residuals, x0, jac=jacobian, method="trf",
                             xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=300)
-        used += 1
-        if best is None:
-            best, agreeing = fit, 1
-        elif fit.cost < best.cost:
-            if fit.cost > best.cost * (1.0 - 1e-3):
-                agreeing += 1
-            else:
-                agreeing = 1
+        if best is None or fit.cost < best.cost:
             best, best_index = fit, restart
-        elif fit.cost < best.cost * (1.0 + 1e-3):
-            agreeing += 1
-        if best.cost <= early_cost or agreeing >= 2:
+        residual = math.sqrt(2.0 * best.cost)
+        if residual <= fail_threshold:
             break
 
     psi = best.x[:n_par] + 1j * best.x[n_par:]
     anchor = int(np.argmax(np.abs(psi)))
     if abs(psi[anchor]) > 0:
         psi = psi * np.exp(-1j * np.angle(psi[anchor]))
-    residual = math.sqrt(2.0 * best.cost)
     return ReconstructionResult(
         state=LadderState(fit_l_min, psi),
         residual=residual,
         ok=residual <= fail_threshold,
-        restarts=used,
+        restarts=restart + 1,
         best_restart=best_index,
         seed=seed,
     )
@@ -307,8 +293,3 @@ def readout_qubit(sg: Spectrogram, window: TruncationPolicy | None = None,
     result = reconstruct_state(sg, window, n_restarts, seed, fail_threshold)
     # fit-window edges bound the support; the interior-leakage check is moot here
     return project_qubit(result.state, edge_margin=0), result.residual
-
-
-def reconstruction_report(result: ReconstructionResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_json(), fh)

@@ -77,6 +77,20 @@ def test_simulate_invalid_config_aggregates(tmp_path, circuit_file, capsys):
     assert "wavelength" in err
 
 
+@pytest.mark.parametrize("flags", [["--beam-kev", "nan"], ["--wavelength-nm", "nan"],
+                                   ["--delta-e-ev", "nan"]])
+def test_simulate_non_finite_flag_is_config_error(tmp_path, circuit_file, flags):
+    assert main(["simulate", circuit_file, *flags, *out_args(tmp_path)]) == EXIT_CONFIG
+
+
+def test_config_number_beyond_float_range_is_config_error(tmp_path, circuit_file, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"beam_kev": 1' + "0" * 400 + "}")
+    code = main(["simulate", circuit_file, "--config", str(cfg), *out_args(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "beam_kev must be finite" in capsys.readouterr().err
+
+
 def test_simulate_truncation_error_on_tiny_fixed_window(tmp_path, circuit_file):
     code = main(["simulate", circuit_file, "--window", "5", *out_args(tmp_path)])
     assert code == EXIT_TRUNCATION
@@ -185,6 +199,18 @@ def test_eigenphases_validation(tmp_path):
                  *out_args(tmp_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("g", ["nan", "inf"])
+def test_eigenphases_non_finite_coupling_is_config_error(tmp_path, g):
+    assert main(["eigenphases", "--g", g, "--dim", "21", *out_args(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flags", [["--counts", "nan"], ["--counts", "inf"],
+                                   ["--counts", "1e20"], ["--probe", "nan"]])
+def test_tomography_bad_number_is_config_error(tmp_path, circuit_file, flags):
+    code = main(["tomography", "--circuit", circuit_file, *flags, *out_args(tmp_path)])
+    assert code == EXIT_CONFIG
+
+
 def test_tomography_deterministic_under_seed(tmp_path):
     circ = tmp_path / "x.txt"
     circ.write_text("X\n")
@@ -233,6 +259,11 @@ def test_bench_report(tmp_path):
 
 def test_bench_rejects_undersized_window(tmp_path):
     assert main(["bench", "--g", "50", "--dim", "51", *out_args(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("g", ["nan", "inf"])
+def test_bench_non_finite_coupling_is_config_error(tmp_path, g):
+    assert main(["bench", "--g", g, "--dim", "201", *out_args(tmp_path)]) == EXIT_CONFIG
 
 
 def test_bloch_csv_flags_degenerate_rows(tmp_path):

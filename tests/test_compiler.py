@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fequbit import (
     CircuitParseError,
@@ -100,6 +102,35 @@ def test_unparse_roundtrip():
     assert again == circuit
     # and a second round is a fixed point
     assert unparse(again) == unparse(circuit)
+
+
+NAN_MATRIX = np.array([[np.nan, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: parse_circuit("RX(nan)"), CircuitParseError),
+    (lambda: parse_circuit("RY(1e400)"), CircuitParseError),
+    (lambda: parse_circuit("RZ(-inf)"), CircuitParseError),
+    (lambda: parse_circuit("RX(1e308pi)"), CircuitParseError),
+    (lambda: parse_circuit("U [[nan,0],[0,1]]"), CircuitParseError),
+    (lambda: euler_xyx(NAN_MATRIX), ValueError),
+    (lambda: gate_fidelity(NAN_MATRIX, np.eye(2)), ValueError),
+    (lambda: gate_fidelity(np.eye(2), NAN_MATRIX), ValueError),
+], ids=["rx-nan", "ry-overflow", "rz-inf", "rx-pi-overflow", "u-nan", "euler-nan",
+        "fidelity-achieved-nan", "fidelity-target-nan"])
+def test_non_finite_numbers_rejected(call, error):
+    with pytest.raises(error):
+        call()
+
+
+@given(st.floats())
+def test_rotation_angle_parses_exactly_or_is_rejected(x):
+    text = f"RX({x!r})"
+    if math.isfinite(x):
+        assert repr(parse_circuit(text).gates[0].angle) == repr(x)
+    else:
+        with pytest.raises(CircuitParseError):
+            parse_circuit(text)
 
 
 # ---------------------------------------------------------------- euler

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.special import jv
 
 from fequbit import (
     FspPhase,
@@ -18,6 +19,8 @@ from fequbit import (
     pinem_generator,
     pinem_kernel,
 )
+from fequbit.ladder import bessel_tail_half_width
+from fequbit.operators import _CHEBYSHEV_BUDGET, CHEBYSHEV_TAIL_TOL
 from helpers import random_interior_state, state_distance
 from oracles import bessel_series, pinem_amplitudes_oracle
 
@@ -182,6 +185,14 @@ def test_chebyshev_path_at_large_spectral_radius():
     assert a.dim == 1001
     assert state_distance(a, b) <= 1e-10
     assert abs(a.norm() - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("r", [1000.0, 2000.0, 5000.0])
+def test_chebyshev_term_count_meets_its_amplitude_bound(r):
+    # the expansion cut after J_K errs by at most 2 sum_{j>K} |J_j(R)|
+    k = bessel_tail_half_width(r, _CHEBYSHEV_BUDGET)
+    tail = 2.0 * np.sum(np.abs(jv(np.arange(k + 1, k + 400), r)))
+    assert tail <= CHEBYSHEV_TAIL_TOL
 
 
 def test_fsp_zero_distance_is_identity():

@@ -226,6 +226,21 @@ def test_reconstruction_failure_is_flagged():
     assert result.residual > 0.05
 
 
+def test_fit_that_succeeds_stops_after_its_first_start():
+    sg = add_shot_noise(spectrogram(normalized_random_state(9)), 1e6, seed=1)
+    result = reconstruct_state(sg, seed=0)
+    assert result.ok
+    assert result.restarts == 1
+    assert result.best_restart == 0
+
+
+def test_failing_fit_runs_every_start():
+    sg = add_shot_noise(spectrogram(normalized_random_state(11)), 200.0, seed=3)
+    result = reconstruct_state(sg, n_restarts=3, seed=0)
+    assert not result.ok
+    assert result.restarts == 3
+
+
 def test_reconstruction_report_roundtrip():
     sg = spectrogram(normalized_random_state(12), n_phases=16)
     result = reconstruct_state(sg, seed=5)
