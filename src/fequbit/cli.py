@@ -44,6 +44,10 @@ BLOCH_WEIGHT_FLOOR = 1e-9
 MAX_COUNTS = 9.2e18
 """Largest counts per column numpy's Poisson sampler accepts (its limit is near 2**63)."""
 
+MAX_PROBE = 100.0
+"""Largest probe magnitude; the fit's (phases, rows, rows) convolution maps grow
+with its square (8.6 GiB at magnitude 1000)."""
+
 
 @dataclass
 class RunConfig:
@@ -123,8 +127,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if int(config.seed) < 0:
         problems.append("seed must be >= 0")
     config.seed = int(config.seed)
-    if config.probe <= 0:
-        problems.append("probe magnitude must be > 0")
+    if not 0 < config.probe <= MAX_PROBE:
+        problems.append(f"probe magnitude must be in (0, {MAX_PROBE:g}]")
     if config.phases < 8:
         problems.append("need at least 8 scan phases")
     if not 0 <= config.counts <= MAX_COUNTS:
@@ -326,8 +330,9 @@ def load_eigenphases_csv(path: str) -> np.ndarray:
 
 
 def cmd_tomography(args, config: RunConfig) -> int:
-    # drop the probability-free padding a simulation leaves behind; the
-    # reconstruction cost grows with the data window
+    # narrow the fit window: the simulation already trims its padding, but it
+    # keeps edge levels of per-cell probability up to 1e-18 that this cut
+    # drops, and the reconstruction cost grows with the data window
     state = _state_from_inputs(args, config).trimmed()
     sg = spectrogram(state, probe_magnitude=config.probe, n_phases=config.phases)
     if config.counts > 0:

@@ -40,10 +40,14 @@ class TruncationPolicy:
     """Window-sizing rule for ladder states.
 
     ``fixed(L)`` always uses the symmetric window [-L, L] and never grows it.
-    ``adaptive`` grows the window per interaction: for coupling strength ``s``
-    the half-width is ``ceil(2s) + margin_abs + ceil(margin_rel * (2s)**(1/3))``.
-    The cube-root term tracks the width of the Bessel turnover region, the
-    absolute term covers weak pulses.
+    ``adaptive`` pads the window for each interaction: for coupling strength
+    ``s`` the pad is ``ceil(2s) + margin_abs + ceil(margin_rel * (2s)**(1/3))``
+    per side. The cube-root term tracks the width of the Bessel turnover
+    region, the absolute term covers weak pulses. After the edge check the
+    pulse result is trimmed back to its support: each end drops the cells
+    holding at most ``operators.CHEBYSHEV_TAIL_TOL / 2`` in summed |amplitude|,
+    less ``edge_margin`` guard cells, so one trim moves the state by at most
+    CHEBYSHEV_TAIL_TOL in l1 norm.
     """
 
     mode: str = "adaptive"
@@ -151,8 +155,13 @@ class LadderState:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LadderState":
+        """Inverse of ``to_json``. ``l_min`` must be an integer with
+        |l_min| <= 2**62, so that level indices stay within int64."""
+        l_min = obj["l_min"]
+        if not isinstance(l_min, int) or isinstance(l_min, bool) or abs(l_min) > 2 ** 62:
+            raise ValueError(f"l_min must be an integer within +-2**62, got {l_min!r}")
         amps = np.array([complex(re, im) for re, im in obj["amplitudes"]], dtype=np.complex128)
-        return cls(int(obj["l_min"]), amps)
+        return cls(l_min, amps)
 
     def dump(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

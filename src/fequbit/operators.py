@@ -10,6 +10,12 @@ so exp(A) is too; for a single harmonic the kernel is known in closed form,
 which the Bessel path convolves with. Every other pulse goes through one
 propagator, a Chebyshev expansion of exp(A) with coefficients J_k(R); both
 paths cut their Bessel series with ``ladder.bessel_tail_half_width``.
+Under an adaptive policy each pulse pads the window by the policy's
+half-width and then trims the result back to its support: each end loses
+the longest run of cells holding at most CHEBYSHEV_TAIL_TOL / 2 in summed
+|amplitude|, less ``edge_margin`` guard cells. One trim moves the state by at
+most CHEBYSHEV_TAIL_TOL in l1 norm, so n pulses move it by at most n times
+that, and the window tracks the support instead of growing with every pulse.
 Free-space propagation is diagonal: level l picks up
 exp(+i 2 pi (z / z_D) l^2). The + sign is a package-wide convention chosen
 so that a quarter dispersion length multiplies odd levels by +i (pinned by
@@ -185,22 +191,45 @@ def _chebyshev_exp_apply(pulse: PinemPulse, psi: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _checked_result(result: LadderState, policy: TruncationPolicy) -> LadderState:
+    """Edge-check a pulse result; under an adaptive policy, also trim it.
+
+    The trim drops, from each end, the longest run of cells whose summed
+    |amplitude| is at most CHEBYSHEV_TAIL_TOL / 2, but keeps
+    ``policy.edge_margin`` of them as a guard. That moves the state by at most
+    CHEBYSHEV_TAIL_TOL in l1 (hence in l2 norm and in each comb sum), and
+    leaves at most (tol / 2)^2 probability in the guard, so a later edge check
+    never trips on a trimmed edge.
+    """
+    check_edge_leakage(result, policy.edge_margin, policy.leakage_tol)
+    if policy.mode == "fixed":
+        return result
+    mass = np.abs(result.amplitudes)
+    half_tol = CHEBYSHEV_TAIL_TOL / 2.0
+    lo = int(np.searchsorted(np.cumsum(mass), half_tol, side="right"))
+    hi = int(np.searchsorted(np.cumsum(mass[::-1]), half_tol, side="right"))
+    if lo + hi >= result.dim:  # l1 norm <= tol, e.g. an all-zero state: no support
+        return result
+    lo = max(lo - policy.edge_margin, 0)
+    hi = max(hi - policy.edge_margin, 0)
+    return LadderState(result.l_min + lo, result.amplitudes[lo:result.dim - hi])
+
+
 def apply_pinem_matexp(state: LadderState, pulse: PinemPulse,
                        policy: TruncationPolicy = DEFAULT_POLICY) -> LadderState:
     """Apply exp(generator) of the truncated window to the state.
 
     Adaptive policies enlarge the window by the pulse half-width before
-    applying; fixed policies keep it. The exponential is applied by its
-    Chebyshev expansion at every window size, to within CHEBYSHEV_TAIL_TOL
-    in amplitude. Raises TruncationError if the result carries weight near
-    the window edge.
+    applying, then trim the result back to its support, which moves it by at
+    most CHEBYSHEV_TAIL_TOL in l1; fixed policies keep the window. The
+    exponential is applied by its Chebyshev expansion at every window size,
+    to within CHEBYSHEV_TAIL_TOL in amplitude. Raises TruncationError if the
+    result carries weight near the (padded) window edge.
     """
     pad = policy.half_width_for(pulse.strength) if policy.mode == "adaptive" else 0
     l_min = state.l_min - pad
     psi = _aligned(state.amplitudes, state.l_min, l_min, state.dim + 2 * pad)
-    result = LadderState(l_min, _chebyshev_exp_apply(pulse, psi))
-    check_edge_leakage(result, policy.edge_margin, policy.leakage_tol)
-    return result
+    return _checked_result(LadderState(l_min, _chebyshev_exp_apply(pulse, psi)), policy)
 
 
 def pinem_kernel(g: complex, half_width: int | None = None) -> np.ndarray:
@@ -226,8 +255,10 @@ def apply_pinem_bessel(state: LadderState, pulse: PinemPulse,
                        policy: TruncationPolicy = DEFAULT_POLICY) -> LadderState:
     """Apply a single-harmonic laser interaction as a Bessel-kernel convolution.
 
-    Multi-harmonic pulses have no single Jacobi-Anger kernel here and fall
-    back to ``apply_pinem_matexp``.
+    Adaptive policies pad the window by the pulse half-width and trim the
+    result back to its support, moving it by at most CHEBYSHEV_TAIL_TOL in l1;
+    fixed policies keep the window. Multi-harmonic pulses have no single
+    Jacobi-Anger kernel here and fall back to ``apply_pinem_matexp``.
     """
     if not pulse.is_single_harmonic:
         return apply_pinem_matexp(state, pulse, policy)
@@ -243,9 +274,7 @@ def apply_pinem_bessel(state: LadderState, pulse: PinemPulse,
         l_min, dim = state.l_min - pad, state.dim + 2 * pad
     else:
         l_min, dim = state.l_min, state.dim
-    result = LadderState(l_min, _aligned(conv, conv_l_min, l_min, dim))
-    check_edge_leakage(result, policy.edge_margin, policy.leakage_tol)
-    return result
+    return _checked_result(LadderState(l_min, _aligned(conv, conv_l_min, l_min, dim)), policy)
 
 
 def apply_pinem(state: LadderState, pulse: PinemPulse,

@@ -140,6 +140,9 @@ def test_config_value_of_wrong_type_is_listed(tmp_path, circuit_file, capsys):
     "{not json",
     json.dumps({"amplitudes": [[1.0, 0.0]]}),  # no l_min
     json.dumps({"l_min": 0, "amplitudes": [[2.0, 0.0]]}),  # norm^2 = 4
+    json.dumps({"l_min": 1e30, "amplitudes": [[1.0, 0.0]]}),
+    json.dumps({"l_min": 10 ** 20, "amplitudes": [[1.0, 0.0]]}),
+    json.dumps({"l_min": 1.5, "amplitudes": [[1.0, 0.0]]}),
 ])
 def test_bad_state_file_is_config_error(tmp_path, content):
     state_path = tmp_path / "state.json"
@@ -205,7 +208,8 @@ def test_eigenphases_non_finite_coupling_is_config_error(tmp_path, g):
 
 
 @pytest.mark.parametrize("flags", [["--counts", "nan"], ["--counts", "inf"],
-                                   ["--counts", "1e20"], ["--probe", "nan"]])
+                                   ["--counts", "1e20"], ["--probe", "nan"],
+                                   ["--probe", "1e300"], ["--probe", "1000"]])
 def test_tomography_bad_number_is_config_error(tmp_path, circuit_file, flags):
     code = main(["tomography", "--circuit", circuit_file, *flags, *out_args(tmp_path)])
     assert code == EXIT_CONFIG

@@ -24,7 +24,10 @@ from fequbit import (
     simulate_schedule,
     unparse,
 )
+from fequbit.ladder import NORM_TOL, TruncationPolicy
+from fequbit.operators import CHEBYSHEV_TAIL_TOL
 from fequbit.qubit import pinem_rotation
+from helpers import state_distance
 from oracles import haar_unitary
 
 BEAM = derive_beam(200e3, 800e-9)
@@ -282,6 +285,48 @@ def test_circuit_compilation_order():
     # X H |0>_q = (1, 1)/sqrt(2) up to phase
     assert abs(q.alpha) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
     assert abs(q.beta) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+
+
+def test_weak_pulse_keeps_guard_cells_at_trimmed_edges():
+    # a guard-less trim leaves 5e-7 probability within 3 cells of the edge
+    (schedule,) = compile_circuit(parse_circuit("RX(1e-3)\n"), BEAM)
+    state = simulate_schedule(schedule, basis_state(0, 8))
+    q = project_qubit(state)
+    assert abs(q.beta) == pytest.approx(math.sin(1e-3), abs=1e-12)
+
+
+def test_adaptive_window_tracks_support_over_long_runs():
+    (schedule,) = compile_circuit(parse_circuit("H\n"), BEAM)
+    adaptive = basis_state(0, 8)
+    fixed_policy = TruncationPolicy.fixed(7100)
+    fixed = basis_state(0, 7100)
+    for _ in range(200):
+        adaptive = simulate_schedule(schedule, adaptive)
+        fixed = simulate_schedule(schedule, fixed, fixed_policy)
+    assert adaptive.dim <= 1000  # an untrimmed window reaches 14 017 levels
+    assert state_distance(adaptive, fixed) <= 400 * CHEBYSHEV_TAIL_TOL
+
+
+def test_random_circuit_matches_schedule_algebra():
+    rng = np.random.default_rng(2024)
+    lines = []
+    for _ in range(100):
+        kind = int(rng.integers(4))
+        if kind == 0:
+            lines.append(str(rng.choice(["H", "X", "NOT", "Y", "Z", "S", "T"])))
+        elif kind in (1, 2):
+            lines.append(f"{('RX', 'RY')[kind - 1]}({rng.uniform(-math.pi, math.pi)!r})")
+        else:
+            a, b, c, d = (complex(x) for x in haar_unitary(rng).ravel())
+            lines.append(f"U [[{a!r},{b!r}],[{c!r},{d!r}]]")
+    state = basis_state(0, 8)
+    expected = np.array([1.0, 0.0], dtype=complex)
+    for schedule in compile_circuit(parse_circuit("\n".join(lines)), BEAM):
+        state = simulate_schedule(schedule, state)
+        expected = (schedule.qubit_matrix() / schedule.global_phase) @ expected
+    q = project_qubit(state)
+    assert np.max(np.abs([q.alpha - expected[0], q.beta - expected[1]])) <= 1e-9
+    assert abs(state.norm() - 1.0) <= NORM_TOL
 
 
 # ---------------------------------------------------------------- fidelity

@@ -21,7 +21,7 @@ from fequbit import (
 )
 from fequbit.ladder import bessel_tail_half_width
 from fequbit.operators import _CHEBYSHEV_BUDGET, CHEBYSHEV_TAIL_TOL
-from helpers import random_interior_state, state_distance
+from helpers import aligned_pair, random_interior_state, state_distance
 from oracles import bessel_series, pinem_amplitudes_oracle
 
 
@@ -150,6 +150,31 @@ def test_truncation_error_on_fixed_window():
         apply_pinem_bessel(basis_state(0, 6), PinemPulse.single(3.0), policy)
     with pytest.raises(TruncationError):
         apply_pinem_matexp(basis_state(0, 6), PinemPulse.single(3.0), policy)
+
+
+@pytest.mark.parametrize("apply, pulse", [
+    (apply_pinem_bessel, PinemPulse.single(1.3j)),
+    (apply_pinem_matexp, PinemPulse.multi({1: 1.3j, 2: 0.4})),
+])
+def test_adaptive_result_is_trimmed_and_fixed_window_kept(apply, pulse):
+    fixed = apply(basis_state(0, 60), pulse, TruncationPolicy.fixed(60))
+    assert (fixed.l_min, fixed.dim) == (-60, 121)
+    policy = TruncationPolicy.adaptive()
+    trimmed = apply(basis_state(0, 8), pulse, policy)
+    assert trimmed.dim < 17 + 2 * policy.half_width_for(pulse.strength)
+    a, b = aligned_pair(trimmed, fixed)
+    assert np.sum(np.abs(a - b)) <= CHEBYSHEV_TAIL_TOL
+    guard = policy.edge_margin
+    for edge in (trimmed.amplitudes[:guard], trimmed.amplitudes[-guard:]):
+        assert np.sum(np.abs(edge)) <= CHEBYSHEV_TAIL_TOL / 2
+
+
+@pytest.mark.parametrize("apply", [apply_pinem_bessel, apply_pinem_matexp])
+def test_adaptive_trim_keeps_window_of_zero_state(apply):
+    zero = LadderState(-8, np.zeros(17))
+    out = apply(zero, PinemPulse.single(1.3j))
+    assert out.dim > zero.dim
+    assert not np.any(out.amplitudes)
 
 
 def test_chebyshev_path_matches_bessel_above_dense_cutoff():
