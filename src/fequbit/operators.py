@@ -2,20 +2,19 @@
 
 The laser interaction is exp(A) with A anti-Hermitian and banded: coupling
 g_h on the -h / +h diagonals (entry (l+h, l) = -g_h, entry (l, l+h) =
-conj(g_h)). Because A has constant diagonals it is a convolution operator,
-so exp(A) is too; for a single harmonic the kernel is known in closed form,
+conj(g_h)). On the infinite ladder A has constant diagonals, so it is a
+Fourier multiplier and its harmonics commute: exp(A) is the product of one
+convolution per harmonic. Harmonic h has the Jacobi-Anger kernel
 
-    f_k = exp(i k arg(-g)) J_k(2|g|),
+    f_k = exp(i k arg(-g_h)) J_k(2|g_h|)
 
-which the Bessel path convolves with. Every other pulse goes through one
-propagator, a Chebyshev expansion of exp(A) with coefficients J_k(R); both
-paths cut their Bessel series with ``ladder.bessel_tail_half_width``.
-Under an adaptive policy each pulse pads the window by the policy's
-half-width and then trims the result back to its support: each end loses
-the longest run of cells holding at most CHEBYSHEV_TAIL_TOL / 2 in summed
-|amplitude|, less ``edge_margin`` guard cells. One trim moves the state by at
-most CHEBYSHEV_TAIL_TOL in l1 norm, so n pulses move it by at most n times
-that, and the window tracks the support instead of growing with every pulse.
+placed on every h-th level, cut by ``ladder.bessel_tail_half_width``.
+``apply_pinem`` is the one function that applies a pulse to a state; under
+an adaptive policy it pads the window and trims the result back to its
+support (``_checked_result``). Dense ``eigh``/``expm`` of the truncated
+generator serve only ``eigenphases`` and ``commutator_norm``, where the
+truncated operator is the point.
+
 Free-space propagation is diagonal: level l picks up
 exp(+i 2 pi (z / z_D) l^2). The + sign is a package-wide convention chosen
 so that a quarter dispersion length multiplies odd levels by +i (pinned by
@@ -34,13 +33,14 @@ from .ladder import (DEFAULT_POLICY, LadderState, TruncationPolicy, bessel_tail_
                      check_edge_leakage)
 
 MATEXP_DENSE_MAX_DIM = 1024
-"""Selects no path (the Chebyshev apply runs at every size); perfbench/layers.py
-still reads it to label its apply_pinem_matexp timings."""
+"""Selects nothing; kept only because perfbench/layers.py reads it to label its
+apply_pinem_matexp timings."""
 
 CHEBYSHEV_TAIL_TOL = 1e-13
 """Amplitude error bound of every Bessel series the operators truncate."""
 
 _CHEBYSHEV_BUDGET = CHEBYSHEV_TAIL_TOL ** 2 / 32.0
+"""Used by no operator; kept only because a tail-count test imports it."""
 _KERNEL_BUDGET = CHEBYSHEV_TAIL_TOL ** 2 / 8.0
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -91,11 +91,6 @@ class PinemPulse:
     def strength(self) -> float:
         """Sum of h * |g_h|; bounds how far the support can spread."""
         return sum(h * abs(g) for h, g in self.couplings)
-
-    @property
-    def spectral_radius(self) -> float:
-        """Gershgorin bound 2 sum |g_h| on the Hermitian generator i*A."""
-        return 2.0 * sum(abs(g) for _, g in self.couplings)
 
 
 @dataclass(frozen=True)
@@ -153,44 +148,6 @@ def _aligned(amps: np.ndarray, l_min: int, target_l_min: int, target_dim: int) -
     return out
 
 
-def _chebyshev_exp_apply(pulse: PinemPulse, psi: np.ndarray) -> np.ndarray:
-    """exp(A) psi via a Chebyshev expansion of exp(-i x) over the spectrum.
-
-    The generator is A = -iH with H Hermitian and ||H|| <= R (Gershgorin), so
-    exp(A) = J_0(R) I + 2 sum_k (-i)^k J_k(R) T_k(H/R); stopping at k = K
-    errs by at most 2 sum_{j>K} |J_j(R)|. K meets the squared tail budget
-    tol^2 / 32 (tol = CHEBYSHEV_TAIL_TOL), so |J_{K+1}| <= tol / 8, and
-    2 sum_{j>K} |J_j| <= tol wherever |J_{j+1} / J_j| <= 3/4 past K. That
-    ratio nears 2/3 for R in the thousands; at R = 10000 the error is
-    0.76 tol.
-    """
-    r = pulse.spectral_radius
-    if r == 0.0:
-        return psi.copy()
-    n_terms = max(bessel_tail_half_width(r, _CHEBYSHEV_BUDGET) + 1, 2)
-    bess = jv(np.arange(n_terms), r)
-
-    # scaled Hermitian matvec y = (H/R) x, H = i * generator
-    ops = [(h, -1j * g / r, 1j * np.conj(g) / r) for h, g in pulse.couplings]
-
-    def matvec(x):
-        y = np.zeros_like(x)
-        for h, lo, up in ops:
-            y[h:] += lo * x[:-h]
-            y[:-h] += up * x[h:]
-        return y
-
-    w_prev = psi.astype(np.complex128)
-    w_cur = matvec(w_prev)
-    acc = bess[0] * w_prev + (2.0 * (-1j) * bess[1]) * w_cur
-    coef = -1.0 + 0.0j
-    for k in range(2, n_terms):
-        w_prev, w_cur = w_cur, 2.0 * matvec(w_cur) - w_prev
-        acc += (2.0 * coef * bess[k]) * w_cur
-        coef *= -1j
-    return acc
-
-
 def _checked_result(result: LadderState, policy: TruncationPolicy) -> LadderState:
     """Edge-check a pulse result; under an adaptive policy, also trim it.
 
@@ -215,74 +172,66 @@ def _checked_result(result: LadderState, policy: TruncationPolicy) -> LadderStat
     return LadderState(result.l_min + lo, result.amplitudes[lo:result.dim - hi])
 
 
-def apply_pinem_matexp(state: LadderState, pulse: PinemPulse,
-                       policy: TruncationPolicy = DEFAULT_POLICY) -> LadderState:
-    """Apply exp(generator) of the truncated window to the state.
-
-    Adaptive policies enlarge the window by the pulse half-width before
-    applying, then trim the result back to its support, which moves it by at
-    most CHEBYSHEV_TAIL_TOL in l1; fixed policies keep the window. The
-    exponential is applied by its Chebyshev expansion at every window size,
-    to within CHEBYSHEV_TAIL_TOL in amplitude. Raises TruncationError if the
-    result carries weight near the (padded) window edge.
-    """
-    pad = policy.half_width_for(pulse.strength) if policy.mode == "adaptive" else 0
-    l_min = state.l_min - pad
-    psi = _aligned(state.amplitudes, state.l_min, l_min, state.dim + 2 * pad)
-    return _checked_result(LadderState(l_min, _chebyshev_exp_apply(pulse, psi)), policy)
-
-
-def pinem_kernel(g: complex, half_width: int | None = None) -> np.ndarray:
+def pinem_kernel(g: complex) -> np.ndarray:
     """Closed-form convolution kernel f_k for a single-harmonic pulse.
 
-    Index k runs from -half_width to +half_width; by default the kernel is
-    cut where its dropped tail meets the squared budget tol^2 / 8
-    (tol = CHEBYSHEV_TAIL_TOL). By Cauchy-Schwarz, convolving a normalized
-    state then errs by at most the l2 norm of the dropped tail, tol / sqrt(8),
-    in any one amplitude. The phase factor scales with k; the Chebyshev path
-    pins this convention.
+    Index k runs from -K to +K, where K is the first cut whose dropped tail
+    meets the squared budget tol^2 / 8 (tol = CHEBYSHEV_TAIL_TOL). By
+    Cauchy-Schwarz, convolving a normalized state then errs by at most the l2
+    norm of the dropped tail, tol / sqrt(8), in any one amplitude. The phase
+    factor scales with k; the tests against the dense exponential of the
+    generator pin this convention.
     """
     g = complex(g)
-    if half_width is None:
-        k_half = bessel_tail_half_width(2.0 * abs(g), _KERNEL_BUDGET)
-    else:
-        k_half = int(half_width)
+    k_half = bessel_tail_half_width(2.0 * abs(g), _KERNEL_BUDGET)
     k = np.arange(-k_half, k_half + 1)
     return np.exp(1j * np.angle(-g) * k) * jv(k, 2.0 * abs(g))
 
 
-def apply_pinem_bessel(state: LadderState, pulse: PinemPulse,
-                       policy: TruncationPolicy = DEFAULT_POLICY) -> LadderState:
-    """Apply a single-harmonic laser interaction as a Bessel-kernel convolution.
+def apply_pinem(state: LadderState, pulse: PinemPulse,
+                policy: TruncationPolicy = DEFAULT_POLICY) -> LadderState:
+    """Apply a laser interaction as one Bessel-kernel convolution per harmonic.
 
-    Adaptive policies pad the window by the pulse half-width and trim the
-    result back to its support, moving it by at most CHEBYSHEV_TAIL_TOL in l1;
-    fixed policies keep the window. Multi-harmonic pulses have no single
-    Jacobi-Anger kernel here and fall back to ``apply_pinem_matexp``.
+    Harmonic h convolves with ``pinem_kernel(g_h)`` placed on every h-th
+    level. Cutting that kernel at K moves the state by at most
+    2 sum_{k>K} |J_k(2|g_h|)| in l2 norm, the l1 norm of the dropped tail, so
+    a multi-harmonic pulse moves it by at most the sum of those over its
+    harmonics (up to products of tails). Adaptive policies pad the window by
+    ``half_width_for(pulse.strength)`` and trim the result back to its
+    support, moving it by at most CHEBYSHEV_TAIL_TOL in l1; fixed policies
+    keep the window. A pulse whose couplings are all zero returns the state
+    unchanged. Raises TruncationError if the result carries weight near the
+    (padded) window edge.
     """
-    if not pulse.is_single_harmonic:
-        return apply_pinem_matexp(state, pulse, policy)
-    g = pulse.g
-    if g == 0:
+    harmonics = [(h, g) for h, g in pulse.couplings if g != 0]
+    if not harmonics:
         return state
-    kernel = pinem_kernel(g)
-    k_half = (kernel.size - 1) // 2
-    conv = np.convolve(state.amplitudes, kernel)
-    conv_l_min = state.l_min - k_half
+    amps, amps_l_min = state.amplitudes, state.l_min
+    for h, g in harmonics:
+        kernel = pinem_kernel(g)
+        k_half = (kernel.size - 1) // 2
+        dilated = np.zeros(2 * h * k_half + 1, dtype=np.complex128)
+        dilated[::h] = kernel
+        amps = np.convolve(amps, dilated)
+        amps_l_min -= h * k_half
     if policy.mode == "adaptive":
-        pad = policy.half_width_for(abs(g))
+        pad = policy.half_width_for(pulse.strength)
         l_min, dim = state.l_min - pad, state.dim + 2 * pad
     else:
         l_min, dim = state.l_min, state.dim
-    return _checked_result(LadderState(l_min, _aligned(conv, conv_l_min, l_min, dim)), policy)
+    return _checked_result(LadderState(l_min, _aligned(amps, amps_l_min, l_min, dim)), policy)
 
 
-def apply_pinem(state: LadderState, pulse: PinemPulse,
-                policy: TruncationPolicy = DEFAULT_POLICY) -> LadderState:
-    """Laser interaction via the cheapest valid path for the pulse."""
-    if pulse.is_single_harmonic:
-        return apply_pinem_bessel(state, pulse, policy)
-    return apply_pinem_matexp(state, pulse, policy)
+def apply_pinem_bessel(state: LadderState, pulse: PinemPulse,
+                       policy: TruncationPolicy = DEFAULT_POLICY) -> LadderState:
+    """Former name of ``apply_pinem``, kept for existing callers."""
+    return apply_pinem(state, pulse, policy)
+
+
+def apply_pinem_matexp(state: LadderState, pulse: PinemPulse,
+                       policy: TruncationPolicy = DEFAULT_POLICY) -> LadderState:
+    """Former name of ``apply_pinem``, kept for existing callers."""
+    return apply_pinem(state, pulse, policy)
 
 
 def apply_fsp(state: LadderState, phase: FspPhase) -> LadderState:

@@ -207,6 +207,17 @@ def test_eigenphases_non_finite_coupling_is_config_error(tmp_path, g):
     assert main(["eigenphases", "--g", g, "--dim", "21", *out_args(tmp_path)]) == EXIT_CONFIG
 
 
+def test_out_of_memory_is_config_error(tmp_path, monkeypatch, capsys):
+    # an oversized --dim or --phases ends in MemoryError; allocate nothing here
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("fequbit.cli.eigenphases", exhausted)
+    assert main(["eigenphases", "--g", "0.25", "--dim", "21",
+                 *out_args(tmp_path)]) == EXIT_CONFIG
+    assert "--dim" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [["--counts", "nan"], ["--counts", "inf"],
                                    ["--counts", "1e20"], ["--probe", "nan"],
                                    ["--probe", "1e300"], ["--probe", "1000"]])

@@ -212,6 +212,32 @@ def test_chebyshev_path_at_large_spectral_radius():
     assert abs(a.norm() - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("h", [2, 3])
+def test_harmonic_only_pulse_is_dilated_closed_form(h):
+    # harmonic h alone moves the electron in steps of h photons, each step
+    # weighted like the fundamental's closed form
+    g = 0.8 * np.exp(0.7j)
+    out = apply_pinem(basis_state(0, 8), PinemPulse.multi({h: g}))
+    on_comb = out.indices % h == 0
+    expected = np.zeros(out.dim, dtype=complex)
+    expected[on_comb] = pinem_amplitudes_oracle(g, out.indices[on_comb] // h)
+    assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
+
+
+def test_multi_harmonic_strong_coupling_against_dense():
+    # the kernel tails of every harmonic, dilated, at |g_1| = 50
+    state = basis_state(0, 600)
+    policy = TruncationPolicy.fixed(600)
+    pulse = PinemPulse.multi({1: 50.0 * np.exp(0.4j), 2: 25.0 * np.exp(2.1j),
+                              3: 10.0 * np.exp(-1.3j)})
+    out = apply_pinem(state, pulse, policy)
+    h = 1j * pinem_generator(pulse, state.dim)
+    lam, vec = eigh(h)
+    expected = (vec * np.exp(-1j * lam)) @ (vec.conj().T @ state.amplitudes)
+    assert out.dim == 1201
+    assert np.linalg.norm(out.amplitudes - expected) < 1e-11
+
+
 @pytest.mark.parametrize("r", [1000.0, 2000.0, 5000.0])
 def test_chebyshev_term_count_meets_its_amplitude_bound(r):
     # the expansion cut after J_K errs by at most 2 sum_{j>K} |J_j(R)|
