@@ -48,6 +48,25 @@ MAX_PROBE = 100.0
 """Largest probe magnitude; the fit's (phases, rows, rows) convolution maps grow
 with its square (8.6 GiB at magnitude 1000)."""
 
+MAX_PHASES = 1024
+"""Most tomography scan phases; the fit's (phases, rows, params) convolution
+maps and Jacobian grow with it, 69 MB each at the bound for the 65-level
+``H T H`` window at the default probe. Their rows and params also grow with the
+probe width, so phases x probe width stays bounded only through ``MAX_PROBE``
+(4.7 GB per array for that state at both bounds)."""
+
+MAX_EIGENPHASES_DIM = 4097
+"""Largest ``eigenphases --dim``: the dense complex (dim, dim) generator is
+268 MB at the bound."""
+
+MAX_BENCH_DIM = 2**24 + 1
+"""Largest ``bench --dim``: the bench state then has at most 2**24 + 1 levels,
+about 256 MiB as a complex array; the pulse's arrays add its kernel width."""
+
+MAX_WINDOW = 2**23
+"""Largest fixed ``--window`` half-width: a state on the window then has
+2**24 + 1 levels, about 256 MiB per complex amplitude array."""
+
 
 @dataclass
 class RunConfig:
@@ -108,8 +127,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     config.window = str(config.window)
     if config.window != "adaptive":
         try:
-            if int(config.window) < 1:
-                problems.append("window half-width must be a positive integer")
+            if not 1 <= int(config.window) <= MAX_WINDOW:
+                problems.append(f"window half-width must be an integer in [1, {MAX_WINDOW}]")
         except ValueError:
             problems.append(f"window must be 'adaptive' or an integer, got {config.window!r}")
     if config.beam_kev <= 0:
@@ -129,8 +148,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     config.seed = int(config.seed)
     if not 0 < config.probe <= MAX_PROBE:
         problems.append(f"probe magnitude must be in (0, {MAX_PROBE:g}]")
-    if config.phases < 8:
-        problems.append("need at least 8 scan phases")
+    if not 8 <= config.phases <= MAX_PHASES:
+        problems.append(f"scan phases must be in [8, {MAX_PHASES}]")
     if not 0 <= config.counts <= MAX_COUNTS:
         problems.append(f"counts per column must be in [0, {MAX_COUNTS:.2g}]")
     if config.restarts < 1:
@@ -309,8 +328,8 @@ def load_spectrum_csv(path: str):
 
 
 def cmd_eigenphases(args, config: RunConfig) -> int:
-    if args.dim < 3 or args.dim % 2 == 0:
-        raise ConfigurationError("eigenphases needs an odd dim >= 3")
+    if not 3 <= args.dim <= MAX_EIGENPHASES_DIM or args.dim % 2 == 0:
+        raise ConfigurationError(f"eigenphases needs an odd dim in [3, {MAX_EIGENPHASES_DIM}]")
     if not 0 <= args.g < math.inf:
         raise ConfigurationError("coupling magnitude must be finite and >= 0")
     phases = eigenphases(PinemPulse.single(args.g), args.dim)
@@ -352,8 +371,8 @@ def cmd_tomography(args, config: RunConfig) -> int:
 
 
 def cmd_bench(args, config: RunConfig) -> int:
-    if args.dim < 3:
-        raise ConfigurationError("bench needs dim >= 3")
+    if not 3 <= args.dim <= MAX_BENCH_DIM:
+        raise ConfigurationError(f"bench needs dim in [3, {MAX_BENCH_DIM}]")
     if not 0 <= args.g < math.inf:
         raise ConfigurationError("coupling magnitude must be finite and >= 0")
     half = args.dim // 2

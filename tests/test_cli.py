@@ -11,6 +11,8 @@ from fequbit.cli import (
     EXIT_PARSE,
     EXIT_RECONSTRUCTION,
     EXIT_TRUNCATION,
+    MAX_BENCH_DIM,
+    MAX_EIGENPHASES_DIM,
     load_bloch_csv,
     load_compiled,
     load_eigenphases_csv,
@@ -220,7 +222,8 @@ def test_out_of_memory_is_config_error(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("flags", [["--counts", "nan"], ["--counts", "inf"],
                                    ["--counts", "1e20"], ["--probe", "nan"],
-                                   ["--probe", "1e300"], ["--probe", "1000"]])
+                                   ["--probe", "1e300"], ["--probe", "1000"],
+                                   ["--phases", "1025"], ["--window", "8388609"]])
 def test_tomography_bad_number_is_config_error(tmp_path, circuit_file, flags):
     code = main(["tomography", "--circuit", circuit_file, *flags, *out_args(tmp_path)])
     assert code == EXIT_CONFIG
@@ -279,6 +282,21 @@ def test_bench_rejects_undersized_window(tmp_path):
 @pytest.mark.parametrize("g", ["nan", "inf"])
 def test_bench_non_finite_coupling_is_config_error(tmp_path, g):
     assert main(["bench", "--g", g, "--dim", "201", *out_args(tmp_path)]) == EXIT_CONFIG
+
+
+def _allocates(*args, **kwargs):
+    raise AssertionError("an oversized flag reached an allocating call")
+
+
+@pytest.mark.parametrize("argv", [
+    # 4098 is even and rejected as such; 4099 is the first odd dim beyond the cap
+    ["eigenphases", "--g", "0.25", "--dim", str(MAX_EIGENPHASES_DIM + 2)],
+    ["bench", "--g", "2.0", "--dim", str(MAX_BENCH_DIM + 1)],
+])
+def test_dim_beyond_its_cap_is_config_error(tmp_path, monkeypatch, argv):
+    for name in ("eigenphases", "basis_state", "apply_pinem"):
+        monkeypatch.setattr(f"fequbit.cli.{name}", _allocates)
+    assert main([*argv, *out_args(tmp_path)]) == EXIT_CONFIG
 
 
 def test_bloch_csv_flags_degenerate_rows(tmp_path):

@@ -19,6 +19,7 @@ from fequbit import (
     simulate_schedule,
     spectrogram,
 )
+from fequbit.tomography import _fit_window, _fourier_seed
 from helpers import random_interior_state, state_fidelity
 from oracles import bessel_series
 
@@ -266,6 +267,66 @@ def test_noise_monotonicity_of_median_fidelity():
             fidelities[counts].append(state_fidelity(result.state, true))
     medians = [float(np.median(fidelities[c])) for c in (1e7, 1e6, 1e5)]
     assert medians[0] >= medians[1] >= medians[2]
+
+
+def even_comb_state(seed=0):
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(9, dtype=np.complex128)
+    amps[::2] = rng.normal(size=5) + 1j * rng.normal(size=5)
+    return LadderState(-4, amps / np.linalg.norm(amps))
+
+
+def gate_prepared(gate):
+    return simulate_schedule(compile_gate(Gate(gate), BEAM), basis_state(0, 8)).trimmed()
+
+
+def seed_fidelity(sg, true):
+    fit_l_min, n_par = _fit_window(sg, None)
+    return state_fidelity(LadderState(fit_l_min, _fourier_seed(sg, fit_l_min, n_par)), true)
+
+
+@pytest.mark.parametrize("n_phases", [16, 32])
+@pytest.mark.parametrize("make", [
+    lambda: normalized_random_state(20), lambda: normalized_random_state(21),
+    lambda: normalized_random_state(22), even_comb_state,
+    lambda: gate_prepared("H"), lambda: gate_prepared("T"), lambda: gate_prepared("NOT"),
+], ids=["random20", "random21", "random22", "even-comb", "H", "T", "NOT"])
+def test_fourier_seed_is_exact_noiseless(make, n_phases):
+    true = make()
+    assert seed_fidelity(spectrogram(true, n_phases=n_phases), true) >= 1 - 1e-12
+
+
+def test_fourier_seed_follows_the_recorded_phases():
+    # columns stored in another order, each with its own phase: the seed reads
+    # the phases, not the column index, so it is as good as before
+    true = normalized_random_state(23)
+    sg = spectrogram(true, n_phases=16)
+    order = np.random.default_rng(4).permutation(sg.n_phases)
+    shuffled = Spectrogram(sg.scan_phases[order], sg.l_min, sg.data[:, order],
+                           sg.probe_magnitude)
+    fid = seed_fidelity(shuffled, true)
+    assert fid >= 1 - 1e-12
+    assert fid == pytest.approx(seed_fidelity(sg, true), abs=1e-12)
+
+
+def test_reconstruct_even_comb_noiseless():
+    true = even_comb_state()
+    result = reconstruct_state(spectrogram(true), seed=0)
+    assert result.ok
+    assert state_fidelity(result.state, true) >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("counts", [1e5, 1e6])
+def test_noisy_fit_ends_at_the_shot_noise_floor(counts):
+    # Poisson noise leaves a residual of about sqrt(n_phases / counts) at the
+    # optimum; a fit stopped early would sit above it, one fitting noise below
+    true = normalized_random_state(24)
+    sg = add_shot_noise(spectrogram(true), counts, seed=5)
+    result = reconstruct_state(sg, seed=0)
+    assert result.ok
+    assert result.restarts == 1
+    floor = np.sqrt(sg.n_phases / counts)
+    assert 0.5 * floor <= result.residual <= 1.5 * floor
 
 
 def test_reconstruct_validation():
