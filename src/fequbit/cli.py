@@ -56,8 +56,9 @@ probe width, so phases x probe width stays bounded only through ``MAX_PROBE``
 (4.7 GB per array for that state at both bounds)."""
 
 MAX_EIGENPHASES_DIM = 4097
-"""Largest ``eigenphases --dim``: the dense complex (dim, dim) generator is
-268 MB at the bound."""
+"""Largest ``eigenphases --dim``: the tridiagonal eigensolve holds only O(dim)
+arrays but takes O(dim^2) time, about 0.3 s at the bound on one x86 server
+core."""
 
 MAX_BENCH_DIM = 2**24 + 1
 """Largest ``bench --dim``: the bench state then has at most 2**24 + 1 levels,

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 from scipy.special import jv
 
 from .ladder import LadderState, TruncationPolicy, bessel_tail_half_width
@@ -270,6 +269,8 @@ def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
     best residual exceeds ``fail_threshold``; the best candidate is still
     returned.
     """
+    from scipy.optimize import least_squares
+
     if n_restarts < 1:
         raise ValueError("need at least one restart")
     fit_l_min, n_par = _fit_window(sg, window)

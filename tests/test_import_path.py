@@ -1,0 +1,17 @@
+import os
+import subprocess
+import sys
+
+import fequbit
+
+
+def test_import_loads_neither_scipy_linalg_nor_optimize():
+    # both load on first use, inside the functions that need them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fequbit.__file__)))
+    code = ("import sys, fequbit\n"
+            "print(' '.join(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == ""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -385,3 +387,38 @@ def test_unitarity_randomized():
             assert abs(out.norm() - 1.0) < 1e-10
         out = apply_fsp(state, FspPhase.of_fraction(rng.uniform(0, 1)))
         assert abs(out.norm() - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("g", [1.7 * np.exp(0.9j), 0.3 * np.exp(-2.2j)])
+@pytest.mark.parametrize("dim", [3, 11, 201])
+def test_eigenphases_match_dense_eigh_for_complex_coupling(g, dim):
+    # the gauge to real |g| off-diagonals must keep the spectrum of the
+    # complex generator
+    pulse = PinemPulse.single(g)
+    lam = eigh(1j * pinem_generator(pulse, dim), eigvals_only=True)
+    dense = np.mod(-lam + np.pi, 2.0 * np.pi) - np.pi
+    dense[dense == -np.pi] = np.pi
+    assert np.max(np.abs(eigenphases(pulse, dim) - np.sort(dense))) <= 1e-12
+
+
+def test_eigenphases_match_toeplitz_closed_form():
+    g, dim = 0.8 * np.exp(0.4j), 1001
+    lam = 2.0 * abs(g) * np.cos(np.arange(1, dim + 1) * np.pi / (dim + 1))
+    assert np.max(np.abs(eigenphases(PinemPulse.single(g), dim) - np.sort(-lam))) <= 1e-12
+
+
+def test_eigenphases_reject_dim_below_three():
+    with pytest.raises(ValueError):
+        eigenphases(PinemPulse.single(1.0), 1)
+
+
+def test_eigenphases_allocate_no_square_array():
+    dim = 1001
+    eigenphases(PinemPulse.single(1.3), dim)  # first call loads the solver
+    tracemalloc.start()
+    try:
+        eigenphases(PinemPulse.single(1.3), dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * dim * dim // 8  # an eighth of one real (dim, dim) array
