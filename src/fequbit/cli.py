@@ -28,7 +28,7 @@ from .ladder import (
     derive_beam,
     occupied_levels,
 )
-from .operators import PinemPulse, apply_pinem, eigenphases
+from .operators import PinemPulse, apply_pinem, eigenphases, pinem_kernel
 from .qubit import QubitState, project_qubit
 from .tomography import add_shot_noise, eels_spectrum, reconstruct_state, spectrogram
 
@@ -45,15 +45,17 @@ MAX_COUNTS = 9.2e18
 """Largest counts per column numpy's Poisson sampler accepts (its limit is near 2**63)."""
 
 MAX_PROBE = 100.0
-"""Largest probe magnitude; the fit's (phases, rows, rows) convolution maps grow
-with its square (8.6 GiB at magnitude 1000)."""
+"""Largest probe magnitude. The fit's Jacobian takes 16 bytes per (phase, data
+row, fit level), and on the default fit window rows and levels both grow with
+the probe width, so it grows with the square of the magnitude (8.6 GiB at
+32 phases and magnitude 1000)."""
 
 MAX_PHASES = 1024
-"""Most tomography scan phases; the fit's (phases, rows, params) convolution
-maps and Jacobian grow with it, 69 MB each at the bound for the 65-level
-``H T H`` window at the default probe. Their rows and params also grow with the
-probe width, so phases x probe width stays bounded only through ``MAX_PROBE``
-(4.7 GB per array for that state at both bounds)."""
+"""Most tomography scan phases; the fit's Jacobian and a complex temporary of
+the same size grow with it, 69 MB each at the bound for the 65-level ``H T H``
+window at the default probe. Their rows and levels also grow with the probe
+width, so phases x probe width stays bounded only through ``MAX_PROBE``
+(4.7 GB each for that state at both bounds)."""
 
 MAX_EIGENPHASES_DIM = 4097
 """Largest ``eigenphases --dim``: the tridiagonal eigensolve holds only O(dim)
@@ -377,7 +379,11 @@ def cmd_bench(args, config: RunConfig) -> int:
     if not 0 <= args.g < math.inf:
         raise ConfigurationError("coupling magnitude must be finite and >= 0")
     half = args.dim // 2
-    needed = TruncationPolicy.adaptive().half_width_for(args.g)
+    # the kernel runs at least to |k| = floor(2|g|): a window short of that is
+    # rejected before the kernel is built
+    needed = math.floor(2.0 * args.g)
+    if half >= needed:
+        needed = pinem_kernel(args.g).size // 2
     if half < needed:
         raise ConfigurationError(
             f"dim {args.dim} too small for |g| = {args.g}; need at least {2 * needed + 1}")

@@ -3,8 +3,8 @@
 The electron wavefunction lives on a discrete ladder of energy levels
 E_0 + l*hbar*omega indexed by the net photon exchange l. States here are
 complex amplitude vectors over a finite window of that infinite ladder;
-the truncation policy decides how wide a window has to be for a laser
-interaction of a given strength.
+the truncation policy decides whether that window stays fixed or follows
+the support of each laser interaction.
 """
 
 from __future__ import annotations
@@ -39,15 +39,17 @@ DEFAULT_EDGE_MARGIN = 4
 class TruncationPolicy:
     """Window-sizing rule for ladder states.
 
-    ``fixed(L)`` always uses the symmetric window [-L, L] and never grows it.
-    ``adaptive`` pads the window for each interaction: for coupling strength
-    ``s`` the pad is ``ceil(2s) + margin_abs + ceil(margin_rel * (2s)**(1/3))``
-    per side. The cube-root term tracks the width of the Bessel turnover
-    region, the absolute term covers weak pulses. After the edge check the
-    pulse result is trimmed back to its support: each end drops the cells
-    holding at most ``operators.CHEBYSHEV_TAIL_TOL / 2`` in summed |amplitude|,
-    less ``edge_margin`` guard cells, so one trim moves the state by at most
-    CHEBYSHEV_TAIL_TOL in l1 norm.
+    ``fixed(L)`` always uses the symmetric window [-L, L] and never grows it;
+    a pulse result that carries more than ``leakage_tol`` probability within
+    ``edge_margin`` cells of its edge is rejected. ``adaptive`` lets every
+    pulse result take the whole support of its Bessel kernels, each cut by
+    its own tail budget (``operators.pinem_kernel``), plus ``edge_margin``
+    zero guard cells per side. The result is then trimmed back to its
+    support: each end drops the cells holding at most
+    ``operators.CHEBYSHEV_TAIL_TOL / 2`` in summed |amplitude|, less
+    ``edge_margin`` guard cells, so one trim moves the state by at most
+    CHEBYSHEV_TAIL_TOL in l1 norm. ``margin_abs`` and ``margin_rel`` size
+    only start, fit and fixed windows (``half_width_for``), not pulses.
     """
 
     mode: str = "adaptive"
@@ -74,7 +76,14 @@ class TruncationPolicy:
         return cls(mode="adaptive", margin_abs=margin_abs, margin_rel=margin_rel, **kwargs)
 
     def half_width_for(self, strength: float) -> int:
-        """Half-width guaranteed to hold a pulse of the given coupling strength."""
+        """Heuristic half-width for a window around a pulse of the given strength.
+
+        ``ceil(2s) + margin_abs + ceil(margin_rel * (2s)**(1/3))`` for strength
+        ``s``; the fixed half-width in fixed mode. It is no bound on a pulse's
+        spread (at s = 250 it gives 564 while the kernel runs to 576): pulses
+        size their windows from their own kernels. This sizes only start, fit
+        and fixed windows, mostly at s = 0, where it is ``margin_abs``.
+        """
         if self.mode == "fixed":
             return self.half_width
         x = 2.0 * abs(strength)

@@ -10,10 +10,11 @@ convolution per harmonic. Harmonic h has the Jacobi-Anger kernel
 
 placed on every h-th level, cut by ``ladder.bessel_tail_half_width``.
 ``apply_pinem`` is the one function that applies a pulse to a state; under
-an adaptive policy it pads the window and trims the result back to its
-support (``_checked_result``). ``eigenphases`` and ``commutator_norm`` work
-on the truncated generator, where the truncation is the point: the first as a
-real symmetric tridiagonal eigenproblem, the second by dense ``expm``.
+an adaptive policy the result keeps the whole support of the convolutions,
+with guard cells, and is trimmed back to its support (``_checked_result``).
+``eigenphases`` and ``commutator_norm`` work on the truncated generator,
+where the truncation is the point: the first as a real symmetric
+tridiagonal eigenproblem, the second by dense ``expm``.
 
 Free-space propagation is diagonal: level l picks up
 exp(+i 2 pi (z / z_D) l^2). The + sign is a package-wide convention chosen
@@ -148,17 +149,18 @@ def _aligned(amps: np.ndarray, l_min: int, target_l_min: int, target_dim: int) -
 
 
 def _checked_result(result: LadderState, policy: TruncationPolicy) -> LadderState:
-    """Edge-check a pulse result; under an adaptive policy, also trim it.
+    """Edge-check a pulse result on a fixed window; trim it on an adaptive one.
 
-    The trim drops, from each end, the longest run of cells whose summed
-    |amplitude| is at most CHEBYSHEV_TAIL_TOL / 2, but keeps
-    ``policy.edge_margin`` of them as a guard. That moves the state by at most
-    CHEBYSHEV_TAIL_TOL in l1 (hence in l2 norm and in each comb sum), and
-    leaves at most (tol / 2)^2 probability in the guard, so a later edge check
-    never trips on a trimmed edge.
+    An adaptive result ends in ``policy.edge_margin`` zero guard cells, so
+    it has nothing to edge-check. The trim drops, from each end, the longest
+    run of cells whose summed |amplitude| is at most CHEBYSHEV_TAIL_TOL / 2,
+    but keeps ``policy.edge_margin`` of them as a guard. That moves the state
+    by at most CHEBYSHEV_TAIL_TOL in l1 (hence in l2 norm and in each comb
+    sum), and leaves at most (tol / 2)^2 probability in the guard, so a later
+    edge check never trips on a trimmed edge.
     """
-    check_edge_leakage(result, policy.edge_margin, policy.leakage_tol)
     if policy.mode == "fixed":
+        check_edge_leakage(result, policy.edge_margin, policy.leakage_tol)
         return result
     mass = np.abs(result.amplitudes)
     half_tol = CHEBYSHEV_TAIL_TOL / 2.0
@@ -195,12 +197,13 @@ def apply_pinem(state: LadderState, pulse: PinemPulse,
     level. Cutting that kernel at K moves the state by at most
     2 sum_{k>K} |J_k(2|g_h|)| in l2 norm, the l1 norm of the dropped tail, so
     a multi-harmonic pulse moves it by at most the sum of those over its
-    harmonics (up to products of tails). Adaptive policies pad the window by
-    ``half_width_for(pulse.strength)`` and trim the result back to its
-    support, moving it by at most CHEBYSHEV_TAIL_TOL in l1; fixed policies
-    keep the window. A pulse whose couplings are all zero returns the state
-    unchanged. Raises TruncationError if the result carries weight near the
-    (padded) window edge.
+    harmonics (up to products of tails). Adaptive policies put the result on
+    the support of the convolutions plus ``policy.edge_margin`` zero guard
+    cells per side, so nothing is cropped, and trim it back to its support:
+    their l2 error is the kernel tails plus at most CHEBYSHEV_TAIL_TOL from
+    the trim. Fixed policies keep the window and raise TruncationError if the
+    result carries weight near its edge. A pulse whose couplings are all zero
+    returns the state unchanged.
     """
     harmonics = [(h, g) for h, g in pulse.couplings if g != 0]
     if not harmonics:
@@ -214,8 +217,7 @@ def apply_pinem(state: LadderState, pulse: PinemPulse,
         amps = np.convolve(amps, dilated)
         amps_l_min -= h * k_half
     if policy.mode == "adaptive":
-        pad = policy.half_width_for(pulse.strength)
-        l_min, dim = state.l_min - pad, state.dim + 2 * pad
+        l_min, dim = amps_l_min - policy.edge_margin, amps.size + 2 * policy.edge_margin
     else:
         l_min, dim = state.l_min, state.dim
     return _checked_result(LadderState(l_min, _aligned(amps, amps_l_min, l_min, dim)), policy)

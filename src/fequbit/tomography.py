@@ -3,8 +3,12 @@
 Populations |psi_l|^2 come straight from energy-loss spectroscopy; phases do
 not. Scanning the phase chi of a second, known probe pulse of magnitude m_p
 and recording a spectrum per phase gives interference data that pins the
-phases too. Over evenly spaced phases, the phase-Fourier transform of that
-data splits by diagonal of rho = psi psi^dagger:
+phases too. The probe is one real Bessel row J_k(2 m_p), cut once by its
+tail budget; a scan phase only gauges the state by e^{-i(chi + pi) m} before
+the convolution with that row. The forward model convolves each gauged
+state with the row; the seed and the fit use the row as one Toeplitz matrix
+from fit levels to data rows. Over evenly spaced phases, the phase-Fourier
+transform of the data splits by diagonal of rho = psi psi^dagger:
 D_l[d] = (-1)^d sum_m J_{l-m}(2 m_p) J_{l-m-d}(2 m_p) rho_{m,m+d}, as in the
 SQUIRRELS reconstruction of attosecond electron pulse trains (Priebe et al.,
 Nature Photonics 11, 793, 2017). Solving diagonals 0, 1 and 2 seeds a
@@ -23,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import jv
 
+from .errors import WindowError
 from .ladder import LadderState, TruncationPolicy, bessel_tail_half_width
 from .qubit import QubitState, project_qubit
 
@@ -135,15 +140,27 @@ class Spectrogram:
         return cls(phases, levels[0], np.asarray(rows), probe)
 
 
-def _probe_kernels(probe_magnitude: float, scan_phases: np.ndarray) -> tuple[np.ndarray, int]:
-    """Stack of convolution kernels, one per scan phase chi (probe g = m e^{i chi})."""
-    # the truncated kernel drops at most 1e-24 probability per column
+def _probe_row(probe_magnitude: float) -> np.ndarray:
+    """J_k(2 m_p) for k = -K..K, the one cut of the probe's Bessel kernel.
+
+    K is the smallest cut that drops at most 1e-24 probability per column.
+    For the probe g = m_p e^{i chi} the kernel is e^{ik(chi + pi)} J_k(2 m_p),
+    so each scan phase only gauges the state (``_gauge``) before it is
+    convolved with this real row.
+    """
     k_half = bessel_tail_half_width(2.0 * probe_magnitude, 1e-24)
-    k = np.arange(-k_half, k_half + 1)
-    bess = jv(k, 2.0 * probe_magnitude)
-    # arg(-g) = chi + pi for g = m e^{i chi}
-    kernels = np.exp(1j * np.outer(scan_phases + np.pi, k)) * bess
-    return kernels, k_half
+    return jv(np.arange(-k_half, k_half + 1), 2.0 * probe_magnitude)
+
+
+def _gauge(scan_phases, n: int) -> np.ndarray:
+    """e^{-i(chi_j + pi) m} for m = 0..n-1, one row per scan phase (one row
+    alone for a single phase).
+
+    sum_m e^{i(chi + pi)(l - m)} J_{l-m} psi_m is e^{i(chi + pi) l} times the
+    convolution of the row with the gauged psi; the phase of level l drops
+    out of |.|^2, and so does any shift of m.
+    """
+    return np.exp(-1j * np.multiply.outer(np.add(scan_phases, np.pi), np.arange(n)))
 
 
 def spectrogram(state: LadderState, probe_magnitude: float = DEFAULT_PROBE_MAGNITUDE,
@@ -154,11 +171,11 @@ def spectrogram(state: LadderState, probe_magnitude: float = DEFAULT_PROBE_MAGNI
     if n_phases < 8:
         raise ValueError("need at least 8 scan phases")
     phases = 2.0 * np.pi * np.arange(n_phases) / n_phases
-    kernels, k_half = _probe_kernels(probe_magnitude, phases)
+    row = _probe_row(probe_magnitude)
+    k_half = row.size // 2
     data = np.empty((state.dim + 2 * k_half, n_phases), dtype=np.float64)
-    for j in range(n_phases):
-        mixed = np.convolve(state.amplitudes, kernels[j])
-        data[:, j] = np.abs(mixed) ** 2
+    for j, chi in enumerate(phases):
+        data[:, j] = np.abs(np.convolve(_gauge(chi, state.dim) * state.amplitudes, row)) ** 2
     return Spectrogram(phases, state.l_min - k_half, data, probe_magnitude)
 
 
@@ -208,8 +225,17 @@ def _fit_window(sg: Spectrogram, window: TruncationPolicy | None) -> tuple[int, 
     lo = max(sg.l_min, -half)
     hi = min(sg.l_min + sg.n_levels - 1, half)
     if lo > hi:
-        raise ValueError("reconstruction window does not overlap the data window")
+        raise WindowError("reconstruction window does not overlap the data window")
     return lo, hi - lo + 1
+
+
+def _probe_matrix(sg: Spectrogram, fit_l_min: int, n_par: int) -> np.ndarray:
+    """The probe row as a Toeplitz map from fit levels m to data rows l:
+    entry (l, m) is J_{l-m}(2 m_p) within the row's cut and zero outside."""
+    row = _probe_row(sg.probe_magnitude)
+    k_half = row.size // 2
+    lag = sg.indices[:, None] - np.arange(fit_l_min, fit_l_min + n_par)[None, :]
+    return np.where(np.abs(lag) <= k_half, row[np.clip(lag + k_half, 0, row.size - 1)], 0.0)
 
 
 def _fourier_seed(sg: Spectrogram, fit_l_min: int, n_par: int) -> np.ndarray:
@@ -227,8 +253,7 @@ def _fourier_seed(sg: Spectrogram, fit_l_min: int, n_par: int) -> np.ndarray:
     of the links rho_{m-1,m}, rho_{m-2,m}, so a comb with empty odd levels
     still gets its phases. Noiseless, this is the state up to a global phase.
     """
-    lag = sg.indices[:, None] - np.arange(fit_l_min, fit_l_min + n_par)[None, :]
-    bess = jv(lag, 2.0 * sg.probe_magnitude)  # J_{l-m}, (n_rows, n_par)
+    bess = _probe_matrix(sg, fit_l_min, n_par)  # J_{l-m}, (n_rows, n_par)
     diagonals = sg.data @ np.exp(-1j * np.outer(sg.scan_phases, np.arange(3))) / sg.n_phases
     pop, link1, link2 = (
         np.linalg.lstsq((-1) ** d * bess[:, :n_par - d] * bess[:, d:], diagonals[:, d],
@@ -274,30 +299,24 @@ def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
     if n_restarts < 1:
         raise ValueError("need at least one restart")
     fit_l_min, n_par = _fit_window(sg, window)
-    kernels, k_half = _probe_kernels(sg.probe_magnitude, sg.scan_phases)
-    n_phases, n_rows = sg.n_phases, sg.n_levels
-
-    # dense per-phase linear maps C[j] : fit amplitudes -> mixed amplitudes on data rows
-    conv_maps = np.zeros((n_phases, n_rows, n_par), dtype=np.complex128)
-    for col in range(n_par):
-        lo = fit_l_min + col - k_half - sg.l_min
-        row0, row1 = max(lo, 0), min(lo + kernels.shape[1], n_rows)
-        conv_maps[:, row0:row1, col] = kernels[:, row0 - lo:row1 - lo]
-
+    bess = _probe_matrix(sg, fit_l_min, n_par)
+    gauge = _gauge(sg.scan_phases, n_par)
     observed = sg.data.T  # (n_phases, n_rows)
 
+    def mixed(x):
+        # probed amplitudes on the data rows, one row per scan phase
+        return (gauge * (x[:n_par] + 1j * x[n_par:])) @ bess.T
+
     def residuals(x):
-        psi = x[:n_par] + 1j * x[n_par:]
-        mixed = conv_maps @ psi
-        return (np.abs(mixed) ** 2 - observed).ravel()
+        return (np.abs(mixed(x)) ** 2 - observed).ravel()
 
     def jacobian(x):
-        psi = x[:n_par] + 1j * x[n_par:]
-        mixed = conv_maps @ psi
-        weighted = np.conj(mixed)[:, :, None] * conv_maps
-        j_re = 2.0 * weighted.real.reshape(-1, n_par)
-        j_im = -2.0 * weighted.imag.reshape(-1, n_par)
-        return np.hstack([j_re, j_im])
+        # d|mixed|^2 / d(re, im) psi_m = 2 (re, -im) of conj(mixed) e^{-i(chi+pi)m} J_{l-m}
+        weighted = np.conj(mixed(x))[:, :, None] * gauge[:, None, :]
+        jac = np.empty(weighted.shape[:2] + (2, n_par))
+        np.multiply(weighted.real, 2.0 * bess, out=jac[:, :, 0])
+        np.multiply(weighted.imag, -2.0 * bess, out=jac[:, :, 1])
+        return jac.reshape(-1, 2 * n_par)
 
     seed_psi = _fourier_seed(sg, fit_l_min, n_par)
     rng = np.random.default_rng(seed)

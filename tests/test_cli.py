@@ -265,6 +265,15 @@ def test_tomography_failure_exit_code(tmp_path):
     assert report["ok"] is False
 
 
+def test_tomography_fit_window_missing_the_data_is_truncation_error(tmp_path, capsys):
+    state_path = tmp_path / "state.json"
+    LadderState(100, np.array([0.6, 0.8j])).dump(state_path)
+    code = main(["tomography", "--state", str(state_path), "--window", "5",
+                 *out_args(tmp_path)])
+    assert code == EXIT_TRUNCATION
+    assert "does not overlap" in capsys.readouterr().err
+
+
 def test_bench_report(tmp_path):
     assert main(["bench", "--g", "2.0", "--dim", "201", *out_args(tmp_path)]) == EXIT_OK
     report = json.loads((tmp_path / "out" / "bench.json").read_text())
@@ -277,6 +286,17 @@ def test_bench_report(tmp_path):
 
 def test_bench_rejects_undersized_window(tmp_path):
     assert main(["bench", "--g", "50", "--dim", "51", *out_args(tmp_path)]) == EXIT_CONFIG
+
+
+def test_bench_window_must_hold_the_whole_kernel(tmp_path):
+    # at |g| = 250 the kernel runs to |k| = 576; a half-width of 565 would cut it
+    assert main(["bench", "--g", "250", "--dim", "1131", *out_args(tmp_path)]) == EXIT_CONFIG
+
+
+def test_bench_rejects_a_short_window_before_building_the_kernel(tmp_path, monkeypatch):
+    # a kernel for |g| = 1e8 would take gigabytes; dim 201 is rejected first
+    monkeypatch.setattr("fequbit.cli.pinem_kernel", _allocates)
+    assert main(["bench", "--g", "1e8", "--dim", "201", *out_args(tmp_path)]) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("g", ["nan", "inf"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import jv
 
 from fequbit import (
@@ -8,7 +10,9 @@ from fequbit import (
     PinemPulse,
     Spectrogram,
     Spectrum,
+    TruncationPolicy,
     add_shot_noise,
+    apply_pinem,
     apply_pinem_bessel,
     basis_state,
     compile_gate,
@@ -110,6 +114,30 @@ def test_spectrogram_matches_pulse_plus_eels():
         if spec.l_min <= l <= spec.l_min + spec.probabilities.size - 1 else 0.0
         for l in sg.indices])
     assert np.max(np.abs(sg.data[:, 5] - expected)) < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(amps=st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                        allow_infinity=False), min_size=1, max_size=11),
+       l_min=st.integers(-20, 20),
+       probe=st.floats(0.05, 10.0, exclude_min=True),
+       n_phases=st.integers(8, 40),
+       data=st.data())
+def test_spectrogram_column_is_a_probe_pulse_then_eels(amps, l_min, probe, n_phases, data):
+    # pins the scan-phase gauge to the phase convention of the pulse operator
+    amps = np.asarray(amps, dtype=np.complex128)
+    if np.linalg.norm(amps) < 1e-3:
+        amps = np.ones(1, dtype=np.complex128)
+    state = LadderState(l_min, amps / np.linalg.norm(amps))
+    sg = spectrogram(state, probe_magnitude=probe, n_phases=n_phases)
+    j = data.draw(st.integers(0, n_phases - 1))
+    half = max(abs(sg.l_min), abs(sg.l_min + sg.n_levels - 1)) + 8
+    probed = apply_pinem(state.padded(-half, half),
+                         PinemPulse.single(probe * np.exp(1j * sg.scan_phases[j])),
+                         TruncationPolicy.fixed(half))
+    spec = eels_spectrum(probed)
+    rows = sg.indices - spec.l_min
+    assert np.max(np.abs(sg.data[:, j] - spec.probabilities[rows])) <= 1e-12
 
 
 def test_spectrogram_validation():
