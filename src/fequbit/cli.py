@@ -92,6 +92,8 @@ def _load_config_file(path: str) -> dict:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config file {path}: invalid JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"config file {path}: not UTF-8 ({exc})") from None
     if not isinstance(obj, dict):
         raise ConfigurationError(f"config file {path}: expected a JSON object")
     return obj
@@ -176,7 +178,10 @@ def _beam(config: RunConfig) -> BeamParameters:
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise CircuitParseError(f"{path}: not UTF-8 ({exc})") from None
 
 
 def _outdir(config: RunConfig) -> str:
@@ -187,12 +192,6 @@ def _outdir(config: RunConfig) -> str:
 def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
-
-
-def _initial_state(config: RunConfig) -> LadderState:
-    policy = _policy(config)
-    half = policy.half_width if policy.mode == "fixed" else max(policy.half_width_for(0.0), 8)
-    return basis_state(0, half)
 
 
 def _state_from_inputs(args, config: RunConfig) -> LadderState:
@@ -208,36 +207,38 @@ def _state_from_inputs(args, config: RunConfig) -> LadderState:
                 f"state file {args.state}: norm {state.norm()!r} is not 1 "
                 f"within {NORM_TOL:.0e}")
         return state
-    circuit = parse_circuit(_read_text(args.circuit), name=os.path.basename(args.circuit))
-    beam = _beam(config)
+    return _run_circuit(args.circuit, config)
+
+
+def _run_circuit(path: str, config: RunConfig,
+                 visit=lambda label, state: None) -> LadderState:
+    """Parse and compile the DSL file, then simulate it from |0>; ``visit``
+    sees |0> and the state after each gate, with the gate's label."""
+    circuit = parse_circuit(_read_text(path), name=os.path.basename(path))
     policy = _policy(config)
-    state = _initial_state(config)
-    for schedule in compile_circuit(circuit, beam):
+    state = basis_state(0, policy)
+    visit("|0>", state)
+    for gate, schedule in zip(circuit.gates, compile_circuit(circuit, _beam(config))):
         state = simulate_schedule(schedule, state, policy)
+        visit(gate.label(), state)
     return state
 
 
 def cmd_simulate(args, config: RunConfig) -> int:
-    circuit = parse_circuit(_read_text(args.circuit), name=os.path.basename(args.circuit))
-    beam = _beam(config)
     policy = _policy(config)
+    rows = []
+
+    def record(label, state):
+        rows.append((str(len(rows)), label, project_qubit(
+            state, edge_margin=policy.edge_margin, leakage_tol=policy.leakage_tol)))
+
+    state = _run_circuit(args.circuit, config, record)
     out = _outdir(config)
-
-    state = _initial_state(config)
-    rows = [("0", "|0>", project_qubit(state, edge_margin=policy.edge_margin,
-                                       leakage_tol=policy.leakage_tol))]
-    for index, (gate, schedule) in enumerate(
-            zip(circuit.gates, compile_circuit(circuit, beam)), start=1):
-        state = simulate_schedule(schedule, state, policy)
-        qubit = project_qubit(state, edge_margin=policy.edge_margin,
-                              leakage_tol=policy.leakage_tol)
-        rows.append((str(index), gate.label(), qubit))
-
     state.dump(os.path.join(out, "state.json"))
     _write_json(os.path.join(out, "qubit.json"), rows[-1][2].to_json())
     _write_bloch_csv(os.path.join(out, "bloch.csv"), rows)
     final = rows[-1][2]
-    print(f"simulated {len(circuit.gates)} gate(s); "
+    print(f"simulated {len(rows) - 1} gate(s); "
           f"qubit alpha={final.alpha:.6g} beta={final.beta:.6g}")
     print(f"wrote state.json, qubit.json, bloch.csv in {out}")
     return EXIT_OK
@@ -361,8 +362,7 @@ def cmd_tomography(args, config: RunConfig) -> int:
         sg = add_shot_noise(sg, config.counts, seed=config.seed)
     out = _outdir(config)
     sg.to_csv(os.path.join(out, "spectrogram.csv"))
-    window = None if config.window == "adaptive" else _policy(config)
-    result = reconstruct_state(sg, window=window, n_restarts=config.restarts,
+    result = reconstruct_state(sg, window=_policy(config), n_restarts=config.restarts,
                                seed=config.seed)
     _write_json(os.path.join(out, "reconstruction.json"), result.to_json())
     qubit = project_qubit(result.state, edge_margin=0)

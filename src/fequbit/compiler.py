@@ -309,23 +309,16 @@ def compile_gate(gate: Gate, beam: BeamParameters) -> Schedule:
     sequence from the XYX factorization (nulls elided).
     """
     u = gate.target_matrix()
-    # pure phase gates on a quarter grid map to drifts
     z_quarters = _as_quarter_phase_gate(gate)
-    if z_quarters is not None:
-        elements = _assemble([("drift", z_quarters)], beam)
-        realized = Schedule(elements).qubit_matrix()
-        return Schedule(elements, _phase_to(realized, u))
-    # pure x-rotations map to a single pulse
-    theta_x = _as_x_rotation(u)
-    if theta_x is not None:
-        elements = _assemble([("pulse", theta_x)], beam)
-        realized = Schedule(elements).qubit_matrix()
-        return Schedule(elements, _phase_to(realized, u))
-    a, b, c, _ = euler_xyx(u)
-    raw = [("pulse", c), ("drift", 3), ("pulse", b), ("drift", 1), ("pulse", a)]
+    if z_quarters is not None:  # pure phase gates on a quarter grid map to drifts
+        raw = [("drift", z_quarters)]
+    elif (theta_x := _as_x_rotation(u)) is not None:  # pure x-rotations: one pulse
+        raw = [("pulse", theta_x)]
+    else:
+        a, b, c, _ = euler_xyx(u)
+        raw = [("pulse", c), ("drift", 3), ("pulse", b), ("drift", 1), ("pulse", a)]
     elements = _assemble(raw, beam)
-    realized = Schedule(elements).qubit_matrix()
-    return Schedule(elements, _phase_to(realized, u))
+    return Schedule(elements, _phase_to(Schedule(elements).qubit_matrix(), u))
 
 
 def _as_quarter_phase_gate(gate: Gate) -> int | None:
@@ -380,12 +373,11 @@ def effective_qubit_gate(schedule: Schedule,
     """2x2 gate the full-ladder simulation induces on the projected qubit.
 
     Columns come from running the schedule on |0> and |1>, whose projections
-    are the qubit basis states.
+    are the qubit basis states, on the policy's start window.
     """
-    half = max(policy.half_width_for(0.0), 8)
     out = np.zeros((2, 2), dtype=np.complex128)
     for col in range(2):
-        final = simulate_schedule(schedule, basis_state(col, half), policy)
+        final = simulate_schedule(schedule, basis_state(col, policy), policy)
         projected = project_qubit(final, edge_margin=policy.edge_margin,
                                   leakage_tol=policy.leakage_tol)
         out[0, col] = projected.alpha

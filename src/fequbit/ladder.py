@@ -48,8 +48,10 @@ class TruncationPolicy:
     support: each end drops the cells holding at most
     ``operators.CHEBYSHEV_TAIL_TOL / 2`` in summed |amplitude|, less
     ``edge_margin`` guard cells, so one trim moves the state by at most
-    CHEBYSHEV_TAIL_TOL in l1 norm. ``margin_abs`` and ``margin_rel`` size
-    only start, fit and fixed windows (``half_width_for``), not pulses.
+    CHEBYSHEV_TAIL_TOL in l1 norm. ``margin_abs`` sizes the adaptive start
+    window (``basis_state``); ``margin_rel`` sizes nothing in the package.
+    Fits read the policy too (``tomography.reconstruct_state``): fixed(L)
+    fits [-L, L] within the data window, adaptive fits the whole data window.
     """
 
     mode: str = "adaptive"
@@ -81,8 +83,8 @@ class TruncationPolicy:
         ``ceil(2s) + margin_abs + ceil(margin_rel * (2s)**(1/3))`` for strength
         ``s``; the fixed half-width in fixed mode. It is no bound on a pulse's
         spread (at s = 250 it gives 564 while the kernel runs to 576): pulses
-        size their windows from their own kernels. This sizes only start, fit
-        and fixed windows, mostly at s = 0, where it is ``margin_abs``.
+        size their windows from their own kernels. The package calls it only
+        in ``basis_state``, at s = 0, where it is ``margin_abs``.
         """
         if self.mode == "fixed":
             return self.half_width
@@ -240,21 +242,32 @@ def check_edge_leakage(state: LadderState, edge_margin: int, leakage_tol: float)
             f"exceeds {leakage_tol:.1e}; enlarge the window")
 
 
-def bessel_tail_half_width(x: float, budget: float) -> int:
-    """Smallest K >= 0 with 2 * sum_{k>K} J_k(x)^2 <= budget.
+def bessel_row(x: float, budget: float) -> np.ndarray:
+    """J_k(x) for k = -K..K, with K the smallest cut where 2 sum_{k>K} J_k(x)^2 <= budget.
 
-    That is the probability a Bessel kernel cut to -K..K drops. The search
-    runs to n > x, past the turnover where J_k(x) falls ever faster, and is
-    extended until J_n(x)^2 <= 1e-6 * budget, so the terms beyond n are
-    negligible.
+    That sum is the probability a Bessel kernel cut to -K..K drops. The
+    search runs to n > x, past the turnover where J_k(x) falls ever faster,
+    and is extended until J_n(x)^2 <= 1e-6 * budget, so the terms beyond n
+    are negligible. The negative orders are J_{-k} = (-1)^k J_k of the
+    values the search evaluated, which is bitwise what ``jv`` returns for
+    them. This is the one place a Bessel row is evaluated and cut.
     """
     x = abs(float(x))
     n = math.ceil(x) + 16
     while jv(n, x) ** 2 > 1e-6 * budget:
         n += n - math.ceil(x)  # double the margin past the turnover
-    p = jv(np.arange(n + 1), x) ** 2
+    j = jv(np.arange(n + 1), x)
+    p = j ** 2
     beyond = 2.0 * (np.cumsum(p[::-1])[::-1] - p)  # beyond[k] = 2 sum_{k<j<=n} p_j
-    return int(np.argmax(beyond <= budget))
+    right = j[:int(np.argmax(beyond <= budget)) + 1]
+    left = right[:0:-1].copy()
+    left[-1::-2] *= -1.0  # the odd orders -1, -3, ...
+    return np.concatenate([left, right])
+
+
+def bessel_tail_half_width(x: float, budget: float) -> int:
+    """Smallest K >= 0 with 2 * sum_{k>K} J_k(x)^2 <= budget (see ``bessel_row``)."""
+    return bessel_row(x, budget).size // 2
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ convolution per harmonic. Harmonic h has the Jacobi-Anger kernel
 
     f_k = exp(i k arg(-g_h)) J_k(2|g_h|)
 
-placed on every h-th level, cut by ``ladder.bessel_tail_half_width``.
+placed on every h-th level, evaluated and cut by ``ladder.bessel_row``.
 ``apply_pinem`` is the one function that applies a pulse to a state; under
 an adaptive policy the result keeps the whole support of the convolutions,
 with guard cells, and is trimmed back to its support (``_checked_result``).
@@ -27,10 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
 
-from .ladder import (DEFAULT_POLICY, LadderState, TruncationPolicy, bessel_tail_half_width,
-                     check_edge_leakage)
+from .ladder import DEFAULT_POLICY, LadderState, TruncationPolicy, bessel_row, check_edge_leakage
 
 MATEXP_DENSE_MAX_DIM = 1024
 """Selects nothing; kept only because perfbench/layers.py reads it to label its
@@ -184,9 +182,9 @@ def pinem_kernel(g: complex) -> np.ndarray:
     generator pin this convention.
     """
     g = complex(g)
-    k_half = bessel_tail_half_width(2.0 * abs(g), _KERNEL_BUDGET)
-    k = np.arange(-k_half, k_half + 1)
-    return np.exp(1j * np.angle(-g) * k) * jv(k, 2.0 * abs(g))
+    row = bessel_row(2.0 * abs(g), _KERNEL_BUDGET)
+    k = np.arange(row.size) - row.size // 2
+    return np.exp(1j * np.angle(-g) * k) * row
 
 
 def apply_pinem(state: LadderState, pulse: PinemPulse,

@@ -122,14 +122,13 @@ def _pulse_qubit_gate(pulse: PinemPulse) -> np.ndarray:
 
 
 def closure_check(state: LadderState, operation: PinemPulse | FspPhase,
-                  policy: TruncationPolicy = DEFAULT_POLICY,
-                  edge_margin: int = DEFAULT_EDGE_MARGIN,
-                  leakage_tol: float = LEAKAGE_TOL) -> float:
+                  policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """Intertwining defect || T(U psi) - u_q T(psi) || for one operation.
 
     Zero means the comb encoding commutes with the dynamics, i.e. the
     operation is a faithful qubit gate. Drifts must be integer quarter-units;
-    anything else leaves the encoding.
+    anything else leaves the encoding. Both projections are edge-checked with
+    the policy's ``edge_margin`` and ``leakage_tol``.
     """
     if isinstance(operation, FspPhase):
         if not operation.is_quarter:
@@ -139,6 +138,6 @@ def closure_check(state: LadderState, operation: PinemPulse | FspPhase,
     else:
         evolved = apply_pinem(state, operation, policy)
         gate = _pulse_qubit_gate(operation)
-    before = project_period_p(state, 2, edge_margin, leakage_tol)
-    after = project_period_p(evolved, 2, edge_margin, leakage_tol)
+    before = project_period_p(state, 2, policy.edge_margin, policy.leakage_tol)
+    after = project_period_p(evolved, 2, policy.edge_margin, policy.leakage_tol)
     return float(np.linalg.norm(after - gate @ before))

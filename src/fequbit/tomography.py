@@ -25,10 +25,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import WindowError
-from .ladder import LadderState, TruncationPolicy, bessel_tail_half_width
+from .ladder import LadderState, TruncationPolicy, bessel_row
 from .qubit import QubitState, project_qubit
 
 DEFAULT_PROBE_MAGNITUDE = 1.0
@@ -148,8 +147,7 @@ def _probe_row(probe_magnitude: float) -> np.ndarray:
     so each scan phase only gauges the state (``_gauge``) before it is
     convolved with this real row.
     """
-    k_half = bessel_tail_half_width(2.0 * probe_magnitude, 1e-24)
-    return jv(np.arange(-k_half, k_half + 1), 2.0 * probe_magnitude)
+    return bessel_row(2.0 * probe_magnitude, 1e-24)
 
 
 def _gauge(scan_phases, n: int) -> np.ndarray:
@@ -219,11 +217,12 @@ class ReconstructionResult:
 
 
 def _fit_window(sg: Spectrogram, window: TruncationPolicy | None) -> tuple[int, int]:
-    if window is None:
+    """(l_min, n_levels) of the fit: the whole data window for None or an
+    adaptive policy, [-h, h] within the data window for fixed(h)."""
+    if window is None or window.mode == "adaptive":
         return sg.l_min, sg.n_levels
-    half = window.half_width_for(0.0) if window.mode == "adaptive" else window.half_width
-    lo = max(sg.l_min, -half)
-    hi = min(sg.l_min + sg.n_levels - 1, half)
+    lo = max(sg.l_min, -window.half_width)
+    hi = min(sg.l_min + sg.n_levels - 1, window.half_width)
     if lo > hi:
         raise WindowError("reconstruction window does not overlap the data window")
     return lo, hi - lo + 1
@@ -293,6 +292,10 @@ def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
     is deterministic for a given seed. It is flagged not-ok when even that
     best residual exceeds ``fail_threshold``; the best candidate is still
     returned.
+
+    The fit window follows ``window``: None or an adaptive policy fits every
+    level of the data window, a fixed(h) policy fits [-h, h] within it and
+    raises WindowError when the two do not overlap.
     """
     from scipy.optimize import least_squares
 
@@ -357,7 +360,8 @@ def readout_qubit(sg: Spectrogram, window: TruncationPolicy | None = None,
     """Reconstruct, then project: the comb qubit as a measurement result.
 
     The overall phase of (alpha, beta) inherits the reconstruction's fixed
-    gauge and is not physical.
+    gauge and is not physical. ``window`` sets the fit window as in
+    ``reconstruct_state``: the whole data window unless it is fixed(h).
     """
     result = reconstruct_state(sg, window, n_restarts, seed, fail_threshold)
     # fit-window edges bound the support; the interior-leakage check is moot here

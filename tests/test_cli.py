@@ -330,3 +330,18 @@ def test_bloch_csv_flags_degenerate_rows(tmp_path):
     assert rows[0]["bloch_valid"] == "1"
     assert rows[1]["bloch_valid"] == "0"
     assert rows[1]["x"] == "nan"
+
+
+def test_non_utf8_circuit_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.dsl"
+    bad.write_bytes(b"H\n\xff\xfe\n")
+    assert main(["simulate", str(bad), *out_args(tmp_path)]) == EXIT_PARSE
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_config_is_config_error(tmp_path, circuit_file, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"seed": 1\xff}')
+    assert main(["compile", circuit_file, "--config", str(cfg),
+                 *out_args(tmp_path)]) == EXIT_CONFIG
+    assert "not UTF-8" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from fequbit import (
     ConfigurationError,
@@ -17,6 +18,8 @@ from fequbit import (
     occupied_levels,
     support_leakage,
 )
+from fequbit.ladder import bessel_row, bessel_tail_half_width
+from fequbit.operators import CHEBYSHEV_TAIL_TOL
 
 # frozen at first derivation from the CODATA 2018 constants; see
 # test_dispersion_length_regression for the independent evaluation
@@ -210,3 +213,11 @@ def test_occupied_levels():
     assert occupied_levels(basis_state(0, 8)) == 1
     with pytest.raises(ValueError):
         occupied_levels(LadderState(0, np.array([0.1 + 0j])))
+
+
+@pytest.mark.parametrize("budget", [1e-24, CHEBYSHEV_TAIL_TOL ** 2 / 8])
+@pytest.mark.parametrize("x", [0.0, 0.5, 2.0, 50.0, 500.0])
+def test_bessel_row_is_jv_on_its_cut(x, budget):
+    # the negative orders come from the reflection J_{-k} = (-1)^k J_k, bit for bit
+    k = bessel_tail_half_width(x, budget)
+    assert np.array_equal(bessel_row(x, budget), jv(np.arange(-k, k + 1), x))

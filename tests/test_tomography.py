@@ -385,3 +385,12 @@ def test_readout_after_hadamard():
     state = simulate_schedule(schedule, basis_state(0, 8))
     qubit, _ = readout_qubit(spectrogram(state), seed=0)
     assert abs(abs(qubit.alpha) - abs(qubit.beta)) < 1e-3
+
+
+def test_adaptive_policy_fits_the_whole_data_window():
+    # an adaptive policy sizes no fit window: it fits every data row, as None does
+    sg = spectrogram(gate_prepared("H"))
+    assert _fit_window(sg, TruncationPolicy.adaptive()) == _fit_window(sg, None)
+    qubit, _ = readout_qubit(sg, window=TruncationPolicy.adaptive())
+    # 1 + 7e-8 on the whole window; a [-8, 8] fit of this [-12, 12] state gave 1 - 7e-6
+    assert qubit.weight == pytest.approx(1.0, abs=1e-6)
