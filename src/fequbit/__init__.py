@@ -34,7 +34,6 @@ from .ladder import (
     TruncationPolicy,
     basis_state,
     derive_beam,
-    field_to_g,
     occupied_levels,
     support_leakage,
 )
@@ -45,9 +44,7 @@ from .operators import (
     apply_pinem,
     apply_pinem_bessel,
     apply_pinem_matexp,
-    commutator_norm,
     eigenphases,
-    pinem_generator,
     pinem_kernel,
 )
 from .qubit import (

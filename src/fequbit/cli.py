@@ -8,6 +8,8 @@ Each failure class has its own exit code so scripts can branch on outcomes.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -15,9 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 
-import numpy as np
-
-from .compiler import Schedule, compile_circuit, parse_circuit, simulate_schedule
+from .compiler import compile_circuit, parse_circuit, simulate_schedule
 from .errors import CircuitParseError, ConfigurationError, TruncationError, WindowError
 from .ladder import (
     NORM_TOL,
@@ -27,9 +27,10 @@ from .ladder import (
     basis_state,
     derive_beam,
     occupied_levels,
+    write_text,
 )
 from .operators import PinemPulse, apply_pinem, eigenphases, pinem_kernel
-from .qubit import QubitState, project_qubit
+from .qubit import project_qubit
 from .tomography import add_shot_noise, eels_spectrum, reconstruct_state, spectrogram
 
 EXIT_OK = 0
@@ -56,6 +57,13 @@ the same size grow with it, 69 MB each at the bound for the 65-level ``H T H``
 window at the default probe. Their rows and levels also grow with the probe
 width, so phases x probe width stays bounded only through ``MAX_PROBE``
 (4.7 GB each for that state at both bounds)."""
+
+MAX_RESTARTS = 256
+"""Most fit starts. Starts after the first run only while the fit fails; each
+failed start on the 3-gate ``H T H`` state at the default probe and phases
+(``--counts 30``) took ~0.14 s with one BLAS thread and ~1 s with OpenBLAS's
+default two threads on a 2-core x86 server, so the bound caps such a run
+between ~36 s and ~4 min. Wider states and more phases cost more per start."""
 
 MAX_EIGENPHASES_DIM = 4097
 """Largest ``eigenphases --dim``: the tridiagonal eigensolve holds only O(dim)
@@ -157,8 +165,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         problems.append(f"scan phases must be in [8, {MAX_PHASES}]")
     if not 0 <= config.counts <= MAX_COUNTS:
         problems.append(f"counts per column must be in [0, {MAX_COUNTS:.2g}]")
-    if config.restarts < 1:
-        problems.append("need at least 1 reconstruction restart")
+    if not 1 <= config.restarts <= MAX_RESTARTS:
+        problems.append(f"reconstruction restarts must be in [1, {MAX_RESTARTS}]")
     if problems:
         raise ConfigurationError(
             "invalid configuration:\n  - " + "\n  - ".join(problems))
@@ -190,8 +198,7 @@ def _outdir(config: RunConfig) -> str:
 
 
 def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
+    write_text(path, json.dumps(obj, indent=2))
 
 
 def _state_from_inputs(args, config: RunConfig) -> LadderState:
@@ -245,32 +252,17 @@ def cmd_simulate(args, config: RunConfig) -> int:
 
 
 def _write_bloch_csv(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("gate_index,gate,alpha_re,alpha_im,beta_re,beta_im,"
-                 "weight,bloch_valid,x,y,z\n")
-        for index, label, q in rows:
-            w = q.weight
-            if w > BLOCH_WEIGHT_FLOOR:
-                x, y, z = q.bloch_vector()
-                tail = f"1,{x!r},{y!r},{z!r}"
-            else:
-                tail = "0,nan,nan,nan"
-            fh.write(f"{index},{label},{q.alpha.real!r},{q.alpha.imag!r},"
-                     f"{q.beta.real!r},{q.beta.imag!r},{w!r},{tail}\n")
-
-
-def load_bloch_csv(path: str) -> list[dict]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            toks = line.rstrip("\n").split(",")
-            row = dict(zip(header, toks))
-            row["qubit"] = QubitState(
-                complex(float(row["alpha_re"]), float(row["alpha_im"])),
-                complex(float(row["beta_re"]), float(row["beta_im"])))
-            rows.append(row)
-    return rows
+    """One row per visited state; a label with commas (a ``U`` gate) is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["gate_index", "gate", "alpha_re", "alpha_im", "beta_re", "beta_im",
+                     "weight", "bloch_valid", "x", "y", "z"])
+    for index, label, q in rows:
+        valid = q.weight > BLOCH_WEIGHT_FLOOR
+        xyz = q.bloch_vector() if valid else (math.nan,) * 3
+        numbers = (q.alpha.real, q.alpha.imag, q.beta.real, q.beta.imag, q.weight)
+        writer.writerow([index, label, *map(repr, numbers), int(valid), *map(repr, xyz)])
+    write_text(path, buf.getvalue())
 
 
 def cmd_compile(args, config: RunConfig) -> int:
@@ -295,40 +287,19 @@ def cmd_compile(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def load_compiled(path: str) -> list[tuple[str, Schedule]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return [(entry["gate"], Schedule.from_json(entry["schedule"]))
-            for entry in doc["gates"]]
-
-
 def cmd_spectrum(args, config: RunConfig) -> int:
     state = _state_from_inputs(args, config)
     spec = eels_spectrum(state)
     out = _outdir(config)
     if config.csv:
         path = os.path.join(out, "spectrum.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("l,p\n")
-            for l, p in zip(spec.indices, spec.probabilities):
-                fh.write(f"{l},{float(p)!r}\n")
+        write_text(path, "l,p\n" + "".join(
+            f"{l},{float(p)!r}\n" for l, p in zip(spec.indices, spec.probabilities)))
     else:
         path = os.path.join(out, "spectrum.json")
         _write_json(path, spec.to_json())
     print(f"wrote {path}")
     return EXIT_OK
-
-
-def load_spectrum_csv(path: str):
-    levels, probs = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        for line in fh:
-            l, p = line.strip().split(",")
-            levels.append(int(l))
-            probs.append(float(p))
-    from .tomography import Spectrum
-    return Spectrum(levels[0], np.asarray(probs))
 
 
 def cmd_eigenphases(args, config: RunConfig) -> int:
@@ -339,17 +310,10 @@ def cmd_eigenphases(args, config: RunConfig) -> int:
     phases = eigenphases(PinemPulse.single(args.g), args.dim)
     out = _outdir(config)
     path = os.path.join(out, "eigenphases.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        for phi in phases:
-            fh.write(f"{float(phi)!r}\n")
+    write_text(path, "".join(f"{float(phi)!r}\n" for phi in phases))
     print(f"{phases.size} eigenphases in [{phases.min():.6f}, {phases.max():.6f}]")
     print(f"wrote {path}")
     return EXIT_OK
-
-
-def load_eigenphases_csv(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return np.array([float(line) for line in fh if line.strip()])
 
 
 def cmd_tomography(args, config: RunConfig) -> int:

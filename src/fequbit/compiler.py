@@ -19,7 +19,6 @@ phase gate, so RZ(0.5pi) = S = one quarter drift and RZ(pi) = Z.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -265,15 +264,6 @@ class Schedule:
             else:
                 raise ValueError(f"unknown schedule element {entry!r}")
         return cls(tuple(elements), complex(*obj["global_phase"]))
-
-    def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path) -> "Schedule":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 def _assemble(raw: list, beam: BeamParameters) -> tuple:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.special import jv
@@ -35,6 +36,20 @@ DEFAULT_EDGE_MARGIN = 4
 """Cells at each window end counted as "edge" by the leakage check."""
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, replacing any file there.
+
+    An existing file is unlinked and a new one created, never truncated in
+    place: on ext4, truncating a file written moments earlier and writing it
+    again stalled ~50 ms per write, while unlink-then-create costs what a
+    fresh write does. Nothing is fsynced. Every file the package writes goes
+    through here.
+    """
+    Path(path).unlink(missing_ok=True)
+    with open(path, "x", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Window-sizing rule for ladder states.
@@ -48,8 +63,9 @@ class TruncationPolicy:
     support: each end drops the cells holding at most
     ``operators.CHEBYSHEV_TAIL_TOL / 2`` in summed |amplitude|, less
     ``edge_margin`` guard cells, so one trim moves the state by at most
-    CHEBYSHEV_TAIL_TOL in l1 norm. ``margin_abs`` sizes the adaptive start
-    window (``basis_state``); ``margin_rel`` sizes nothing in the package.
+    CHEBYSHEV_TAIL_TOL in l1 norm. No pulse window is sized by a margin:
+    each is the support its kernels' tail budgets give. ``margin_abs`` is
+    the half-width of the adaptive start window (``basis_state``).
     Fits read the policy too (``tomography.reconstruct_state``): fixed(L)
     fits [-L, L] within the data window, adaptive fits the whole data window.
     """
@@ -57,7 +73,6 @@ class TruncationPolicy:
     mode: str = "adaptive"
     half_width: int | None = None
     margin_abs: int = 8
-    margin_rel: float = 7.0
     edge_margin: int = DEFAULT_EDGE_MARGIN
     leakage_tol: float = LEAKAGE_TOL
 
@@ -74,24 +89,8 @@ class TruncationPolicy:
         return cls(mode="fixed", half_width=half_width, **kwargs)
 
     @classmethod
-    def adaptive(cls, margin_abs: int = 8, margin_rel: float = 7.0, **kwargs) -> "TruncationPolicy":
-        return cls(mode="adaptive", margin_abs=margin_abs, margin_rel=margin_rel, **kwargs)
-
-    def half_width_for(self, strength: float) -> int:
-        """Heuristic half-width for a window around a pulse of the given strength.
-
-        ``ceil(2s) + margin_abs + ceil(margin_rel * (2s)**(1/3))`` for strength
-        ``s``; the fixed half-width in fixed mode. It is no bound on a pulse's
-        spread (at s = 250 it gives 564 while the kernel runs to 576): pulses
-        size their windows from their own kernels. The package calls it only
-        in ``basis_state``, at s = 0, where it is ``margin_abs``.
-        """
-        if self.mode == "fixed":
-            return self.half_width
-        x = 2.0 * abs(strength)
-        if x == 0.0:
-            return self.margin_abs
-        return math.ceil(x) + self.margin_abs + math.ceil(self.margin_rel * x ** (1.0 / 3.0))
+    def adaptive(cls, margin_abs: int = 8, **kwargs) -> "TruncationPolicy":
+        return cls(mode="adaptive", margin_abs=margin_abs, **kwargs)
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -175,8 +174,7 @@ class LadderState:
         return cls(l_min, amps)
 
     def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=None)
+        write_text(path, json.dumps(self.to_json()))
 
     @classmethod
     def load(cls, path) -> "LadderState":
@@ -187,11 +185,11 @@ class LadderState:
 def basis_state(l: int, window: TruncationPolicy | int = DEFAULT_POLICY) -> LadderState:
     """Single-level state |l> on a symmetric window.
 
-    ``window`` is either a half-width or a policy (whose zero-strength
-    half-width is used). The window must contain ``l``.
+    ``window`` is either a half-width or a policy: ``half_width`` for a fixed
+    policy, ``margin_abs`` for an adaptive one. The window must contain ``l``.
     """
     if isinstance(window, TruncationPolicy):
-        half = window.half_width_for(0.0)
+        half = window.half_width if window.mode == "fixed" else window.margin_abs
     else:
         half = int(window)
     if half < 1:
@@ -263,11 +261,6 @@ def bessel_row(x: float, budget: float) -> np.ndarray:
     left = right[:0:-1].copy()
     left[-1::-2] *= -1.0  # the odd orders -1, -3, ...
     return np.concatenate([left, right])
-
-
-def bessel_tail_half_width(x: float, budget: float) -> int:
-    """Smallest K >= 0 with 2 * sum_{k>K} J_k(x)^2 <= budget (see ``bessel_row``)."""
-    return bessel_row(x, budget).size // 2
 
 
 @dataclass(frozen=True)
@@ -352,15 +345,3 @@ def derive_beam(kinetic_energy_ev: float, laser_wavelength_m: float,
         omega_c=omega_c,
         z_d=z_d,
     )
-
-
-def field_to_g(field_amplitude: float, calibration: complex | None) -> complex:
-    """Linear map from laser field amplitude (V/m) to the coupling g.
-
-    The true proportionality depends on the nearfield geometry and is not
-    modeled here; the caller supplies a measured calibration constant
-    (coupling per V/m).
-    """
-    if calibration is None:
-        raise ConfigurationError("no field-to-coupling calibration configured")
-    return complex(calibration) * float(field_amplitude)

@@ -12,9 +12,8 @@ placed on every h-th level, evaluated and cut by ``ladder.bessel_row``.
 ``apply_pinem`` is the one function that applies a pulse to a state; under
 an adaptive policy the result keeps the whole support of the convolutions,
 with guard cells, and is trimmed back to its support (``_checked_result``).
-``eigenphases`` and ``commutator_norm`` work on the truncated generator,
-where the truncation is the point: the first as a real symmetric
-tridiagonal eigenproblem, the second by dense ``expm``.
+``eigenphases`` works on the truncated generator, where the truncation is
+the point, as a real symmetric tridiagonal eigenproblem.
 
 Free-space propagation is diagonal: level l picks up
 exp(+i 2 pi (z / z_D) l^2). The + sign is a package-wide convention chosen
@@ -37,8 +36,6 @@ apply_pinem_matexp timings."""
 CHEBYSHEV_TAIL_TOL = 1e-13
 """Amplitude error bound of every Bessel series the operators truncate."""
 
-_CHEBYSHEV_BUDGET = CHEBYSHEV_TAIL_TOL ** 2 / 32.0
-"""Used by no operator; kept only because a tail-count test imports it."""
 _KERNEL_BUDGET = CHEBYSHEV_TAIL_TOL ** 2 / 8.0
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -85,11 +82,6 @@ class PinemPulse:
     def is_single_harmonic(self) -> bool:
         return all(h == 1 or g == 0 for h, g in self.couplings)
 
-    @property
-    def strength(self) -> float:
-        """Sum of h * |g_h|; bounds how far the support can spread."""
-        return sum(h * abs(g) for h, g in self.couplings)
-
 
 @dataclass(frozen=True)
 class FspPhase:
@@ -120,20 +112,6 @@ class FspPhase:
     @property
     def is_quarter(self) -> bool:
         return self.quarter_units is not None
-
-
-def pinem_generator(pulse: PinemPulse, dim: int) -> np.ndarray:
-    """Anti-Hermitian generator of the laser interaction on a dim-level window."""
-    if dim < 3:
-        raise ValueError("dim must be >= 3")
-    a = np.zeros((dim, dim), dtype=np.complex128)
-    for h, g in pulse.couplings:
-        if h >= dim:
-            continue
-        idx = np.arange(dim - h)
-        a[idx + h, idx] = -g
-        a[idx, idx + h] = np.conj(g)
-    return a
 
 
 def _aligned(amps: np.ndarray, l_min: int, target_l_min: int, target_dim: int) -> np.ndarray:
@@ -274,21 +252,3 @@ def eigenphases(pulse: PinemPulse, dim: int) -> np.ndarray:
     phases = np.mod(-lam + np.pi, 2.0 * np.pi) - np.pi
     phases[phases == -np.pi] = np.pi
     return np.sort(phases)
-
-
-def commutator_norm(p1: PinemPulse, p2: PinemPulse, dim: int, interior: int) -> float:
-    """Operator norm of [U(p1), U(p2)] on the interior block of the window.
-
-    On the infinite ladder all these unitaries commute (they are Fourier
-    multipliers); truncation breaks that only near the edges, so the norm is
-    taken after discarding ``interior`` rows/columns at each end.
-    """
-    from scipy.linalg import expm
-
-    if interior < 0 or 2 * interior >= dim:
-        raise ValueError("interior margin must satisfy 0 <= interior < dim/2")
-    u1 = expm(pinem_generator(p1, dim))
-    u2 = expm(pinem_generator(p2, dim))
-    c = u1 @ u2 - u2 @ u1
-    block = c[interior:dim - interior, interior:dim - interior]
-    return float(np.linalg.norm(block, 2))

@@ -57,10 +57,6 @@ class QubitState:
             "beta": [self.beta.real, self.beta.imag],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "QubitState":
-        return cls(complex(*obj["alpha"]), complex(*obj["beta"]))
-
 
 def project_period_p(state: LadderState, p: int,
                      edge_margin: int = DEFAULT_EDGE_MARGIN,
@@ -85,15 +81,6 @@ def project_qubit(state: LadderState,
     """Even/odd comb projection of a ladder state."""
     alpha, beta = project_period_p(state, 2, edge_margin, leakage_tol)
     return QubitState(complex(alpha), complex(beta))
-
-
-def period_components_to_json(components: np.ndarray) -> list:
-    """Wire format for a period-p projection: array of [re, im] pairs."""
-    return [[float(c.real), float(c.imag)] for c in components]
-
-
-def period_components_from_json(obj) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in obj], dtype=np.complex128)
 
 
 def pinem_rotation(theta: float) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WindowError
-from .ladder import LadderState, TruncationPolicy, bessel_row
+from .ladder import LadderState, TruncationPolicy, bessel_row, write_text
 from .qubit import QubitState, project_qubit
 
 DEFAULT_PROBE_MAGNITUDE = 1.0
@@ -64,10 +64,6 @@ class Spectrum:
 
     def to_json(self) -> dict:
         return {"l_min": self.l_min, "probabilities": list(map(float, self.probabilities))}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Spectrum":
-        return cls(int(obj["l_min"]), np.asarray(obj["probabilities"], dtype=np.float64))
 
 
 def eels_spectrum(state: LadderState) -> Spectrum:
@@ -113,18 +109,19 @@ class Spectrogram:
         return Spectrum(self.l_min, self.data[:, j])
 
     def to_csv(self, path) -> None:
-        """Header row: probe magnitude then scan phases; data rows labeled by l."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("l," + ",".join(repr(float(p)) for p in self.scan_phases) + "\n")
-            fh.write("probe," + ",".join([repr(float(self.probe_magnitude))]
-                                         * self.n_phases) + "\n")
-            for row, l in enumerate(self.indices):
-                fh.write(f"{l}," + ",".join(repr(float(v)) for v in self.data[row]) + "\n")
+        """Header row: scan phases, then a probe row; data rows labeled by l."""
+        lines = ["l," + ",".join(repr(float(p)) for p in self.scan_phases),
+                 "probe," + ",".join([repr(float(self.probe_magnitude))] * self.n_phases)]
+        lines += [f"{l}," + ",".join(repr(float(v)) for v in self.data[row])
+                  for row, l in enumerate(self.indices)]
+        write_text(path, "\n".join(lines) + "\n")
 
     @classmethod
     def from_csv(cls, path) -> "Spectrogram":
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
+        if len(lines) < 2:
+            raise ValueError(f"{path}: needs a phase header and a probe row")
         phases = np.array([float(tok) for tok in lines[0].split(",")[1:]])
         probe = float(lines[1].split(",")[1])
         levels, rows = [], []
@@ -204,16 +201,6 @@ class ReconstructionResult:
             "best_restart": self.best_restart,
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ReconstructionResult":
-        # the minimal report schema is state/residual/restarts/seed; the rest
-        # is diagnostic and may be absent in externally produced files
-        residual = float(obj["residual"])
-        return cls(LadderState.from_json(obj["state"]), residual,
-                   bool(obj.get("ok", residual <= DEFAULT_FAIL_THRESHOLD)),
-                   int(obj["restarts"]), int(obj.get("best_restart", 0)),
-                   int(obj["seed"]))
 
 
 def _fit_window(sg: Spectrogram, window: TruncationPolicy | None) -> tuple[int, int]:

@@ -1,8 +1,13 @@
-"""Shared test utilities for window alignment and random states."""
+"""Shared test utilities: window alignment, random states and readers of
+the files the CLI writes."""
+
+import csv
+import json
 
 import numpy as np
 
-from fequbit import LadderState
+from fequbit import LadderState, QubitState, Schedule, Spectrum
+from fequbit.ladder import bessel_row
 
 
 def aligned_pair(s1: LadderState, s2: LadderState) -> tuple[np.ndarray, np.ndarray]:
@@ -34,3 +39,49 @@ def random_interior_state(rng: np.random.Generator, support_half: int,
     amps[window_half - support_half:window_half + support_half + 1] = block
     amps /= np.linalg.norm(amps)
     return LadderState(-window_half, amps)
+
+
+def bessel_tail_half_width(x: float, budget: float) -> int:
+    """Smallest K >= 0 with 2 * sum_{k>K} J_k(x)^2 <= budget (see ``bessel_row``)."""
+    return bessel_row(x, budget).size // 2
+
+
+def load_bloch_csv(path) -> list[dict]:
+    """Rows of bloch.csv keyed by the header; a row with another field count
+    than the header raises."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = []
+        for toks in reader:
+            if len(toks) != len(header):
+                raise ValueError(f"{len(toks)} fields under a {len(header)}-column header")
+            row = dict(zip(header, toks))
+            row["qubit"] = QubitState(
+                complex(float(row["alpha_re"]), float(row["alpha_im"])),
+                complex(float(row["beta_re"]), float(row["beta_im"])))
+            rows.append(row)
+    return rows
+
+
+def load_compiled(path) -> list[tuple[str, Schedule]]:
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return [(entry["gate"], Schedule.from_json(entry["schedule"]))
+            for entry in doc["gates"]]
+
+
+def load_spectrum_csv(path) -> Spectrum:
+    levels, probs = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        for line in fh:
+            l, p = line.strip().split(",")
+            levels.append(int(l))
+            probs.append(float(p))
+    return Spectrum(levels[0], np.asarray(probs))
+
+
+def load_eigenphases_csv(path) -> np.ndarray:
+    with open(path, "r", encoding="utf-8") as fh:
+        return np.array([float(line) for line in fh if line.strip()])

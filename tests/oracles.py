@@ -3,13 +3,15 @@
 Nothing here may call into fequbit's own computational paths: Bessel values
 come from a direct power-series summation (arbitrary-precision to survive
 the alternating-series cancellation) or from Miller's backward recurrence,
-unitaries from QR, expected projections from plain Python loops.
+unitaries from QR, pulse unitaries from the dense generator, expected
+projections from plain Python loops.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+from scipy.linalg import expm
 
 
 def bessel_series(k: int, x: float) -> float:
@@ -95,3 +97,33 @@ def residue_sums_oracle(state, p: int) -> np.ndarray:
     for l, amp in zip(state.indices, state.amplitudes):
         out[int(l) % p] += complex(amp)
     return out
+
+
+def pinem_generator(pulse, dim: int) -> np.ndarray:
+    """Anti-Hermitian generator of the laser interaction on a dim-level window."""
+    if dim < 3:
+        raise ValueError("dim must be >= 3")
+    a = np.zeros((dim, dim), dtype=np.complex128)
+    for h, g in pulse.couplings:
+        if h >= dim:
+            continue
+        idx = np.arange(dim - h)
+        a[idx + h, idx] = -g
+        a[idx, idx + h] = np.conj(g)
+    return a
+
+
+def commutator_norm(p1, p2, dim: int, interior: int) -> float:
+    """Operator norm of [U(p1), U(p2)] on the interior block of the window.
+
+    On the infinite ladder all these unitaries commute (they are Fourier
+    multipliers); truncation breaks that only near the edges, so the norm is
+    taken after discarding ``interior`` rows/columns at each end.
+    """
+    if interior < 0 or 2 * interior >= dim:
+        raise ValueError("interior margin must satisfy 0 <= interior < dim/2")
+    u1 = expm(pinem_generator(p1, dim))
+    u2 = expm(pinem_generator(p2, dim))
+    c = u1 @ u2 - u2 @ u1
+    block = c[interior:dim - interior, interior:dim - interior]
+    return float(np.linalg.norm(block, 2))

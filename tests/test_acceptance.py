@@ -21,7 +21,6 @@ from fequbit import (
     apply_pinem_bessel,
     apply_pinem_matexp,
     basis_state,
-    commutator_norm,
     compile_gate,
     derive_beam,
     effective_qubit_gate,
@@ -41,6 +40,7 @@ from helpers import random_interior_state, state_distance, state_fidelity
 from oracles import (
     bessel_row_miller,
     bessel_series,
+    commutator_norm,
     haar_unitary,
     pinem_amplitudes_oracle,
     residue_sums_oracle,

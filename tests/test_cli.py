@@ -13,13 +13,11 @@ from fequbit.cli import (
     EXIT_TRUNCATION,
     MAX_BENCH_DIM,
     MAX_EIGENPHASES_DIM,
-    load_bloch_csv,
-    load_compiled,
-    load_eigenphases_csv,
-    load_spectrum_csv,
+    MAX_RESTARTS,
     main,
 )
 from fequbit.tomography import Spectrogram
+from helpers import load_bloch_csv, load_compiled, load_eigenphases_csv, load_spectrum_csv
 
 
 @pytest.fixture
@@ -229,6 +227,15 @@ def test_tomography_bad_number_is_config_error(tmp_path, circuit_file, flags):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("restarts", [MAX_RESTARTS + 1, 10 ** 9])
+def test_restarts_beyond_its_cap_is_config_error(tmp_path, circuit_file, monkeypatch,
+                                                 restarts):
+    monkeypatch.setattr("fequbit.cli.reconstruct_state", _allocates)
+    code = main(["tomography", "--circuit", circuit_file, "--restarts", str(restarts),
+                 *out_args(tmp_path)])
+    assert code == EXIT_CONFIG
+
+
 def test_tomography_deterministic_under_seed(tmp_path):
     circ = tmp_path / "x.txt"
     circ.write_text("X\n")
@@ -345,3 +352,38 @@ def test_non_utf8_config_is_config_error(tmp_path, circuit_file, capsys):
     assert main(["compile", circuit_file, "--config", str(cfg),
                  *out_args(tmp_path)]) == EXIT_CONFIG
     assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_bloch_csv_quotes_a_u_gate_label(tmp_path):
+    # the label "U [[0j,(1+0j)],[(1+0j),0j]]" holds commas
+    circ = tmp_path / "u.txt"
+    circ.write_text("U [[0,1],[1,0]]\nH\n")
+    assert main(["simulate", str(circ), *out_args(tmp_path)]) == EXIT_OK
+    out = tmp_path / "out"
+    rows = load_bloch_csv(out / "bloch.csv")  # raises on a row of another width
+    assert [row["gate"] for row in rows] == ["|0>", "U [[0j,(1+0j)],[(1+0j),0j]]", "H"]
+    assert abs(rows[1]["qubit"].alpha) < 1e-9
+    assert abs(rows[1]["qubit"].beta) == pytest.approx(1.0, abs=1e-9)
+    assert rows[2]["qubit"].beta == pytest.approx(-rows[2]["qubit"].alpha, abs=1e-9)
+    qubit = json.loads((out / "qubit.json").read_text())
+    assert rows[2]["qubit"].alpha == complex(*qubit["alpha"])
+    assert rows[2]["qubit"].beta == complex(*qubit["beta"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{circuit}"],
+    ["tomography", "--circuit", "{circuit}", "--counts", "1e5", "--seed", "3"],
+])
+def test_rerun_into_the_same_out_gives_the_same_bytes(tmp_path, circuit_file, argv):
+    argv = [a.format(circuit=circuit_file) for a in argv]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
+def test_output_path_that_is_a_directory_is_io_error(tmp_path, circuit_file, capsys):
+    (tmp_path / "out" / "state.json").mkdir(parents=True)
+    assert main(["simulate", circuit_file, *out_args(tmp_path)]) == EXIT_IO
+    assert "i/o error" in capsys.readouterr().err

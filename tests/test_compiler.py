@@ -350,9 +350,6 @@ def test_schedule_json_roundtrip(tmp_path):
     schedule = compile_gate(Gate("H"), BEAM)
     again = Schedule.from_json(json.loads(json.dumps(schedule.to_json())))
     assert again == schedule
-    path = tmp_path / "schedule.json"
-    schedule.dump(path)
-    assert Schedule.load(path) == schedule
 
 
 def test_schedule_counts():

@@ -1,10 +1,13 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import jv
 
+import fequbit
 from fequbit import (
     ConfigurationError,
     LadderState,
@@ -14,12 +17,12 @@ from fequbit import (
     apply_pinem_bessel,
     basis_state,
     derive_beam,
-    field_to_g,
     occupied_levels,
     support_leakage,
 )
-from fequbit.ladder import bessel_row, bessel_tail_half_width
+from fequbit.ladder import bessel_row, write_text
 from fequbit.operators import CHEBYSHEV_TAIL_TOL
+from helpers import bessel_tail_half_width
 
 # frozen at first derivation from the CODATA 2018 constants; see
 # test_dispersion_length_regression for the independent evaluation
@@ -153,23 +156,13 @@ def test_support_leakage_margin_validation():
         support_leakage(basis_state(0, 4), -1)
 
 
-def test_field_to_g():
-    cal = (math.pi / 2) / 50e6  # |g| = pi/2 at 50 MV/m
-    assert field_to_g(0.0, cal) == 0.0
-    assert abs(field_to_g(50e6, cal)) == pytest.approx(math.pi / 2, rel=1e-14)
-    assert field_to_g(80e6, cal) == pytest.approx(2 * field_to_g(40e6, cal))
-    with pytest.raises(ConfigurationError):
-        field_to_g(1e6, None)
-
-
 def test_adaptive_half_width_guarantee():
-    policy = TruncationPolicy.adaptive(margin_abs=8, margin_rel=7.0)
-    for g in (0.0, 0.3, 2.0, 20.0, 250.0):
-        x = 2.0 * g
-        bound = (math.ceil(x) + 8 + math.ceil(7.0 * x ** (1 / 3))) if x else 8
-        assert policy.half_width_for(g) >= bound
-    fixed = TruncationPolicy.fixed(21)
-    assert fixed.half_width_for(123.0) == 21
+    # the start window: margin_abs on an adaptive policy, the fixed half-width
+    for margin in (1, 8, 30):
+        start = basis_state(0, TruncationPolicy.adaptive(margin_abs=margin))
+        assert (start.l_min, start.dim) == (-margin, 2 * margin + 1)
+    start = basis_state(0, TruncationPolicy.fixed(21))
+    assert (start.l_min, start.dim) == (-21, 43)
 
 
 def test_policy_validation():
@@ -221,3 +214,35 @@ def test_bessel_row_is_jv_on_its_cut(x, budget):
     # the negative orders come from the reflection J_{-k} = (-1)^k J_k, bit for bit
     k = bessel_tail_half_width(x, budget)
     assert np.array_equal(bessel_row(x, budget), jv(np.arange(-k, k + 1), x))
+
+
+def test_write_text_over_a_longer_file_leaves_only_the_new_bytes(tmp_path):
+    path = tmp_path / "out.csv"
+    write_text(path, "0123456789\n" * 100)
+    write_text(path, "l,p\n")
+    assert path.read_bytes() == b"l,p\n"
+
+
+def _writes(node, function=None):
+    """(function, line) of every call in ``node`` that opens a file for writing."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Call):
+        callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
+        if callee == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            # a mode that is no literal cannot be checked, so it counts as a write
+            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                yield function, node.lineno
+        elif isinstance(node.func, ast.Attribute) and callee in ("write_text", "write_bytes"):
+            yield function, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _writes(child, function)
+
+
+def test_only_write_text_opens_a_file_for_writing():
+    found = [(path.name, function)
+             for path in sorted(Path(fequbit.__file__).parent.glob("*.py"))
+             for function, _ in _writes(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == [("ladder.py", "write_text")]

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,15 +17,12 @@ from fequbit import (
     apply_pinem_bessel,
     apply_pinem_matexp,
     basis_state,
-    commutator_norm,
     eigenphases,
-    pinem_generator,
     pinem_kernel,
 )
-from fequbit.ladder import bessel_tail_half_width
-from fequbit.operators import _CHEBYSHEV_BUDGET, CHEBYSHEV_TAIL_TOL
-from helpers import aligned_pair, random_interior_state, state_distance
-from oracles import bessel_series, pinem_amplitudes_oracle
+from fequbit.operators import CHEBYSHEV_TAIL_TOL
+from helpers import aligned_pair, bessel_tail_half_width, random_interior_state, state_distance
+from oracles import bessel_series, commutator_norm, pinem_amplitudes_oracle, pinem_generator
 
 
 def test_generator_matches_printed_structure():
@@ -65,7 +63,6 @@ def test_pulse_validation():
     pulse = PinemPulse.multi({2: 0.5j})
     assert pulse.g == 0.0
     assert not pulse.is_single_harmonic
-    assert pulse.strength == pytest.approx(1.0)
 
 
 def test_matexp_zero_coupling_is_identity():
@@ -163,7 +160,8 @@ def test_adaptive_result_is_trimmed_and_fixed_window_kept(apply, pulse):
     assert (fixed.l_min, fixed.dim) == (-60, 121)
     policy = TruncationPolicy.adaptive()
     trimmed = apply(basis_state(0, 8), pulse, policy)
-    assert trimmed.dim < 17 + 2 * policy.half_width_for(pulse.strength)
+    x = 2.0 * sum(h * abs(g) for h, g in pulse.couplings)
+    assert trimmed.dim < 17 + 2 * (math.ceil(x) + 8 + math.ceil(7.0 * x ** (1 / 3)))
     a, b = aligned_pair(trimmed, fixed)
     assert np.sum(np.abs(a - b)) <= CHEBYSHEV_TAIL_TOL
     guard = policy.edge_margin
@@ -243,7 +241,7 @@ def test_multi_harmonic_strong_coupling_against_dense():
 @pytest.mark.parametrize("r", [1000.0, 2000.0, 5000.0])
 def test_chebyshev_term_count_meets_its_amplitude_bound(r):
     # the expansion cut after J_K errs by at most 2 sum_{j>K} |J_j(R)|
-    k = bessel_tail_half_width(r, _CHEBYSHEV_BUDGET)
+    k = bessel_tail_half_width(r, CHEBYSHEV_TAIL_TOL ** 2 / 32)
     tail = 2.0 * np.sum(np.abs(jv(np.arange(k + 1, k + 400), r)))
     assert tail <= CHEBYSHEV_TAIL_TOL
 

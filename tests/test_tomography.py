@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,9 +76,9 @@ def test_spectrum_validation():
 
 def test_spectrum_json_roundtrip():
     spec = eels_spectrum(normalized_random_state(1))
-    again = Spectrum.from_json(spec.to_json())
-    assert again.l_min == spec.l_min
-    assert np.array_equal(again.probabilities, spec.probabilities)
+    doc = json.loads(json.dumps(spec.to_json()))
+    assert doc["l_min"] == spec.l_min
+    assert np.array_equal(doc["probabilities"], spec.probabilities)
 
 
 # ---------------------------------------------------------------- spectrogram
@@ -162,12 +164,11 @@ def test_spectrogram_csv_roundtrip(tmp_path):
 def test_spectrogram_csv_rejects_bad_level_rows(tmp_path):
     path = tmp_path / "sg.csv"
     header = "l,0.0,3.14\nprobe,1.0,1.0\n"
-    path.write_text(header + "0,0.5,0.5\n2,0.5,0.5\n")
-    with pytest.raises(ValueError):
-        Spectrogram.from_csv(path)
-    path.write_text(header + "0,0.5,0.5\n1,0.5\n")
-    with pytest.raises(ValueError):
-        Spectrogram.from_csv(path)
+    for text in (header + "0,0.5,0.5\n2,0.5,0.5\n", header + "0,0.5,0.5\n1,0.5\n",
+                 "", "l,0.0,3.14\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="sg.csv"):
+            Spectrogram.from_csv(path)
 
 
 @pytest.mark.parametrize("x", [2.0, 10.0, 100.0, 200.0, 500.0])
@@ -273,15 +274,12 @@ def test_failing_fit_runs_every_start():
 def test_reconstruction_report_roundtrip():
     sg = spectrogram(normalized_random_state(12), n_phases=16)
     result = reconstruct_state(sg, seed=5)
-    again = type(result).from_json(result.to_json())
-    assert again.residual == result.residual
-    assert again.seed == 5
-    assert np.array_equal(again.state.amplitudes, result.state.amplitudes)
-    # minimal schema without the diagnostic extras still loads
-    minimal = {"state": result.state.to_json(), "residual": result.residual,
-               "restarts": result.restarts, "seed": result.seed}
-    loaded = type(result).from_json(minimal)
-    assert loaded.ok == result.ok
+    doc = json.loads(json.dumps(result.to_json()))
+    assert doc["residual"] == result.residual
+    assert doc["seed"] == 5
+    assert doc["ok"] == result.ok
+    again = LadderState.from_json(doc["state"])
+    assert np.array_equal(again.amplitudes, result.state.amplitudes)
 
 
 def test_noise_monotonicity_of_median_fidelity():
