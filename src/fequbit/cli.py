@@ -31,7 +31,15 @@ from .ladder import (
 )
 from .operators import PinemPulse, apply_pinem, eigenphases, pinem_kernel
 from .qubit import project_qubit
-from .tomography import add_shot_noise, eels_spectrum, reconstruct_state, spectrogram
+from .tomography import (
+    DEFAULT_N_PHASES,
+    DEFAULT_PROBE_MAGNITUDE,
+    DEFAULT_RESTARTS,
+    add_shot_noise,
+    eels_spectrum,
+    reconstruct_state,
+    spectrogram,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -88,10 +96,10 @@ class RunConfig:
     seed: int = 0
     out: str = "."
     csv: bool = False
-    probe: float = 1.0
-    phases: int = 32
+    probe: float = DEFAULT_PROBE_MAGNITUDE
+    phases: int = DEFAULT_N_PHASES
     counts: float = 0.0
-    restarts: int = 16
+    restarts: int = DEFAULT_RESTARTS
 
 
 def _load_config_file(path: str) -> dict:
@@ -108,7 +116,11 @@ def _load_config_file(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file, and explicit flags; validate everything at once."""
+    """Merge defaults, config file, and explicit flags; validate everything at once.
+
+    The command flags ``--g`` and ``--dim`` are range-checked here too, so one
+    message lists every problem before any command allocates.
+    """
     values = {f.name: f.default for f in fields(RunConfig)}
     problems = []
     if getattr(args, "config", None):
@@ -167,6 +179,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         problems.append(f"counts per column must be in [0, {MAX_COUNTS:.2g}]")
     if not 1 <= config.restarts <= MAX_RESTARTS:
         problems.append(f"reconstruction restarts must be in [1, {MAX_RESTARTS}]")
+    if getattr(args, "g", None) is not None and not 0 <= args.g < math.inf:
+        problems.append("coupling magnitude must be finite and >= 0")
+    if getattr(args, "dim", None) is not None:
+        cap = MAX_EIGENPHASES_DIM if args.command == "eigenphases" else MAX_BENCH_DIM
+        if not 3 <= args.dim <= cap or args.dim % 2 == 0:
+            problems.append(f"{args.command} needs an odd dim in [3, {cap}]")
     if problems:
         raise ConfigurationError(
             "invalid configuration:\n  - " + "\n  - ".join(problems))
@@ -232,12 +250,10 @@ def _run_circuit(path: str, config: RunConfig,
 
 
 def cmd_simulate(args, config: RunConfig) -> int:
-    policy = _policy(config)
     rows = []
 
     def record(label, state):
-        rows.append((str(len(rows)), label, project_qubit(
-            state, edge_margin=policy.edge_margin, leakage_tol=policy.leakage_tol)))
+        rows.append((str(len(rows)), label, project_qubit(state)))
 
     state = _run_circuit(args.circuit, config, record)
     out = _outdir(config)
@@ -303,10 +319,6 @@ def cmd_spectrum(args, config: RunConfig) -> int:
 
 
 def cmd_eigenphases(args, config: RunConfig) -> int:
-    if not 3 <= args.dim <= MAX_EIGENPHASES_DIM or args.dim % 2 == 0:
-        raise ConfigurationError(f"eigenphases needs an odd dim in [3, {MAX_EIGENPHASES_DIM}]")
-    if not 0 <= args.g < math.inf:
-        raise ConfigurationError("coupling magnitude must be finite and >= 0")
     phases = eigenphases(PinemPulse.single(args.g), args.dim)
     out = _outdir(config)
     path = os.path.join(out, "eigenphases.csv")
@@ -338,10 +350,6 @@ def cmd_tomography(args, config: RunConfig) -> int:
 
 
 def cmd_bench(args, config: RunConfig) -> int:
-    if not 3 <= args.dim <= MAX_BENCH_DIM:
-        raise ConfigurationError(f"bench needs dim in [3, {MAX_BENCH_DIM}]")
-    if not 0 <= args.g < math.inf:
-        raise ConfigurationError("coupling magnitude must be finite and >= 0")
     half = args.dim // 2
     # the kernel runs at least to |k| = floor(2|g|): a window short of that is
     # rejected before the kernel is built
@@ -436,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time one laser interaction from |0>")
     p.add_argument("--g", type=float, required=True, help="coupling magnitude |g|")
-    p.add_argument("--dim", type=int, required=True, help="window dimension")
+    p.add_argument("--dim", type=int, required=True, help="odd window dimension")
     _add_common_flags(p)
     p.set_defaults(func=cmd_bench)
 

@@ -368,8 +368,7 @@ def effective_qubit_gate(schedule: Schedule,
     out = np.zeros((2, 2), dtype=np.complex128)
     for col in range(2):
         final = simulate_schedule(schedule, basis_state(col, policy), policy)
-        projected = project_qubit(final, edge_margin=policy.edge_margin,
-                                  leakage_tol=policy.leakage_tol)
+        projected = project_qubit(final)
         out[0, col] = projected.alpha
         out[1, col] = projected.beta
     return out

@@ -35,6 +35,9 @@ LEAKAGE_TOL = 1e-12
 DEFAULT_EDGE_MARGIN = 4
 """Cells at each window end counted as "edge" by the leakage check."""
 
+ADAPTIVE_START_HALF_WIDTH = 8
+"""Half-width of the window a state starts on under an adaptive policy."""
+
 
 def write_text(path, text: str) -> None:
     """Write ``text`` as UTF-8 to ``path``, replacing any file there.
@@ -52,45 +55,46 @@ def write_text(path, text: str) -> None:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Window-sizing rule for ladder states.
+    """Window-sizing rule for ladder states: a mode and, if fixed, a half-width.
 
     ``fixed(L)`` always uses the symmetric window [-L, L] and never grows it;
-    a pulse result that carries more than ``leakage_tol`` probability within
-    ``edge_margin`` cells of its edge is rejected. ``adaptive`` lets every
-    pulse result take the whole support of its Bessel kernels, each cut by
-    its own tail budget (``operators.pinem_kernel``), plus ``edge_margin``
-    zero guard cells per side. The result is then trimmed back to its
-    support: each end drops the cells holding at most
+    a pulse result that carries more than ``LEAKAGE_TOL`` probability within
+    ``DEFAULT_EDGE_MARGIN`` cells of its edge is rejected. ``adaptive`` lets
+    every pulse result take the whole support of its Bessel kernels, each cut
+    by its own tail budget (``operators.pinem_kernel``), plus
+    ``DEFAULT_EDGE_MARGIN`` zero guard cells per side. The result is then
+    trimmed back to its support: each end drops the cells holding at most
     ``operators.CHEBYSHEV_TAIL_TOL / 2`` in summed |amplitude|, less
-    ``edge_margin`` guard cells, so one trim moves the state by at most
-    CHEBYSHEV_TAIL_TOL in l1 norm. No pulse window is sized by a margin:
-    each is the support its kernels' tail budgets give. ``margin_abs`` is
-    the half-width of the adaptive start window (``basis_state``).
-    Fits read the policy too (``tomography.reconstruct_state``): fixed(L)
-    fits [-L, L] within the data window, adaptive fits the whole data window.
+    ``DEFAULT_EDGE_MARGIN`` guard cells, so one trim moves the state by at
+    most CHEBYSHEV_TAIL_TOL in l1 norm. No pulse window is sized by a margin:
+    each is the support its kernels' tail budgets give. An adaptive state
+    starts on [-ADAPTIVE_START_HALF_WIDTH, ADAPTIVE_START_HALF_WIDTH]
+    (``basis_state``). Fits read the policy too
+    (``tomography.reconstruct_state``): fixed(L) fits [-L, L] within the data
+    window, adaptive fits the whole data window.
+
+    ``edge_margin`` and ``leakage_tol`` are class attributes, not fields:
+    every policy carries ``DEFAULT_EDGE_MARGIN`` and ``LEAKAGE_TOL``.
     """
 
     mode: str = "adaptive"
     half_width: int | None = None
-    margin_abs: int = 8
-    edge_margin: int = DEFAULT_EDGE_MARGIN
-    leakage_tol: float = LEAKAGE_TOL
+    edge_margin = DEFAULT_EDGE_MARGIN
+    leakage_tol = LEAKAGE_TOL
 
     def __post_init__(self):
         if self.mode not in ("fixed", "adaptive"):
             raise ValueError(f"unknown truncation mode {self.mode!r}")
         if self.mode == "fixed" and (self.half_width is None or self.half_width < 1):
             raise ValueError("fixed mode needs a positive half_width")
-        if self.edge_margin < 0:
-            raise ValueError("edge_margin must be >= 0")
 
     @classmethod
-    def fixed(cls, half_width: int, **kwargs) -> "TruncationPolicy":
-        return cls(mode="fixed", half_width=half_width, **kwargs)
+    def fixed(cls, half_width: int) -> "TruncationPolicy":
+        return cls(mode="fixed", half_width=half_width)
 
     @classmethod
-    def adaptive(cls, margin_abs: int = 8, **kwargs) -> "TruncationPolicy":
-        return cls(mode="adaptive", margin_abs=margin_abs, **kwargs)
+    def adaptive(cls) -> "TruncationPolicy":
+        return cls(mode="adaptive")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -148,9 +152,12 @@ class LadderState:
         out[off:off + self.dim] = self.amplitudes
         return LadderState(l_min, out)
 
-    def trimmed(self, tol: float = 1e-18) -> "LadderState":
-        """Drop probability-free window edges (per-cell probability <= tol)."""
-        keep = np.flatnonzero(np.abs(self.amplitudes) ** 2 > tol)
+    def trimmed(self) -> "LadderState":
+        """Drop probability-free window edges: cells of probability <= 1e-18.
+
+        An all-empty state keeps the one cell nearest level 0.
+        """
+        keep = np.flatnonzero(np.abs(self.amplitudes) ** 2 > 1e-18)
         if keep.size == 0:
             center = min(max(-self.l_min, 0), self.dim - 1)
             return LadderState(self.l_min + center, self.amplitudes[center:center + 1])
@@ -186,10 +193,11 @@ def basis_state(l: int, window: TruncationPolicy | int = DEFAULT_POLICY) -> Ladd
     """Single-level state |l> on a symmetric window.
 
     ``window`` is either a half-width or a policy: ``half_width`` for a fixed
-    policy, ``margin_abs`` for an adaptive one. The window must contain ``l``.
+    policy, ``ADAPTIVE_START_HALF_WIDTH`` for an adaptive one. The window must
+    contain ``l``.
     """
     if isinstance(window, TruncationPolicy):
-        half = window.half_width if window.mode == "fixed" else window.margin_abs
+        half = window.half_width if window.mode == "fixed" else ADAPTIVE_START_HALF_WIDTH
     else:
         half = int(window)
     if half < 1:

@@ -114,8 +114,9 @@ def closure_check(state: LadderState, operation: PinemPulse | FspPhase,
 
     Zero means the comb encoding commutes with the dynamics, i.e. the
     operation is a faithful qubit gate. Drifts must be integer quarter-units;
-    anything else leaves the encoding. Both projections are edge-checked with
-    the policy's ``edge_margin`` and ``leakage_tol``.
+    anything else leaves the encoding. ``policy`` sizes the pulse result only;
+    both projections are edge-checked with ``project_period_p``'s defaults,
+    ``DEFAULT_EDGE_MARGIN`` cells and ``LEAKAGE_TOL``.
     """
     if isinstance(operation, FspPhase):
         if not operation.is_quarter:
@@ -125,6 +126,6 @@ def closure_check(state: LadderState, operation: PinemPulse | FspPhase,
     else:
         evolved = apply_pinem(state, operation, policy)
         gate = _pulse_qubit_gate(operation)
-    before = project_period_p(state, 2, policy.edge_margin, policy.leakage_tol)
-    after = project_period_p(evolved, 2, policy.edge_margin, policy.leakage_tol)
+    before = project_period_p(state, 2)
+    after = project_period_p(evolved, 2)
     return float(np.linalg.norm(after - gate @ before))

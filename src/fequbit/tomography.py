@@ -33,7 +33,8 @@ from .qubit import QubitState, project_qubit
 DEFAULT_PROBE_MAGNITUDE = 1.0
 DEFAULT_N_PHASES = 32
 DEFAULT_RESTARTS = 16
-DEFAULT_FAIL_THRESHOLD = 0.05
+FAIL_THRESHOLD = 0.05
+"""Largest fit residual that counts as a successful reconstruction."""
 
 _FIT_TOL = 1e-8
 """xtol, ftol and gtol of the fit (the stop rule is in ``reconstruct_state``).
@@ -118,17 +119,18 @@ class Spectrogram:
 
     @classmethod
     def from_csv(cls, path) -> "Spectrogram":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if len(lines) < 2:
-            raise ValueError(f"{path}: needs a phase header and a probe row")
-        phases = np.array([float(tok) for tok in lines[0].split(",")[1:]])
-        probe = float(lines[1].split(",")[1])
-        levels, rows = [], []
-        for ln in lines[2:]:
-            toks = ln.split(",")
-            levels.append(int(toks[0]))
-            rows.append([float(t) for t in toks[1:]])
+        """Inverse of ``to_csv``; a malformed file raises ValueError naming ``path``."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = [ln.strip().split(",") for ln in fh if ln.strip()]
+            phases = np.array([float(tok) for tok in lines[0][1:]])
+            probe = float(lines[1][1])
+            levels = [int(toks[0]) for toks in lines[2:]]
+            rows = [[float(t) for t in toks[1:]] for toks in lines[2:]]
+        except IndexError:
+            raise ValueError(f"{path}: needs a phase header and a probe value") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if not levels or levels != list(range(levels[0], levels[0] + len(levels))):
             raise ValueError(f"{path}: level rows must be contiguous and ascending")
         if any(len(row) != phases.size for row in rows):
@@ -224,8 +226,11 @@ def _probe_matrix(sg: Spectrogram, fit_l_min: int, n_par: int) -> np.ndarray:
     return np.where(np.abs(lag) <= k_half, row[np.clip(lag + k_half, 0, row.size - 1)], 0.0)
 
 
-def _fourier_seed(sg: Spectrogram, fit_l_min: int, n_par: int) -> np.ndarray:
+def _fourier_seed(sg: Spectrogram, bess: np.ndarray) -> np.ndarray:
     """Start amplitudes on the fit window from the phase-Fourier diagonals of the data.
+
+    ``bess`` is ``_probe_matrix`` on the fit window, J_{l-m} of shape
+    (n_rows, n_par).
 
     Level l at scan phase chi holds p_l(chi) = sum_{m,n} rho_{m,n}
     e^{i(chi + pi)(n - m)} J_{l-m}(2 m_p) J_{l-n}(2 m_p) with rho = psi psi^dagger,
@@ -239,7 +244,7 @@ def _fourier_seed(sg: Spectrogram, fit_l_min: int, n_par: int) -> np.ndarray:
     of the links rho_{m-1,m}, rho_{m-2,m}, so a comb with empty odd levels
     still gets its phases. Noiseless, this is the state up to a global phase.
     """
-    bess = _probe_matrix(sg, fit_l_min, n_par)  # J_{l-m}, (n_rows, n_par)
+    n_par = bess.shape[1]
     diagonals = sg.data @ np.exp(-1j * np.outer(sg.scan_phases, np.arange(3))) / sg.n_phases
     pop, link1, link2 = (
         np.linalg.lstsq((-1) ** d * bess[:, :n_par - d] * bess[:, d:], diagonals[:, d],
@@ -257,8 +262,7 @@ def _fourier_seed(sg: Spectrogram, fit_l_min: int, n_par: int) -> np.ndarray:
 
 
 def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
-                      n_restarts: int = DEFAULT_RESTARTS, seed: int = 0,
-                      fail_threshold: float = DEFAULT_FAIL_THRESHOLD
+                      n_restarts: int = DEFAULT_RESTARTS, seed: int = 0
                       ) -> ReconstructionResult:
     """Least-squares fit of complex amplitudes to a spectrogram.
 
@@ -274,11 +278,11 @@ def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
     Only when the first fit fails do random-phase starts with the seed's
     magnitudes follow, at most ``n_restarts`` starts in all: the
     loop stops at the first start whose residual (Frobenius mismatch between
-    predicted and observed spectrograms) is <= ``fail_threshold``, and the
-    lowest-cost start is kept (ties go to the earlier start), so the result
-    is deterministic for a given seed. It is flagged not-ok when even that
-    best residual exceeds ``fail_threshold``; the best candidate is still
-    returned.
+    predicted and observed spectrograms) is <= ``FAIL_THRESHOLD`` (0.05), and
+    the lowest-cost start is kept (ties go to the earlier start), so the
+    result is deterministic for a given seed. It is flagged not-ok when even
+    that best residual exceeds ``FAIL_THRESHOLD``; the best candidate is
+    still returned.
 
     The fit window follows ``window``: None or an adaptive policy fits every
     level of the data window, a fixed(h) policy fits [-h, h] within it and
@@ -308,7 +312,7 @@ def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
         np.multiply(weighted.imag, -2.0 * bess, out=jac[:, :, 1])
         return jac.reshape(-1, 2 * n_par)
 
-    seed_psi = _fourier_seed(sg, fit_l_min, n_par)
+    seed_psi = _fourier_seed(sg, bess)
     rng = np.random.default_rng(seed)
 
     best, best_index = None, 0
@@ -323,7 +327,7 @@ def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
         if best is None or fit.cost < best.cost:
             best, best_index = fit, restart
         residual = math.sqrt(2.0 * best.cost)
-        if residual <= fail_threshold:
+        if residual <= FAIL_THRESHOLD:
             break
 
     psi = best.x[:n_par] + 1j * best.x[n_par:]
@@ -333,7 +337,7 @@ def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
     return ReconstructionResult(
         state=LadderState(fit_l_min, psi),
         residual=residual,
-        ok=residual <= fail_threshold,
+        ok=residual <= FAIL_THRESHOLD,
         restarts=restart + 1,
         best_restart=best_index,
         seed=seed,
@@ -341,15 +345,15 @@ def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
 
 
 def readout_qubit(sg: Spectrogram, window: TruncationPolicy | None = None,
-                  n_restarts: int = DEFAULT_RESTARTS, seed: int = 0,
-                  fail_threshold: float = DEFAULT_FAIL_THRESHOLD
+                  n_restarts: int = DEFAULT_RESTARTS, seed: int = 0
                   ) -> tuple[QubitState, float]:
     """Reconstruct, then project: the comb qubit as a measurement result.
 
     The overall phase of (alpha, beta) inherits the reconstruction's fixed
     gauge and is not physical. ``window`` sets the fit window as in
-    ``reconstruct_state``: the whole data window unless it is fixed(h).
+    ``reconstruct_state``: the whole data window unless it is fixed(h). The
+    residual is returned whether or not it is within ``FAIL_THRESHOLD``.
     """
-    result = reconstruct_state(sg, window, n_restarts, seed, fail_threshold)
+    result = reconstruct_state(sg, window, n_restarts, seed)
     # fit-window edges bound the support; the interior-leakage check is moot here
     return project_qubit(result.state, edge_margin=0), result.residual

@@ -318,12 +318,29 @@ def _allocates(*args, **kwargs):
 @pytest.mark.parametrize("argv", [
     # 4098 is even and rejected as such; 4099 is the first odd dim beyond the cap
     ["eigenphases", "--g", "0.25", "--dim", str(MAX_EIGENPHASES_DIM + 2)],
-    ["bench", "--g", "2.0", "--dim", str(MAX_BENCH_DIM + 1)],
+    ["bench", "--g", "2.0", "--dim", str(MAX_BENCH_DIM + 2)],
 ])
 def test_dim_beyond_its_cap_is_config_error(tmp_path, monkeypatch, argv):
     for name in ("eigenphases", "basis_state", "apply_pinem"):
         monkeypatch.setattr(f"fequbit.cli.{name}", _allocates)
     assert main([*argv, *out_args(tmp_path)]) == EXIT_CONFIG
+
+
+def test_bench_even_dim_is_config_error(tmp_path, monkeypatch):
+    # an even dim has no symmetric window [-half, half]: nothing is built or written
+    for name in ("pinem_kernel", "basis_state", "apply_pinem"):
+        monkeypatch.setattr(f"fequbit.cli.{name}", _allocates)
+    assert main(["bench", "--g", "2.0", "--dim", "50", *out_args(tmp_path)]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+def test_flag_problems_are_reported_together(tmp_path, capsys):
+    code = main(["eigenphases", "--g", "nan", "--dim", "4", "--seed", "-1",
+                 *out_args(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    for problem in ("coupling magnitude", "odd dim", "seed must be >= 0"):
+        assert problem in err
 
 
 def test_bloch_csv_flags_degenerate_rows(tmp_path):

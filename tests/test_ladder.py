@@ -49,8 +49,8 @@ def test_basis_state_outside_window():
 
 
 def test_basis_state_accepts_policy():
-    s = basis_state(0, TruncationPolicy.adaptive(margin_abs=5))
-    assert s.dim == 11
+    s = basis_state(0, TruncationPolicy.adaptive())
+    assert (s.l_min, s.dim) == (-8, 17)
 
 
 def test_dispersion_length_regression():
@@ -157,10 +157,9 @@ def test_support_leakage_margin_validation():
 
 
 def test_adaptive_half_width_guarantee():
-    # the start window: margin_abs on an adaptive policy, the fixed half-width
-    for margin in (1, 8, 30):
-        start = basis_state(0, TruncationPolicy.adaptive(margin_abs=margin))
-        assert (start.l_min, start.dim) == (-margin, 2 * margin + 1)
+    # the start window: [-8, 8] on an adaptive policy, the fixed half-width
+    start = basis_state(0, TruncationPolicy.adaptive())
+    assert (start.l_min, start.dim) == (-8, 17)
     start = basis_state(0, TruncationPolicy.fixed(21))
     assert (start.l_min, start.dim) == (-21, 43)
 
@@ -170,8 +169,9 @@ def test_policy_validation():
         TruncationPolicy(mode="nope")
     with pytest.raises(ValueError):
         TruncationPolicy.fixed(0)
-    with pytest.raises(ValueError):
-        TruncationPolicy.adaptive(edge_margin=-1)
+    # the edge margin and leakage tolerance are constants, not settings
+    with pytest.raises(TypeError):
+        TruncationPolicy.adaptive(edge_margin=1)
 
 
 def test_state_json_roundtrip(tmp_path):

@@ -25,7 +25,7 @@ from fequbit import (
     simulate_schedule,
     spectrogram,
 )
-from fequbit.tomography import _fit_window, _fourier_seed
+from fequbit.tomography import _fit_window, _fourier_seed, _probe_matrix
 from helpers import random_interior_state, state_fidelity
 from oracles import bessel_series
 
@@ -165,7 +165,7 @@ def test_spectrogram_csv_rejects_bad_level_rows(tmp_path):
     path = tmp_path / "sg.csv"
     header = "l,0.0,3.14\nprobe,1.0,1.0\n"
     for text in (header + "0,0.5,0.5\n2,0.5,0.5\n", header + "0,0.5,0.5\n1,0.5\n",
-                 "", "l,0.0,3.14\n"):
+                 "", "l,0.0,3.14\n", "l,0.0\nprobe\n0,1.0\n", header + "0,0.5,half\n"):
         path.write_text(text)
         with pytest.raises(ValueError, match="sg.csv"):
             Spectrogram.from_csv(path)
@@ -308,7 +308,8 @@ def gate_prepared(gate):
 
 def seed_fidelity(sg, true):
     fit_l_min, n_par = _fit_window(sg, None)
-    return state_fidelity(LadderState(fit_l_min, _fourier_seed(sg, fit_l_min, n_par)), true)
+    seed = _fourier_seed(sg, _probe_matrix(sg, fit_l_min, n_par))
+    return state_fidelity(LadderState(fit_l_min, seed), true)
 
 
 @pytest.mark.parametrize("n_phases", [16, 32])
