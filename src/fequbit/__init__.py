@@ -8,9 +8,7 @@ and reconstructs states from simulated spectroscopy data.
 
 from .compiler import (
     Circuit,
-    Drift,
     Gate,
-    Pulse,
     Schedule,
     compile_circuit,
     compile_gate,
@@ -53,8 +51,7 @@ from .qubit import (
     pinem_rotation,
     project_period_p,
     project_qubit,
-    qubit_gate_of_fsp,
-    qubit_gate_of_pinem,
+    qubit_gate,
 )
 from .tomography import (
     ReconstructionResult,

@@ -106,7 +106,7 @@ def _load_config_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise ConfigurationError(f"config file {path}: invalid JSON ({exc})") from None
         except UnicodeDecodeError as exc:
             raise ConfigurationError(f"config file {path}: not UTF-8 ({exc})") from None
@@ -225,7 +225,7 @@ def _state_from_inputs(args, config: RunConfig) -> LadderState:
             state = LadderState.load(args.state)
         except KeyError as exc:
             raise ConfigurationError(f"state file {args.state}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ConfigurationError(f"state file {args.state}: {exc}") from None
         if not abs(state.norm() - 1.0) <= NORM_TOL:
             raise ConfigurationError(

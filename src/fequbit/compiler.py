@@ -1,11 +1,14 @@
 """Gate DSL, XYX synthesis, and pulse-and-drift schedule generation.
 
 A target unitary is factored as phase * Rx(a) * Ry(b) * Rx(c), with
-Rx(t) = [[cos t, i sin t], [i sin t, cos t]] (one laser pulse, coupling
-g = -i t / 2) and Ry(b) = F Rx(b) F^3 where F = diag(1, i) is one
-quarter-length drift. x is the continuously tunable axis, z is quantized to
-quarter turns by the drift lengths, so XYX is the decomposition that needs
-the fewest physical operations: at most three pulses and two drifts.
+Rx(t) = [[cos t, i sin t], [i sin t, cos t]] (one laser pulse,
+``PinemPulse.single(-i t / 2)``) and Ry(b) = F Rx(b) F^3 where F = diag(1, i)
+is one quarter-length drift, ``FspPhase.quarter(1)``. A ``Schedule`` holds
+those operator objects themselves, so ``simulate_schedule`` hands each one
+to ``apply_pinem`` or ``apply_fsp`` and ``qubit.qubit_gate`` gives its 2x2
+action. x is the continuously tunable axis, z is quantized to quarter turns
+by the drift lengths, so XYX is the decomposition that needs the fewest
+physical operations: at most three pulses and two drifts.
 
 DSL, one gate per line, '#' comments:
 
@@ -28,7 +31,7 @@ import numpy as np
 from .errors import CircuitParseError
 from .ladder import DEFAULT_POLICY, BeamParameters, LadderState, TruncationPolicy, basis_state
 from .operators import FspPhase, PinemPulse, apply_fsp, apply_pinem
-from .qubit import pinem_rotation, project_qubit, qubit_gate_of_fsp
+from .qubit import pinem_rotation, project_qubit, qubit_gate
 
 ZERO_ANGLE_TOL = 1e-12
 UNITARY_TOL = 1e-9
@@ -92,7 +95,6 @@ class Gate:
 class Circuit:
     gates: tuple[Gate, ...]
     name: str | None = field(default=None, compare=False)
-    source: str | None = field(default=None, compare=False)
 
 
 _ROTATION_RE = re.compile(r"^(RX|RY|RZ)\s*\(\s*(.*?)\s*\)$", re.IGNORECASE)
@@ -157,7 +159,7 @@ def parse_circuit(source: str, name: str | None = None) -> Circuit:
         gates.append(_parse_gate(line, line_no))
     if not gates:
         raise CircuitParseError("no gates in circuit")
-    return Circuit(tuple(gates), name=name, source=source)
+    return Circuit(tuple(gates), name=name)
 
 
 def unparse(circuit: Circuit) -> str:
@@ -198,76 +200,55 @@ def euler_xyx(u: np.ndarray) -> tuple[float, float, float, complex]:
 
 
 @dataclass(frozen=True)
-class Pulse:
-    """One laser interaction of a schedule."""
-
-    g: complex
-
-    @property
-    def theta(self) -> float:
-        return -2.0 * self.g.imag
-
-
-@dataclass(frozen=True)
-class Drift:
-    """One free propagation, an integer number of quarter dispersion lengths."""
-
-    quarter_units: int
-    meters: float
-
-
-@dataclass(frozen=True)
 class Schedule:
-    """Ordered physical operations, first element applied first."""
+    """Ordered physical operations, first element applied first.
+
+    Each element is a single-harmonic ``PinemPulse`` (a laser pulse) or an
+    ``FspPhase`` of whole quarter units (a drift); ``qubit.qubit_gate`` gives
+    the 2x2 action of either. ``quarter_length_m`` is the beam's z_D / 4, the
+    length of one quarter unit; it is None on a schedule built without a beam.
+    """
 
     elements: tuple
     global_phase: complex = 1.0 + 0.0j
+    quarter_length_m: float | None = None
 
     @property
     def n_pulses(self) -> int:
-        return sum(isinstance(e, Pulse) for e in self.elements)
+        return sum(isinstance(e, PinemPulse) for e in self.elements)
 
     @property
     def n_drifts(self) -> int:
-        return sum(isinstance(e, Drift) for e in self.elements)
+        return sum(isinstance(e, FspPhase) for e in self.elements)
 
     def qubit_matrix(self) -> np.ndarray:
         """2x2 unitary the schedule realizes on the comb qubit (phase included)."""
         out = np.eye(2, dtype=np.complex128)
         for el in self.elements:
-            if isinstance(el, Pulse):
-                out = pinem_rotation(el.theta) @ out
-            else:
-                out = qubit_gate_of_fsp(el.quarter_units % 4) @ out
+            out = qubit_gate(el) @ out
         return self.global_phase * out
 
     def to_json(self) -> dict:
+        """The ``schedule.json`` form: a pulse by its g, a drift by its quarter
+        units and its length in metres (None without ``quarter_length_m``)."""
         elements = []
         for el in self.elements:
-            if isinstance(el, Pulse):
+            if isinstance(el, PinemPulse) and el.is_single_harmonic:
                 elements.append({"pulse": {"g": [el.g.real, el.g.imag]}})
-            else:
+            elif isinstance(el, FspPhase) and el.is_quarter:
+                meters = None if self.quarter_length_m is None else (
+                    el.quarter_units * self.quarter_length_m)
                 elements.append({"drift": {"quarter_units": el.quarter_units,
-                                           "meters": el.meters}})
+                                           "meters": meters}})
+            else:
+                raise ValueError(f"schedule.json has no form for {el!r}")
         return {"elements": elements,
                 "global_phase": [self.global_phase.real, self.global_phase.imag]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Schedule":
-        elements = []
-        for entry in obj["elements"]:
-            if "pulse" in entry:
-                elements.append(Pulse(complex(*entry["pulse"]["g"])))
-            elif "drift" in entry:
-                d = entry["drift"]
-                elements.append(Drift(int(d["quarter_units"]), float(d["meters"])))
-            else:
-                raise ValueError(f"unknown schedule element {entry!r}")
-        return cls(tuple(elements), complex(*obj["global_phase"]))
 
-
-def _assemble(raw: list, beam: BeamParameters) -> tuple:
-    """Drop null operations and merge neighbours; raw is (kind, value) pairs."""
+def _assemble(raw: list) -> tuple:
+    """Drop null operations and merge neighbours; raw is (kind, value) pairs
+    with pulse values in radians and drift values in quarter units."""
     stack: list[tuple[str, float | int]] = []
     for kind, value in raw:
         if stack and stack[-1][0] == kind:
@@ -280,9 +261,9 @@ def _assemble(raw: list, beam: BeamParameters) -> tuple:
             value = int(value) % 4
             if value:
                 stack.append((kind, value))
-    quarter = beam.z_d / 4.0
+    # a pulse of coupling g rotates by theta = -2 Im g, so g = -i theta / 2
     return tuple(
-        Pulse(-0.5j * value) if kind == "pulse" else Drift(value, value * quarter)
+        PinemPulse.single(-0.5j * value) if kind == "pulse" else FspPhase.quarter(value)
         for kind, value in stack)
 
 
@@ -294,9 +275,13 @@ def _phase_to(realized: np.ndarray, target: np.ndarray) -> complex:
 def compile_gate(gate: Gate, beam: BeamParameters) -> Schedule:
     """Physical schedule realizing the gate on the qubit up to global phase.
 
-    Quarter-turn phase gates become pure drifts, pure x-rotations a single
-    pulse, everything else the canonical Pulse-Drift(3)-Pulse-Drift(1)-Pulse
-    sequence from the XYX factorization (nulls elided).
+    Quarter-turn phase gates become one drift, pure x-rotations one pulse,
+    and everything else the XYX sequence, first applied first: pulse Rx(c),
+    ``FspPhase.quarter(3)``, pulse Rx(b), ``FspPhase.quarter(1)``, pulse
+    Rx(a), since Ry(b) = F Rx(b) F^3. Null operations are elided and
+    neighbours merged. Pulses are single-harmonic ``PinemPulse`` objects; the
+    beam sets only the schedule's ``quarter_length_m``. ``global_phase``
+    makes ``qubit_matrix()`` equal the target.
     """
     u = gate.target_matrix()
     z_quarters = _as_quarter_phase_gate(gate)
@@ -307,8 +292,9 @@ def compile_gate(gate: Gate, beam: BeamParameters) -> Schedule:
     else:
         a, b, c, _ = euler_xyx(u)
         raw = [("pulse", c), ("drift", 3), ("pulse", b), ("drift", 1), ("pulse", a)]
-    elements = _assemble(raw, beam)
-    return Schedule(elements, _phase_to(Schedule(elements).qubit_matrix(), u))
+    elements = _assemble(raw)
+    return Schedule(elements, _phase_to(Schedule(elements).qubit_matrix(), u),
+                    beam.quarter_length_m)
 
 
 def _as_quarter_phase_gate(gate: Gate) -> int | None:
@@ -351,10 +337,10 @@ def simulate_schedule(schedule: Schedule, state: LadderState,
                       policy: TruncationPolicy = DEFAULT_POLICY) -> LadderState:
     """Run the schedule on the full ladder, first element first."""
     for el in schedule.elements:
-        if isinstance(el, Pulse):
-            state = apply_pinem(state, PinemPulse.single(el.g), policy)
+        if isinstance(el, PinemPulse):
+            state = apply_pinem(state, el, policy)
         else:
-            state = apply_fsp(state, FspPhase.quarter(el.quarter_units))
+            state = apply_fsp(state, el)
     return state
 
 

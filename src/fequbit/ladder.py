@@ -291,10 +291,6 @@ class BeamParameters:
     z_d: float
 
     @property
-    def photon_energy_ev(self) -> float:
-        return HBAR * self.omega / ELEMENTARY_CHARGE
-
-    @property
     def quarter_length_m(self) -> float:
         return self.z_d / 4.0
 

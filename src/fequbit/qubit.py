@@ -4,8 +4,10 @@ The qubit amplitudes are the plain sums of even- and odd-indexed ladder
 amplitudes (rows of ones, deliberately unnormalized: the conserved quantity
 is |alpha|^2 + |beta|^2, not a unit norm). A laser pulse acts on the pair as
 an x-rotation by theta = -2 Im g, and a quarter-length drift as diag(1, i);
-those identities are exact on the infinite ladder and hold here up to window
-truncation, which the leakage precondition keeps small.
+``qubit_gate`` is the one place that states those rules, and
+``closure_check`` measures how far a simulated operation is from them. They
+are exact on the infinite ladder and hold here up to window truncation,
+which the leakage precondition keeps small.
 """
 
 from __future__ import annotations
@@ -89,23 +91,26 @@ def pinem_rotation(theta: float) -> np.ndarray:
     return np.array([[c, 1j * s], [1j * s, c]], dtype=np.complex128)
 
 
-def qubit_gate_of_pinem(g: complex) -> np.ndarray:
-    """Qubit-space action of a single-harmonic pulse: x-rotation by -2 Im g."""
-    return pinem_rotation(-2.0 * complex(g).imag)
+def qubit_gate(operation: PinemPulse | FspPhase) -> np.ndarray:
+    """The 2x2 gate one pulse or one drift induces on the comb qubit.
 
-
-def qubit_gate_of_fsp(quarter_units: int) -> np.ndarray:
-    """Qubit-space action of k quarter-length drifts: diag(1, i^k)."""
-    if quarter_units < 0:
-        raise ValueError("quarter_units must be >= 0")
-    return np.diag([1.0 + 0.0j, _I_POW[quarter_units % 4]])
-
-
-def _pulse_qubit_gate(pulse: PinemPulse) -> np.ndarray:
-    # odd harmonics rotate, even harmonics only add a common phase
-    theta_odd = sum(-2.0 * g.imag for h, g in pulse.couplings if h % 2 == 1)
-    theta_even = sum(-2.0 * g.imag for h, g in pulse.couplings if h % 2 == 0)
-    return np.exp(1j * theta_even) * pinem_rotation(theta_odd)
+    A pulse rotates about x by theta = -2 Im g summed over its odd harmonics;
+    an even harmonic keeps each comb on itself and only multiplies both by
+    exp(-2i Im g_h). k quarter-length drifts give diag(1, i^k). A fractional
+    drift leaves the encoding and raises ValueError.
+    """
+    if isinstance(operation, FspPhase):
+        if not operation.is_quarter:
+            raise ValueError("fractional drift is not legal on the qubit encoding")
+        return np.diag([1.0 + 0.0j, _I_POW[operation.quarter_units % 4]])
+    theta_odd = theta_even = 0.0
+    for h, g in operation.couplings:
+        if h % 2:
+            theta_odd -= 2.0 * g.imag
+        else:
+            theta_even -= 2.0 * g.imag
+    gate = pinem_rotation(theta_odd)
+    return gate if theta_even == 0.0 else np.exp(1j * theta_even) * gate
 
 
 def closure_check(state: LadderState, operation: PinemPulse | FspPhase,
@@ -113,19 +118,17 @@ def closure_check(state: LadderState, operation: PinemPulse | FspPhase,
     """Intertwining defect || T(U psi) - u_q T(psi) || for one operation.
 
     Zero means the comb encoding commutes with the dynamics, i.e. the
-    operation is a faithful qubit gate. Drifts must be integer quarter-units;
-    anything else leaves the encoding. ``policy`` sizes the pulse result only;
-    both projections are edge-checked with ``project_period_p``'s defaults,
-    ``DEFAULT_EDGE_MARGIN`` cells and ``LEAKAGE_TOL``.
+    operation is a faithful qubit gate, ``qubit_gate(operation)``, which
+    raises ValueError for a fractional drift. ``policy`` sizes the pulse
+    result only; both projections are edge-checked with
+    ``project_period_p``'s defaults, ``DEFAULT_EDGE_MARGIN`` cells and
+    ``LEAKAGE_TOL``.
     """
+    gate = qubit_gate(operation)
     if isinstance(operation, FspPhase):
-        if not operation.is_quarter:
-            raise ValueError("fractional drift is not legal on the qubit encoding")
         evolved = apply_fsp(state, operation)
-        gate = qubit_gate_of_fsp(operation.quarter_units)
     else:
         evolved = apply_pinem(state, operation, policy)
-        gate = _pulse_qubit_gate(operation)
     before = project_period_p(state, 2)
     after = project_period_p(evolved, 2)
     return float(np.linalg.norm(after - gate @ before))

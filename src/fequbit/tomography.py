@@ -89,6 +89,9 @@ class Spectrogram:
         data = np.asarray(self.data, dtype=np.float64).copy()
         if data.ndim != 2 or data.shape[1] != phases.size:
             raise ValueError("data must be (n_levels, n_phases)")
+        if phases.size == 0 or not 0.0 < self.probe_magnitude < math.inf:
+            raise ValueError(f"needs a scan phase and a finite probe magnitude > 0, got "
+                             f"{phases.size} phases and magnitude {self.probe_magnitude!r}")
         phases.flags.writeable = False
         data.flags.writeable = False
         object.__setattr__(self, "scan_phases", phases)
@@ -127,15 +130,15 @@ class Spectrogram:
             probe = float(lines[1][1])
             levels = [int(toks[0]) for toks in lines[2:]]
             rows = [[float(t) for t in toks[1:]] for toks in lines[2:]]
+            if not levels or levels != list(range(levels[0], levels[0] + len(levels))):
+                raise ValueError("level rows must be contiguous and ascending")
+            if any(len(row) != phases.size for row in rows):
+                raise ValueError(f"every level row needs {phases.size} values")
+            return cls(phases, levels[0], np.asarray(rows), probe)
         except IndexError:
             raise ValueError(f"{path}: needs a phase header and a probe value") from None
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        if not levels or levels != list(range(levels[0], levels[0] + len(levels))):
-            raise ValueError(f"{path}: level rows must be contiguous and ascending")
-        if any(len(row) != phases.size for row in rows):
-            raise ValueError(f"{path}: every level row needs {phases.size} values")
-        return cls(phases, levels[0], np.asarray(rows), probe)
 
 
 def _probe_row(probe_magnitude: float) -> np.ndarray:

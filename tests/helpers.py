@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-from fequbit import LadderState, QubitState, Schedule, Spectrum
+from fequbit import FspPhase, LadderState, PinemPulse, QubitState, Schedule, Spectrum
 from fequbit.ladder import bessel_row
 
 
@@ -64,10 +64,26 @@ def load_bloch_csv(path) -> list[dict]:
     return rows
 
 
+def schedule_from_json(obj: dict, quarter_length_m: float) -> Schedule:
+    """Inverse of ``Schedule.to_json``; the drifts' ``meters`` are not read."""
+    elements = []
+    for entry in obj["elements"]:
+        if "pulse" in entry:
+            elements.append(PinemPulse.single(complex(*entry["pulse"]["g"])))
+        elif "drift" in entry:
+            elements.append(FspPhase.quarter(entry["drift"]["quarter_units"]))
+        else:
+            raise ValueError(f"unknown schedule element {entry!r}")
+    return Schedule(tuple(elements), complex(*obj["global_phase"]), quarter_length_m)
+
+
 def load_compiled(path) -> list[tuple[str, Schedule]]:
+    """(gate label, schedule) pairs of schedule.json; one quarter unit is the
+    document's beam z_d / 4."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return [(entry["gate"], Schedule.from_json(entry["schedule"]))
+    quarter_length_m = doc["beam"]["z_d"] / 4.0
+    return [(entry["gate"], schedule_from_json(entry["schedule"], quarter_length_m))
             for entry in doc["gates"]]
 
 

@@ -29,8 +29,7 @@ from fequbit import (
     occupied_levels,
     project_period_p,
     project_qubit,
-    qubit_gate_of_fsp,
-    qubit_gate_of_pinem,
+    qubit_gate,
     readout_qubit,
     reconstruct_state,
     simulate_schedule,
@@ -155,13 +154,13 @@ def test_criterion_05_qubit_intertwining_and_weight():
         if case % 3 == 2:
             k = int(rng.integers(0, 8))
             evolved = apply_fsp(state, FspPhase.quarter(k))
-            gate = qubit_gate_of_fsp(k)
+            gate = qubit_gate(FspPhase.quarter(k))
         else:
             g = rng.uniform(0, 3) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             pulse = PinemPulse.single(g)
             apply = apply_pinem_matexp if case % 3 else apply_pinem_bessel
             evolved = apply(state, pulse)
-            gate = qubit_gate_of_pinem(g)
+            gate = qubit_gate(PinemPulse.single(g))
         after = project_qubit(evolved).as_vector()
         worst_defect = max(worst_defect,
                            float(np.linalg.norm(after - gate @ before)))

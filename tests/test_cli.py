@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fequbit import LadderState, Schedule, basis_state
 from fequbit.cli import (
@@ -29,6 +31,10 @@ def circuit_file(tmp_path):
 
 def out_args(tmp_path, sub="out"):
     return ["--out", str(tmp_path / sub)]
+
+
+# nested deeper than the json module's recursion limit on every supported Python
+NESTED_JSON = "[" * 100_000 + "]" * 100_000
 
 
 def test_simulate_writes_outputs(tmp_path, circuit_file, capsys):
@@ -121,9 +127,10 @@ def test_unknown_config_key_rejected(tmp_path, circuit_file):
 
 def test_invalid_config_json_rejected(tmp_path, circuit_file):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{not json")
-    assert main(["compile", circuit_file, "--config", str(cfg),
-                 *out_args(tmp_path)]) == EXIT_CONFIG
+    for content in ("{not json", NESTED_JSON):
+        cfg.write_text(content)
+        assert main(["compile", circuit_file, "--config", str(cfg),
+                     *out_args(tmp_path)]) == EXIT_CONFIG
 
 
 def test_config_value_of_wrong_type_is_listed(tmp_path, circuit_file, capsys):
@@ -143,6 +150,7 @@ def test_config_value_of_wrong_type_is_listed(tmp_path, circuit_file, capsys):
     json.dumps({"l_min": 1e30, "amplitudes": [[1.0, 0.0]]}),
     json.dumps({"l_min": 10 ** 20, "amplitudes": [[1.0, 0.0]]}),
     json.dumps({"l_min": 1.5, "amplitudes": [[1.0, 0.0]]}),
+    pytest.param(NESTED_JSON, id="nested-100000-deep"),
 ])
 def test_bad_state_file_is_config_error(tmp_path, content):
     state_path = tmp_path / "state.json"
@@ -404,3 +412,37 @@ def test_output_path_that_is_a_directory_is_io_error(tmp_path, circuit_file, cap
     (tmp_path / "out" / "state.json").mkdir(parents=True)
     assert main(["simulate", circuit_file, *out_args(tmp_path)]) == EXIT_IO
     assert "i/o error" in capsys.readouterr().err
+
+
+# JSON numbers the reader must survive: nan, inf, bools and ints no float holds
+_FUZZ_NUMBERS = (st.floats() | st.booleans() | st.integers()
+                 | st.sampled_from([2 ** 62, -2 ** 63, 10 ** 400]))
+_FUZZ_SCALARS = st.none() | st.text(max_size=3) | _FUZZ_NUMBERS
+_FUZZ_KEYS = st.sampled_from(["l_min", "amplitudes", "x"])
+
+
+def _fuzz_json(depth: int):
+    """JSON values nested at most ``depth`` deep, lists at most 8 long."""
+    if depth == 0:
+        return _FUZZ_SCALARS
+    inner = _fuzz_json(depth - 1)
+    return (_FUZZ_SCALARS | st.lists(inner, max_size=8)
+            | st.dictionaries(_FUZZ_KEYS, inner, max_size=3))
+
+
+# near-misses of the state format, whose amplitude count is at most 8 (unit
+# norm ones too, so that some files are read), and any other document up to 4
+# deep; no fuzzed value sizes an array
+_FUZZ_STATES = st.fixed_dictionaries({
+    "l_min": st.integers(-8, 8) | _FUZZ_NUMBERS,
+    "amplitudes": st.sampled_from([[[1.0, 0.0]], [[0.6, 0.0], [0.0, -0.8]], [[True, False]]])
+    | st.lists(st.tuples(_FUZZ_NUMBERS, _FUZZ_NUMBERS)
+               | st.lists(_FUZZ_NUMBERS, max_size=3), max_size=8)})
+
+
+@given(doc=_FUZZ_STATES | _fuzz_json(4))
+def test_fuzzed_state_file_is_read_or_rejected(tmp_path_factory, doc):
+    out = tmp_path_factory.mktemp("fuzz")
+    (out / "state.json").write_text(json.dumps(doc))
+    assert main(["spectrum", "--state", str(out / "state.json"),
+                 "--out", str(out)]) in (EXIT_OK, EXIT_CONFIG)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from fequbit import (
     CircuitParseError,
-    Drift,
+    FspPhase,
     Gate,
-    Pulse,
+    PinemPulse,
     Schedule,
     basis_state,
     compile_circuit,
@@ -27,7 +27,7 @@ from fequbit import (
 from fequbit.ladder import NORM_TOL, TruncationPolicy
 from fequbit.operators import CHEBYSHEV_TAIL_TOL
 from fequbit.qubit import pinem_rotation
-from helpers import state_distance
+from helpers import schedule_from_json, state_distance
 from oracles import haar_unitary
 
 BEAM = derive_beam(200e3, 800e-9)
@@ -177,21 +177,21 @@ def test_euler_random_reconstruction():
 
 def test_compile_rz_quarter_is_single_drift():
     schedule = compile_gate(Gate("RZ", angle=math.pi / 2), BEAM)
-    assert schedule.elements == (Drift(1, BEAM.z_d / 4),)
+    assert schedule.elements == (FspPhase.quarter(1),)
 
 
 def test_compile_z_and_s():
     z = compile_gate(Gate("Z"), BEAM)
-    assert z.elements == (Drift(2, BEAM.z_d / 2),)
+    assert z.elements == (FspPhase.quarter(2),)
     s = compile_gate(Gate("S"), BEAM)
-    assert s.elements == (Drift(1, BEAM.z_d / 4),)
+    assert s.elements == (FspPhase.quarter(1),)
 
 
 def test_compile_x_single_pulse():
     for kind in ("X", "NOT"):
         schedule = compile_gate(Gate(kind), BEAM)
-        assert schedule.elements == (Pulse(-0.25j * math.pi),)
-        assert schedule.elements[0].theta == pytest.approx(math.pi / 2)
+        assert schedule.elements == (PinemPulse.single(-0.25j * math.pi),)
+        assert -2.0 * schedule.elements[0].g.imag == pytest.approx(math.pi / 2)
 
 
 def test_compile_rz_generic_angle_uses_pulses():
@@ -213,16 +213,17 @@ def test_compile_h_within_budget_and_faithful():
 def test_compile_pulses_are_purely_imaginary():
     for gate in (Gate("H"), Gate("T"), Gate("RY", angle=0.9)):
         for el in compile_gate(gate, BEAM).elements:
-            if isinstance(el, Pulse):
+            if isinstance(el, PinemPulse):
                 assert el.g.real == 0.0
 
 
 def test_compile_drift_lengths_follow_beam():
     other = derive_beam(80e3, 500e-9)
     schedule = compile_gate(Gate("T"), other)
-    for el in schedule.elements:
-        if isinstance(el, Drift):
-            assert el.meters == pytest.approx(el.quarter_units * other.z_d / 4)
+    for el in schedule.to_json()["elements"]:
+        if "drift" in el:
+            drift = el["drift"]
+            assert drift["meters"] == pytest.approx(drift["quarter_units"] * other.z_d / 4)
 
 
 def test_compile_identity_like_is_empty():
@@ -245,7 +246,7 @@ def test_compile_budget_on_random_unitaries():
         assert schedule.n_pulses <= 3
         assert schedule.n_drifts <= 2
         for el in schedule.elements:
-            if isinstance(el, Drift):
+            if isinstance(el, FspPhase):
                 assert el.quarter_units in (1, 2, 3)
 
 
@@ -348,8 +349,17 @@ def test_gate_fidelity_rejects_non_unitary():
 
 def test_schedule_json_roundtrip(tmp_path):
     schedule = compile_gate(Gate("H"), BEAM)
-    again = Schedule.from_json(json.loads(json.dumps(schedule.to_json())))
+    again = schedule_from_json(json.loads(json.dumps(schedule.to_json())), BEAM.quarter_length_m)
     assert again == schedule
+
+
+def test_schedule_json_writes_only_what_it_can_read_back():
+    # a pulse is written by its fundamental g, a drift by whole quarter units
+    for el in (PinemPulse.multi({1: 0.3j, 2: 0.1j}), FspPhase.of_fraction(0.3)):
+        with pytest.raises(ValueError):
+            Schedule((el,)).to_json()
+    # without a beam a drift has no length in metres
+    assert Schedule((FspPhase.quarter(1),)).to_json()["elements"][0]["drift"]["meters"] is None
 
 
 def test_schedule_counts():

@@ -16,8 +16,7 @@ from fequbit import (
     pinem_rotation,
     project_period_p,
     project_qubit,
-    qubit_gate_of_fsp,
-    qubit_gate_of_pinem,
+    qubit_gate,
 )
 from helpers import random_interior_state
 from oracles import even_odd_sums_oracle, residue_sums_oracle
@@ -93,35 +92,35 @@ def test_projection_rejects_edge_support():
 
 def test_pinem_gate_real_coupling_is_identity():
     for g in (0.3, 2.0, 111.0):
-        assert np.array_equal(qubit_gate_of_pinem(g), np.eye(2))
+        assert np.array_equal(qubit_gate(PinemPulse.single(g)), np.eye(2))
 
 
 def test_pinem_gate_quarter_turn_is_not():
-    gate = qubit_gate_of_pinem(-0.25j * np.pi)  # theta = pi/2
+    gate = qubit_gate(PinemPulse.single(-0.25j * np.pi))  # theta = pi/2
     assert np.max(np.abs(gate - np.array([[0, 1j], [1j, 0]]))) < 1e-15
 
 
 def test_pinem_gate_half_turn_is_minus_identity():
-    gate = qubit_gate_of_pinem(-0.5j * np.pi)  # theta = pi
+    gate = qubit_gate(PinemPulse.single(-0.5j * np.pi))  # theta = pi
     assert np.max(np.abs(gate + np.eye(2))) < 1e-15
 
 
 def test_fsp_gate_values():
-    assert np.array_equal(qubit_gate_of_fsp(0), np.eye(2))
-    assert np.array_equal(qubit_gate_of_fsp(1), np.diag([1, 1j]))
-    assert np.array_equal(qubit_gate_of_fsp(4), np.eye(2))
+    assert np.array_equal(qubit_gate(FspPhase.quarter(0)), np.eye(2))
+    assert np.array_equal(qubit_gate(FspPhase.quarter(1)), np.diag([1, 1j]))
+    assert np.array_equal(qubit_gate(FspPhase.quarter(4)), np.eye(2))
     with pytest.raises(ValueError):
-        qubit_gate_of_fsp(-1)
+        qubit_gate(FspPhase.quarter(-1))
 
 
 def test_gates_are_unitary():
     rng = np.random.default_rng(34)
     for _ in range(20):
         g = complex(*rng.normal(size=2))
-        u = qubit_gate_of_pinem(g)
+        u = qubit_gate(PinemPulse.single(g))
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
     for k in range(8):
-        u = qubit_gate_of_fsp(k)
+        u = qubit_gate(FspPhase.quarter(k))
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
 
 
@@ -169,7 +168,7 @@ def test_intertwining_identity_explicit():
         g = complex(*rng.normal(size=2))
         evolved = apply_pinem_bessel(state, PinemPulse.single(g))
         lhs = project_qubit(evolved).as_vector()
-        rhs = qubit_gate_of_pinem(g) @ project_qubit(state).as_vector()
+        rhs = qubit_gate(PinemPulse.single(g)) @ project_qubit(state).as_vector()
         assert np.linalg.norm(lhs - rhs) < 1e-8
 
 

@@ -165,7 +165,8 @@ def test_spectrogram_csv_rejects_bad_level_rows(tmp_path):
     path = tmp_path / "sg.csv"
     header = "l,0.0,3.14\nprobe,1.0,1.0\n"
     for text in (header + "0,0.5,0.5\n2,0.5,0.5\n", header + "0,0.5,0.5\n1,0.5\n",
-                 "", "l,0.0,3.14\n", "l,0.0\nprobe\n0,1.0\n", header + "0,0.5,half\n"):
+                 "", "l,0.0,3.14\n", "l,0.0\nprobe\n0,1.0\n", header + "0,0.5,half\n",
+                 "l\nprobe,1\n0\n", "l,0.0,3.14\nprobe,-1.0,-1.0\n0,0.5,0.5\n"):
         path.write_text(text)
         with pytest.raises(ValueError, match="sg.csv"):
             Spectrogram.from_csv(path)
