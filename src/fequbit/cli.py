@@ -2,7 +2,11 @@
 
 Configuration precedence is CLI flags over config-file values over built-in
 defaults; validation problems are collected and reported in one message.
-Each failure class has its own exit code so scripts can branch on outcomes.
+Each failure class has its own exit code so scripts can branch on outcomes;
+the table of codes is the epilog of ``fequbit --help``, and ``main`` is the
+one place that maps an error to its code. Every file a command reads goes
+through ``ladder.read_text``, and the reader of each format raises the
+package error whose code the table gives for a malformed file of it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from .ladder import (
     basis_state,
     derive_beam,
     occupied_levels,
+    read_json,
+    read_text,
     write_text,
 )
 from .operators import PinemPulse, apply_pinem, eigenphases, pinem_kernel
@@ -47,6 +53,14 @@ EXIT_CONFIG = 3
 EXIT_TRUNCATION = 4
 EXIT_RECONSTRUCTION = 5
 EXIT_IO = 6
+_EXIT_MEANINGS = {
+    EXIT_OK: "ok",
+    EXIT_PARSE: "circuit or command-line parse",
+    EXIT_CONFIG: "config or input file, size or out of memory",
+    EXIT_TRUNCATION: "truncation or window",
+    EXIT_RECONSTRUCTION: "reconstruction failed",
+    EXIT_IO: "I/O",
+}
 
 BLOCH_WEIGHT_FLOOR = 1e-9
 
@@ -54,17 +68,17 @@ MAX_COUNTS = 9.2e18
 """Largest counts per column numpy's Poisson sampler accepts (its limit is near 2**63)."""
 
 MAX_PROBE = 100.0
-"""Largest probe magnitude. The fit's Jacobian takes 16 bytes per (phase, data
-row, fit level), and on the default fit window rows and levels both grow with
-the probe width, so it grows with the square of the magnitude (8.6 GiB at
-32 phases and magnitude 1000)."""
+"""Largest probe magnitude. On the default fit window both the data rows and
+the fit levels grow with the probe width, so a fit's phases x rows x levels
+grow with the square of the magnitude; ``tomography.MAX_FIT_CELLS`` bounds
+that product. At this bound the 35-level ``H T H`` state spans 537 data rows,
+9.2e6 cells at the default 32 phases."""
 
 MAX_PHASES = 1024
-"""Most tomography scan phases; the fit's Jacobian and a complex temporary of
-the same size grow with it, 69 MB each at the bound for the 65-level ``H T H``
-window at the default probe. Their rows and levels also grow with the probe
-width, so phases x probe width stays bounded only through ``MAX_PROBE``
-(4.7 GB each for that state at both bounds)."""
+"""Most tomography scan phases. A fit's phases x data rows x fit levels grow
+with it, 4.3e6 at the bound for the 65 data rows of ``H T H`` at the default
+probe; together with a wide probe or state the product is bounded by
+``tomography.MAX_FIT_CELLS``, not by this cap."""
 
 MAX_RESTARTS = 256
 """Most fit starts. Starts after the first run only while the fit fails; each
@@ -102,19 +116,6 @@ class RunConfig:
     restarts: int = DEFAULT_RESTARTS
 
 
-def _load_config_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-            raise ConfigurationError(f"config file {path}: invalid JSON ({exc})") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigurationError(f"config file {path}: not UTF-8 ({exc})") from None
-    if not isinstance(obj, dict):
-        raise ConfigurationError(f"config file {path}: expected a JSON object")
-    return obj
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and explicit flags; validate everything at once.
 
@@ -124,7 +125,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values = {f.name: f.default for f in fields(RunConfig)}
     problems = []
     if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
+        file_values = read_json(args.config)
+        if not isinstance(file_values, dict):
+            raise ConfigurationError(f"config file {args.config}: expected a JSON object")
         for key, val in file_values.items():
             if key in values:
                 values[key] = val
@@ -149,6 +152,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             values[f.name] = f.default
 
     config = RunConfig(**values)
+    if "\0" in config.out:
+        problems.append("out must not hold a NUL character")
     config.window = str(config.window)
     if config.window != "adaptive":
         try:
@@ -202,12 +207,8 @@ def _beam(config: RunConfig) -> BeamParameters:
                        config.delta_e_ev)
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise CircuitParseError(f"{path}: not UTF-8 ({exc})") from None
+def _read_circuit(path: str):
+    return parse_circuit(read_text(path, CircuitParseError), name=os.path.basename(path))
 
 
 def _outdir(config: RunConfig) -> str:
@@ -221,12 +222,7 @@ def _write_json(path: str, obj) -> None:
 
 def _state_from_inputs(args, config: RunConfig) -> LadderState:
     if getattr(args, "state", None):
-        try:
-            state = LadderState.load(args.state)
-        except KeyError as exc:
-            raise ConfigurationError(f"state file {args.state}: missing key {exc}") from None
-        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
-            raise ConfigurationError(f"state file {args.state}: {exc}") from None
+        state = LadderState.load(args.state)
         if not abs(state.norm() - 1.0) <= NORM_TOL:
             raise ConfigurationError(
                 f"state file {args.state}: norm {state.norm()!r} is not 1 "
@@ -239,7 +235,7 @@ def _run_circuit(path: str, config: RunConfig,
                  visit=lambda label, state: None) -> LadderState:
     """Parse and compile the DSL file, then simulate it from |0>; ``visit``
     sees |0> and the state after each gate, with the gate's label."""
-    circuit = parse_circuit(_read_text(path), name=os.path.basename(path))
+    circuit = _read_circuit(path)
     policy = _policy(config)
     state = basis_state(0, policy)
     visit("|0>", state)
@@ -282,7 +278,7 @@ def _write_bloch_csv(path: str, rows) -> None:
 
 
 def cmd_compile(args, config: RunConfig) -> int:
-    circuit = parse_circuit(_read_text(args.circuit), name=os.path.basename(args.circuit))
+    circuit = _read_circuit(args.circuit)
     beam = _beam(config)
     schedules = compile_circuit(circuit, beam)
     out = _outdir(config)
@@ -403,7 +399,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fequbit",
-        description="Free-electron qubit simulator and pulse-schedule compiler")
+        description="Free-electron qubit simulator and pulse-schedule compiler",
+        epilog="exit codes:\n" + "".join(
+            f"  {code}  {meaning}\n" for code, meaning in _EXIT_MEANINGS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a circuit end to end from |0>")

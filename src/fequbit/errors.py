@@ -1,7 +1,8 @@
 """Exception classes shared across the package.
 
 The CLI maps each class to a distinct exit code, so library code should
-raise the most specific one that applies.
+raise the most specific one that applies. ``fequbit --help`` lists the
+codes.
 """
 
 
@@ -13,8 +14,10 @@ class WindowError(FequbitError):
     """A ladder index falls outside the requested truncation window."""
 
 
-class ConfigurationError(FequbitError):
-    """Invalid physics or run configuration (rejected before computing)."""
+class ConfigurationError(FequbitError, ValueError):
+    """Invalid physics or run configuration, or a malformed input file
+    (rejected before computing). Also a ValueError, so a caller of a reader
+    such as ``Spectrogram.from_csv`` can catch it as one."""
 
 
 class TruncationError(FequbitError):

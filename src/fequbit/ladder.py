@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,6 +52,28 @@ def write_text(path, text: str) -> None:
     Path(path).unlink(missing_ok=True)
     with open(path, "x", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def read_text(path, error: type[Exception] = ConfigurationError) -> str:
+    """The UTF-8 text of the file at ``path``; other bytes raise ``error``
+    naming the file. Every file the package reads goes through here, and a
+    missing or unreadable file raises OSError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 ({exc})") from None
+
+
+def read_json(path):
+    """The JSON document in the file at ``path``. Text that is not UTF-8, not
+    JSON or nested too deep for the parser raises ConfigurationError naming
+    the file."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int of > 4300 digits
+        raise ConfigurationError(f"{path}: invalid JSON ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -171,22 +194,41 @@ class LadderState:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "LadderState":
-        """Inverse of ``to_json``. ``l_min`` must be an integer with
-        |l_min| <= 2**62, so that level indices stay within int64."""
-        l_min = obj["l_min"]
+    def from_json(cls, obj, source: str = "state") -> "LadderState":
+        """Inverse of ``to_json``, and the whole check of a state document.
+
+        ``l_min`` must be an integer with |l_min| <= 2**62, so that level
+        indices stay within int64, and ``amplitudes`` a non-empty list of
+        [re, im] pairs of finite numbers; a bool is no number here. Any other
+        document raises ConfigurationError, its message led by ``source``.
+        The norm is not checked.
+        """
+        if not isinstance(obj, dict) or not {"l_min", "amplitudes"} <= obj.keys():
+            raise ConfigurationError(f"{source}: expected an object with 'l_min' and 'amplitudes'")
+        l_min, pairs = obj["l_min"], obj["amplitudes"]
         if not isinstance(l_min, int) or isinstance(l_min, bool) or abs(l_min) > 2 ** 62:
-            raise ValueError(f"l_min must be an integer within +-2**62, got {l_min!r}")
-        amps = np.array([complex(re, im) for re, im in obj["amplitudes"]], dtype=np.complex128)
-        return cls(l_min, amps)
+            raise ConfigurationError(
+                f"{source}: l_min must be an integer within +-2**62, got {l_min!r}")
+        if not (isinstance(pairs, list) and pairs and all(
+                isinstance(pair, list) and len(pair) == 2 and all(map(_is_finite_number, pair))
+                for pair in pairs)):
+            raise ConfigurationError(
+                f"{source}: amplitudes must be a non-empty list of [re, im] finite numbers")
+        return cls(l_min, np.array([complex(re, im) for re, im in pairs], dtype=np.complex128))
 
     def dump(self, path) -> None:
         write_text(path, json.dumps(self.to_json()))
 
     @classmethod
     def load(cls, path) -> "LadderState":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        """Read a state file; a malformed one raises ConfigurationError naming it."""
+        return cls.from_json(read_json(path), f"state file {path}")
+
+
+def _is_finite_number(x) -> bool:
+    # an int beyond the float range compares as one, without a conversion
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def basis_state(l: int, window: TruncationPolicy | int = DEFAULT_POLICY) -> LadderState:
@@ -319,17 +361,19 @@ def derive_beam(kinetic_energy_ev: float, laser_wavelength_m: float,
     """Relativistic kinematics and the dispersion length for a beam + laser pair.
 
     z_D = 2 beta^2 gamma^3 (omega_C / omega) (v / omega); after propagating
-    z_D every level's quadratic phase is a full multiple of 2 pi.
+    z_D every level's quadratic phase is a full multiple of 2 pi. Where z_D
+    is no positive float, ConfigurationError is raised: z_D overflows for a
+    beam energy or a wavelength far beyond any laboratory's, and is 0 for a
+    beam so slow that gamma rounds to 1 or a wavelength short enough to
+    underflow it.
     """
     if kinetic_energy_ev <= 0:
         raise ConfigurationError("kinetic energy must be positive")
     if laser_wavelength_m <= 0:
         raise ConfigurationError("laser wavelength must be positive")
-    if delta_e_ev < 0:
+    if not delta_e_ev >= 0:  # nan too
         raise ConfigurationError("energy spread must be >= 0")
     gamma = 1.0 + kinetic_energy_ev / ELECTRON_REST_ENERGY_EV
-    beta = math.sqrt(1.0 - 1.0 / gamma**2)
-    v = beta * SPEED_OF_LIGHT
     omega = 2.0 * math.pi * SPEED_OF_LIGHT / laser_wavelength_m
     omega_c = COMPTON_ANGULAR_FREQUENCY
     photon_ev = HBAR * omega / ELEMENTARY_CHARGE
@@ -337,7 +381,16 @@ def derive_beam(kinetic_energy_ev: float, laser_wavelength_m: float,
         raise ConfigurationError(
             f"energy spread {delta_e_ev} eV >= photon energy {photon_ev:.6g} eV; "
             "the ladder levels would overlap")
-    z_d = 2.0 * beta**2 * gamma**3 * (omega_c / omega) * (v / omega)
+    try:
+        beta = math.sqrt(1.0 - 1.0 / gamma**2)
+        v = beta * SPEED_OF_LIGHT
+        z_d = 2.0 * beta**2 * gamma**3 * (omega_c / omega) * (v / omega)
+    except OverflowError:  # float ** raises where * gives inf
+        z_d = math.inf
+    if not 0.0 < z_d < math.inf:
+        raise ConfigurationError(
+            f"{kinetic_energy_ev:g} eV electrons and a {laser_wavelength_m:g} m laser "
+            f"give dispersion length z_D = {z_d!r} m, not a positive float")
     return BeamParameters(
         kinetic_energy_ev=kinetic_energy_ev,
         laser_wavelength_m=laser_wavelength_m,

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import WindowError
-from .ladder import LadderState, TruncationPolicy, bessel_row, write_text
+from .errors import ConfigurationError, WindowError
+from .ladder import LadderState, TruncationPolicy, bessel_row, read_text, write_text
 from .qubit import QubitState, project_qubit
 
 DEFAULT_PROBE_MAGNITUDE = 1.0
@@ -35,6 +35,14 @@ DEFAULT_N_PHASES = 32
 DEFAULT_RESTARTS = 16
 FAIL_THRESHOLD = 0.05
 """Largest fit residual that counts as a successful reconstruction."""
+
+MAX_FIT_CELLS = 2 ** 24
+"""Most phases x data rows x fit levels one fit takes; ``reconstruct_state``
+rejects a larger fit before it allocates. The fit holds a Jacobian and a
+complex temporary of 16 bytes per cell each, and scipy's ``trf`` solver
+copies and decomposes the Jacobian: tracemalloc peaks of 113-119 bytes per
+cell on noisy fits (33 where the seed fit stops at once), so about 2 GB at
+the bound. A 2000-level state at 32 phases (1.3e8 cells) is rejected."""
 
 _FIT_TOL = 1e-8
 """xtol, ftol and gtol of the fit (the stop rule is in ``reconstruct_state``).
@@ -122,10 +130,10 @@ class Spectrogram:
 
     @classmethod
     def from_csv(cls, path) -> "Spectrogram":
-        """Inverse of ``to_csv``; a malformed file raises ValueError naming ``path``."""
+        """Inverse of ``to_csv``; a malformed file raises ConfigurationError
+        naming ``path``."""
+        lines = [ln.strip().split(",") for ln in read_text(path).splitlines() if ln.strip()]
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = [ln.strip().split(",") for ln in fh if ln.strip()]
             phases = np.array([float(tok) for tok in lines[0][1:]])
             probe = float(lines[1][1])
             levels = [int(toks[0]) for toks in lines[2:]]
@@ -136,9 +144,9 @@ class Spectrogram:
                 raise ValueError(f"every level row needs {phases.size} values")
             return cls(phases, levels[0], np.asarray(rows), probe)
         except IndexError:
-            raise ValueError(f"{path}: needs a phase header and a probe value") from None
+            raise ConfigurationError(f"{path}: needs a phase header and a probe value") from None
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise ConfigurationError(f"{path}: {exc}") from None
 
 
 def _probe_row(probe_magnitude: float) -> np.ndarray:
@@ -289,13 +297,19 @@ def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
 
     The fit window follows ``window``: None or an adaptive policy fits every
     level of the data window, a fixed(h) policy fits [-h, h] within it and
-    raises WindowError when the two do not overlap.
+    raises WindowError when the two do not overlap. A fit of more than
+    ``MAX_FIT_CELLS`` phases x data rows x fit levels raises
+    ConfigurationError before anything is allocated.
     """
     from scipy.optimize import least_squares
 
     if n_restarts < 1:
         raise ValueError("need at least one restart")
     fit_l_min, n_par = _fit_window(sg, window)
+    if sg.n_phases * sg.n_levels * n_par > MAX_FIT_CELLS:
+        raise ConfigurationError(
+            f"a fit of {sg.n_phases} phases x {sg.n_levels} data rows x {n_par} levels "
+            f"exceeds {MAX_FIT_CELLS} cells; use fewer phases or a narrower state or probe")
     bess = _probe_matrix(sg, fit_l_min, n_par)
     gauge = _gauge(sg.scan_phases, n_par)
     observed = sg.data.T  # (n_phases, n_rows)

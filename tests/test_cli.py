@@ -1,11 +1,14 @@
 import json
+import math
+import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fequbit import LadderState, Schedule, basis_state
+from fequbit import LadderState, Schedule, basis_state, cli
 from fequbit.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -16,8 +19,10 @@ from fequbit.cli import (
     MAX_BENCH_DIM,
     MAX_EIGENPHASES_DIM,
     MAX_RESTARTS,
+    RunConfig,
     main,
 )
+from fequbit.ladder import NORM_TOL
 from fequbit.tomography import Spectrogram
 from helpers import load_bloch_csv, load_compiled, load_eigenphases_csv, load_spectrum_csv
 
@@ -446,3 +451,147 @@ def test_fuzzed_state_file_is_read_or_rejected(tmp_path_factory, doc):
     (out / "state.json").write_text(json.dumps(doc))
     assert main(["spectrum", "--state", str(out / "state.json"),
                  "--out", str(out)]) in (EXIT_OK, EXIT_CONFIG)
+
+
+def test_bool_amplitudes_in_a_state_file_are_config_error(tmp_path):
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps({"l_min": 0, "amplitudes": [[True, False]]}))
+    for command in ("spectrum", "tomography"):
+        assert main([command, "--state", str(state_path),
+                     *out_args(tmp_path)]) == EXIT_CONFIG
+
+
+def _is_unit_state_document(doc) -> bool:
+    """The state format, checked on the decoded JSON itself: an integer l_min
+    within +-2**62, a non-empty list of [re, im] pairs of finite numbers that
+    are not bools, and norm 1 within NORM_TOL."""
+    if not (isinstance(doc, dict) and "l_min" in doc and "amplitudes" in doc):
+        return False
+    l_min, pairs = doc["l_min"], doc["amplitudes"]
+    if type(l_min) is not int or abs(l_min) > 2 ** 62 or not isinstance(pairs, list):
+        return False
+    if not pairs or not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+        return False
+    numbers = [x for pair in pairs for x in pair]
+    if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in numbers):
+        return False
+    return abs(math.hypot(*numbers) - 1.0) <= NORM_TOL
+
+
+# unit states, and the same states with a bool, a nan or an int no float
+# holds in place of one number
+_NEAR_UNIT_STATES = st.fixed_dictionaries({
+    "l_min": st.integers(-8, 8) | st.sampled_from([True, 1.5, 2 ** 63]),
+    "amplitudes": st.sampled_from([
+        [[1, 0]], [[0.0, -1.0]], [[0.6, 0.0], [0.0, -0.8]],
+        [[True, False]], [[1, False]], [[0.6, 0.0], [math.nan, -0.8]], [[10 ** 400, 0]]])})
+
+
+@given(doc=_NEAR_UNIT_STATES | _FUZZ_STATES)
+def test_fuzzed_state_file_is_read_exactly_when_it_is_a_unit_state(tmp_path_factory, doc):
+    out = tmp_path_factory.mktemp("fuzz")
+    text = json.dumps(doc)
+    (out / "state.json").write_text(text)
+    code = main(["spectrum", "--state", str(out / "state.json"), "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    assert (code == EXIT_OK) == _is_unit_state_document(json.loads(text))
+
+
+@pytest.mark.parametrize("flags", [["--beam-kev", "1e300"], ["--wavelength-nm", "1e300"],
+                                   ["--beam-kev", "1e-300"]],
+                         ids=["gamma-overflows", "z_d-overflows", "z_d-is-zero"])
+def test_beam_without_a_positive_float_dispersion_length_is_config_error(
+        tmp_path, circuit_file, capsys, flags):
+    assert main(["compile", circuit_file, *flags, *out_args(tmp_path)]) == EXIT_CONFIG
+    assert "z_D" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_out_holding_a_nul_is_config_error(tmp_path, circuit_file, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path / "a\0b")}))
+    assert main(["compile", circuit_file, "--config", str(cfg)]) == EXIT_CONFIG
+    assert "NUL" in capsys.readouterr().err
+
+
+def test_number_no_int_holds_is_config_error(tmp_path, circuit_file):
+    # json reads at most 4300 digits into an int; without that limit the
+    # value itself is out of range
+    digits = "1" * 5000
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"beam_kev": ' + digits + "}")
+    assert main(["compile", circuit_file, "--config", str(cfg),
+                 *out_args(tmp_path)]) == EXIT_CONFIG
+    state_path = tmp_path / "state.json"
+    state_path.write_text('{"l_min": ' + digits + ', "amplitudes": [[1.0, 0.0]]}')
+    assert main(["spectrum", "--state", str(state_path), *out_args(tmp_path)]) == EXIT_CONFIG
+
+
+def test_fit_beyond_its_cell_cap_is_config_error(tmp_path, circuit_file, monkeypatch, capsys):
+    # the cap is checked before the fit builds its first array
+    monkeypatch.setattr("fequbit.tomography.MAX_FIT_CELLS", 1000)
+    monkeypatch.setattr("fequbit.tomography._probe_matrix", _allocates)
+    assert main(["tomography", "--circuit", circuit_file, *out_args(tmp_path)]) == EXIT_CONFIG
+    assert "cells" in capsys.readouterr().err
+
+
+def test_help_lists_every_exit_code(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == EXIT_OK
+    table = capsys.readouterr().out.split("exit codes:\n")[1]
+    listed = {int(line.split()[0]) for line in table.splitlines() if line.strip()}
+    assert listed == {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _assert_documented_exit(argv, out) -> None:
+    """``main`` returns a documented exit code, and a compile it lets pass
+    wrote JSON with no Infinity or NaN."""
+    code = main(argv)
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_CONFIG, EXIT_TRUNCATION, EXIT_RECONSTRUCTION,
+                    EXIT_IO)
+    if code == EXIT_OK:
+        json.loads((out / "schedule.json").read_text(), parse_constant=_reject_constant)
+
+
+# beam numbers at the ends of the float range, where the kinematics overflow
+# or vanish; flags are passed as --flag=value, so a leading '-' stays a value
+_FUZZ_FLOATS = st.floats() | st.sampled_from([1e300, 1e-300, 1e-3, 1e3])
+_FUZZ_FLAGS = st.fixed_dictionaries({}, optional={
+    "--beam-kev": _FUZZ_FLOATS, "--wavelength-nm": _FUZZ_FLOATS,
+    "--delta-e-ev": _FUZZ_FLOATS, "--seed": st.integers(-2 ** 70, 2 ** 70),
+    "--window": st.integers(-2 ** 70, 2 ** 70) | st.text(max_size=3)})
+
+
+@given(flags=_FUZZ_FLAGS)
+def test_fuzzed_flags_end_in_a_documented_exit_code(tmp_path_factory, flags):
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "h.txt").write_text("H\n")
+    _assert_documented_exit(
+        ["compile", str(work / "h.txt"), "--out", str(work),
+         *(f"{flag}={value}" for flag, value in flags.items())], work)
+
+
+# up to three config keys with fuzzed values (no key sizes an array, as
+# `compile` builds no state), or a document of another shape
+_FUZZ_CONFIG = st.dictionaries(
+    st.sampled_from([f.name for f in fields(RunConfig)] + ["x"]),
+    _FUZZ_SCALARS | _FUZZ_FLOATS, max_size=3)
+
+
+@given(config=st.none() | _FUZZ_CONFIG | _fuzz_json(2),
+       out=st.text(alphabet="ab\0", min_size=1, max_size=3))
+def test_fuzzed_config_file_ends_in_a_documented_exit_code(tmp_path_factory, config, out):
+    # a config object's "out" becomes a path under the run's own directory
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "h.txt").write_text("H\n")
+    if config is None or isinstance(config, dict):
+        config = {**(config or {}), "out": f"{work}/{out}"}
+    (work / "cfg.json").write_text(json.dumps(config))
+    _assert_documented_exit(
+        ["compile", str(work / "h.txt"), "--config", str(work / "cfg.json")],
+        work / out)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fequbit import (
+    Circuit,
     CircuitParseError,
     FspPhase,
     Gate,
@@ -105,6 +106,19 @@ def test_unparse_roundtrip():
     assert again == circuit
     # and a second round is a fixed point
     assert unparse(again) == unparse(circuit)
+
+
+_GATES = (st.sampled_from(["H", "X", "Y", "Z", "S", "T", "NOT"]).map(Gate)
+          | st.builds(Gate, st.sampled_from(["RX", "RY", "RZ"]),
+                      st.floats(allow_nan=False, allow_infinity=False))
+          | st.integers(0, 2 ** 32 - 1).map(lambda seed: Gate("U", entries=tuple(
+              complex(z) for z in haar_unitary(np.random.default_rng(seed)).ravel()))))
+
+
+@given(gates=st.lists(_GATES, min_size=1, max_size=8))
+def test_parse_of_unparse_is_the_same_circuit(gates):
+    circuit = Circuit(tuple(gates))
+    assert parse_circuit(unparse(circuit)) == circuit
 
 
 NAN_MATRIX = np.array([[np.nan, 0], [0, 1]])

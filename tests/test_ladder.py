@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import jv
 
 import fequbit
@@ -246,3 +248,70 @@ def test_only_write_text_opens_a_file_for_writing():
              for path in sorted(Path(fequbit.__file__).parent.glob("*.py"))
              for function, _ in _writes(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == [("ladder.py", "write_text")]
+
+
+def _reads(node, function=None):
+    """(function, line) of every call in ``node`` that opens a file for reading."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Call):
+        callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
+        if callee == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            # a mode that is no literal cannot be checked, so it counts as a read
+            if not isinstance(mode, ast.Constant) or (
+                    set(str(mode.value)) & set("r+") or not set(str(mode.value)) & set("wax")):
+                yield function, node.lineno
+        elif isinstance(node.func, ast.Attribute) and callee in (
+                "read_text", "read_bytes", "loadtxt", "genfromtxt", "fromfile"):
+            yield function, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, function)
+
+
+@pytest.mark.parametrize("args", [(math.nan, 800e-9), (200e3, math.nan),
+                                  (200e3, 800e-9, math.nan)])
+def test_derive_beam_rejects_nan(args):
+    with pytest.raises(ConfigurationError):
+        derive_beam(*args)
+
+
+def test_only_read_text_opens_a_file_for_reading():
+    found = [(path.name, function)
+             for path in sorted(Path(fequbit.__file__).parent.glob("*.py"))
+             for function, _ in _reads(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == [("ladder.py", "read_text")]
+
+
+@pytest.mark.parametrize("content", [
+    b'{"l_min": 0, "amplitudes": [[true, false]]}',
+    b'{"l_min": 0, "amplitudes": [[NaN, 0.0]]}',
+    b'{"l_min": 0, "amplitudes": [[1e999, 0.0]]}',
+    b'{"l_min": true, "amplitudes": [[1.0, 0.0]]}',
+    b'{"l_min": 0, "amplitudes": [[1.0, 0.0, 0.0]]}',
+    b'{"l_min": 0, "amplitudes": []}',
+    b'{"l_min": 0}',
+    b'[0, [[1.0, 0.0]]]',
+    b'{"l_min": 0, "amplitudes": [[1.0, 0.0]]}\xff',
+], ids=["bool", "nan", "inf", "bool-l_min", "triple", "empty", "no-amplitudes", "list",
+        "not-utf8"])
+def test_state_reader_rejects_a_malformed_file_naming_it(tmp_path, content):
+    path = tmp_path / "bad-state.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigurationError, match="bad-state.json"):
+        LadderState.load(path)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(l_min=st.integers(-2 ** 62, 2 ** 62 - 8),
+       pairs=st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=8))
+def test_state_file_roundtrip_is_bit_exact(tmp_path_factory, l_min, pairs):
+    state = LadderState(l_min, np.array([complex(re, im) for re, im in pairs]))
+    path = tmp_path_factory.mktemp("state") / "state.json"
+    state.dump(path)
+    again = LadderState.load(path)
+    assert again.l_min == l_min
+    assert again.amplitudes.tobytes() == state.amplitudes.tobytes()

@@ -161,6 +161,26 @@ def test_spectrogram_csv_roundtrip(tmp_path):
     assert np.array_equal(again.data, sg.data)
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(l_min=st.integers(-2 ** 62, 2 ** 62 - 8), n_levels=st.integers(1, 4),
+       phases=st.lists(_FINITE, min_size=1, max_size=4),
+       probe=st.floats(0.0, exclude_min=True, allow_infinity=False), data=st.data())
+def test_spectrogram_csv_roundtrip_is_bit_exact(tmp_path_factory, l_min, n_levels, phases,
+                                                probe, data):
+    size = n_levels * len(phases)
+    values = data.draw(st.lists(_FINITE, min_size=size, max_size=size))
+    sg = Spectrogram(np.array(phases), l_min, np.reshape(values, (n_levels, len(phases))),
+                     probe)
+    path = tmp_path_factory.mktemp("csv") / "sg.csv"
+    sg.to_csv(path)
+    again = Spectrogram.from_csv(path)
+    assert (again.l_min, again.probe_magnitude) == (l_min, probe)
+    assert again.scan_phases.tobytes() == sg.scan_phases.tobytes()
+    assert again.data.tobytes() == sg.data.tobytes()
+
+
 def test_spectrogram_csv_rejects_bad_level_rows(tmp_path):
     path = tmp_path / "sg.csv"
     header = "l,0.0,3.14\nprobe,1.0,1.0\n"
