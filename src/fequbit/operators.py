@@ -10,10 +10,10 @@ convolution per harmonic. Harmonic h has the Jacobi-Anger kernel
 
 placed on every h-th level, evaluated and cut by ``ladder.bessel_row``.
 ``apply_pinem`` is the one function that applies a pulse to a state; under
-an adaptive policy the result keeps the whole support of the convolutions,
-with guard cells, and is trimmed back to its support (``_checked_result``).
-``eigenphases`` works on the truncated generator, where the truncation is
-the point, as a real symmetric tridiagonal eigenproblem.
+an adaptive policy it places the support of the convolutions, with guard
+cells, on the result's window in one step. ``eigenphases`` works on the
+truncated generator, where the truncation is the point; its spectrum has a
+closed form (a tridiagonal Toeplitz matrix), so no eigensolver runs.
 
 Free-space propagation is diagonal: level l picks up
 exp(+i 2 pi (z / z_D) l^2). The + sign is a package-wide convention chosen
@@ -124,31 +124,6 @@ def _aligned(amps: np.ndarray, l_min: int, target_l_min: int, target_dim: int) -
     return out
 
 
-def _checked_result(result: LadderState, policy: TruncationPolicy) -> LadderState:
-    """Edge-check a pulse result on a fixed window; trim it on an adaptive one.
-
-    An adaptive result ends in ``policy.edge_margin`` zero guard cells, so
-    it has nothing to edge-check. The trim drops, from each end, the longest
-    run of cells whose summed |amplitude| is at most CHEBYSHEV_TAIL_TOL / 2,
-    but keeps ``policy.edge_margin`` of them as a guard. That moves the state
-    by at most CHEBYSHEV_TAIL_TOL in l1 (hence in l2 norm and in each comb
-    sum), and leaves at most (tol / 2)^2 probability in the guard, so a later
-    edge check never trips on a trimmed edge.
-    """
-    if policy.mode == "fixed":
-        check_edge_leakage(result, policy.edge_margin, policy.leakage_tol)
-        return result
-    mass = np.abs(result.amplitudes)
-    half_tol = CHEBYSHEV_TAIL_TOL / 2.0
-    lo = int(np.searchsorted(np.cumsum(mass), half_tol, side="right"))
-    hi = int(np.searchsorted(np.cumsum(mass[::-1]), half_tol, side="right"))
-    if lo + hi >= result.dim:  # l1 norm <= tol, e.g. an all-zero state: no support
-        return result
-    lo = max(lo - policy.edge_margin, 0)
-    hi = max(hi - policy.edge_margin, 0)
-    return LadderState(result.l_min + lo, result.amplitudes[lo:result.dim - hi])
-
-
 def pinem_kernel(g: complex) -> np.ndarray:
     """Closed-form convolution kernel f_k for a single-harmonic pulse.
 
@@ -173,13 +148,18 @@ def apply_pinem(state: LadderState, pulse: PinemPulse,
     level. Cutting that kernel at K moves the state by at most
     2 sum_{k>K} |J_k(2|g_h|)| in l2 norm, the l1 norm of the dropped tail, so
     a multi-harmonic pulse moves it by at most the sum of those over its
-    harmonics (up to products of tails). Adaptive policies put the result on
-    the support of the convolutions plus ``policy.edge_margin`` zero guard
-    cells per side, so nothing is cropped, and trim it back to its support:
-    their l2 error is the kernel tails plus at most CHEBYSHEV_TAIL_TOL from
-    the trim. Fixed policies keep the window and raise TruncationError if the
-    result carries weight near its edge. A pulse whose couplings are all zero
-    returns the state unchanged.
+    harmonics (up to products of tails).
+
+    Adaptive policies put the result on its support plus ``policy.edge_margin``
+    zero guard cells per side. The support drops, from each end of the
+    convolution, the longest run of cells whose summed |amplitude| is at most
+    CHEBYSHEV_TAIL_TOL / 2. That moves the state by at most CHEBYSHEV_TAIL_TOL
+    in l1 (hence in l2 norm and in each comb sum) and leaves at most
+    (tol / 2)^2 probability in each guard, so a later edge check never trips
+    on a trimmed edge. A state whose l1 norm is at most tol has no support
+    and keeps the whole convolution plus the guards. Fixed policies keep the
+    window and raise TruncationError if the result carries weight near its
+    edge. A pulse whose couplings are all zero returns the state unchanged.
     """
     harmonics = [(h, g) for h, g in pulse.couplings if g != 0]
     if not harmonics:
@@ -192,11 +172,19 @@ def apply_pinem(state: LadderState, pulse: PinemPulse,
         dilated[::h] = kernel
         amps = np.convolve(amps, dilated)
         amps_l_min -= h * k_half
-    if policy.mode == "adaptive":
-        l_min, dim = amps_l_min - policy.edge_margin, amps.size + 2 * policy.edge_margin
-    else:
-        l_min, dim = state.l_min, state.dim
-    return _checked_result(LadderState(l_min, _aligned(amps, amps_l_min, l_min, dim)), policy)
+    if policy.mode == "fixed":
+        result = LadderState(state.l_min, _aligned(amps, amps_l_min, state.l_min, state.dim))
+        check_edge_leakage(result, policy.edge_margin, policy.leakage_tol)
+        return result
+    mass = np.abs(amps)
+    half_tol = CHEBYSHEV_TAIL_TOL / 2.0
+    lo = int(np.searchsorted(np.cumsum(mass), half_tol, side="right"))
+    hi = int(np.searchsorted(np.cumsum(mass[::-1]), half_tol, side="right"))
+    if lo + hi >= amps.size:  # l1 norm <= tol, e.g. an all-zero state: no support
+        lo = hi = 0
+    l_min = amps_l_min + lo - policy.edge_margin
+    dim = amps.size - lo - hi + 2 * policy.edge_margin
+    return LadderState(l_min, _aligned(amps, amps_l_min, l_min, dim))
 
 
 def apply_pinem_bessel(state: LadderState, pulse: PinemPulse,
@@ -235,20 +223,27 @@ def eigenphases(pulse: PinemPulse, dim: int) -> np.ndarray:
     zero diagonal and off-diagonals -i g (below) and i conj(g) (above). The
     diagonal unitary gauge D = diag(exp(i theta l)) with theta = arg(g) - pi/2
     turns both off-diagonals of D^dagger (i*generator) D into the real |g| and
-    keeps the eigenvalues. So they are those of the real symmetric tridiagonal
-    matrix with zero diagonal and |g| off it: an O(dim^2)-time,
-    O(dim)-memory solve that builds no (dim, dim) array. Exponentiating those
-    real eigenvalues keeps the spectrum unit-modulus by construction.
-    """
-    from scipy.linalg import eigvalsh_tridiagonal
+    keeps the eigenvalues. On the truncated window that is a tridiagonal
+    Toeplitz matrix, zero on the diagonal and |g| beside it, whose
+    eigenvalues are exactly
 
+        lambda_j = 2 |g| cos(pi j / (dim + 1)),   j = 1 .. dim
+
+    (Noschese, Pasquini & Reichel, Numer. Linear Algebra Appl. 20, 302,
+    2013). It is exact on the window, not an asymptote: the eigenvectors are
+    the sine vectors v_k = sin(pi j k / (dim + 1)), k = 1 .. dim, which vanish
+    at k = 0 and k = dim + 1, the first cells past each end, so the
+    eigenvalue equation holds in the edge rows with nothing cut off. The
+    eigenphases are -lambda_j wrapped into (-pi, pi]; they are
+    unit-modulus by construction and cost O(dim) time and memory.
+    """
     if not pulse.is_single_harmonic:
         raise ValueError("eigenphases is defined for single-harmonic pulses")
     if dim < 3:
         raise ValueError("dim must be >= 3")
     if dim % 2 == 0:
         raise ValueError("dim must be odd (symmetric window)")
-    lam = eigvalsh_tridiagonal(np.zeros(dim), np.full(dim - 1, abs(pulse.g)))
+    lam = 2.0 * abs(pulse.g) * np.cos(np.pi * np.arange(1, dim + 1) / (dim + 1))
     phases = np.mod(-lam + np.pi, 2.0 * np.pi) - np.pi
     phases[phases == -np.pi] = np.pi
     return np.sort(phases)

@@ -188,11 +188,20 @@ def spectrogram(state: LadderState, probe_magnitude: float = DEFAULT_PROBE_MAGNI
 
 
 def add_shot_noise(sg: Spectrogram, counts_per_column: float, seed: int = 0) -> Spectrogram:
-    """Poisson counting noise, independent per (level, phase), renormalized per column."""
+    """Poisson counting noise, independent per (level, phase), renormalized per column.
+
+    A column in which no electron was counted is not a spectrum: it raises
+    ConfigurationError rather than pass on as an all-zero column that a fit
+    would match with the zero state.
+    """
     rng = np.random.default_rng(seed)
     counts = rng.poisson(sg.data * counts_per_column).astype(np.float64)
     totals = counts.sum(axis=0)
-    totals[totals == 0.0] = 1.0
+    empty = int(np.count_nonzero(totals == 0.0))
+    if empty:
+        raise ConfigurationError(
+            f"{empty} of {totals.size} spectrogram columns counted no electron at "
+            f"{counts_per_column:g} counts per column; raise the counts")
     return Spectrogram(sg.scan_phases, sg.l_min, counts / totals, sg.probe_magnitude)
 
 

@@ -535,6 +535,47 @@ def test_fit_beyond_its_cell_cap_is_config_error(tmp_path, circuit_file, monkeyp
     assert "cells" in capsys.readouterr().err
 
 
+def test_fit_beyond_its_cell_cap_writes_no_spectrogram(tmp_path, circuit_file, monkeypatch):
+    monkeypatch.setattr("fequbit.tomography.MAX_FIT_CELLS", 1000)
+    assert main(["tomography", "--circuit", circuit_file, *out_args(tmp_path)]) == EXIT_CONFIG
+    assert not (tmp_path / "out" / "spectrogram.csv").exists()
+
+
+def test_failed_fit_writes_all_three_outputs(tmp_path):
+    state_path = tmp_path / "state.json"
+    basis_state(0, 6).dump(state_path)
+    code = main(["tomography", "--state", str(state_path), "--counts", "150",
+                 "--restarts", "2", *out_args(tmp_path)])
+    assert code == EXIT_RECONSTRUCTION
+    written = {p.name for p in (tmp_path / "out").iterdir()}
+    assert written == {"spectrogram.csv", "reconstruction.json", "readout_qubit.json"}
+
+
+@pytest.mark.parametrize("counts", ["0.01", "1"])
+def test_spectrogram_column_with_no_counts_is_config_error(tmp_path, counts, capsys):
+    # at 0.01 counts no column counts an electron; the fit used to match the
+    # empty image with the zero state and exit 0
+    circ = tmp_path / "h.txt"
+    circ.write_text("H\n")
+    code = main(["tomography", "--circuit", str(circ), "--counts", counts,
+                 *out_args(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "counts per column" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, problem", [("--beam-kev", "beam"), ("--probe", "probe"),
+                                           ("--counts", "counts")])
+@pytest.mark.parametrize("value", ["-1e-3", "-2.5E+1", "-inf", "-nan"])
+def test_negative_float_in_any_form_is_config_error(tmp_path, circuit_file, capsys, flag,
+                                                    problem, value):
+    # exponent, inf and nan forms reach the checks as numbers, not option names
+    code = main(["tomography", "--circuit", circuit_file, flag, value, *out_args(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and problem in err
+
+
 def test_help_lists_every_exit_code(capsys):
     with pytest.raises(SystemExit) as stop:
         main(["--help"])

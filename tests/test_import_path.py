@@ -15,3 +15,16 @@ def test_import_loads_neither_scipy_linalg_nor_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == ""
+
+
+def test_eigenphases_load_no_linear_algebra():
+    # the phases have a closed form; no eigensolver is imported for them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fequbit.__file__)))
+    code = ("import sys, fequbit\n"
+            "fequbit.eigenphases(fequbit.PinemPulse.single(1.3), 101)\n"
+            "print('scipy.linalg' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eigh, expm
 from scipy.special import jv
 
 from fequbit import (
@@ -403,6 +403,26 @@ def test_eigenphases_match_toeplitz_closed_form():
     g, dim = 0.8 * np.exp(0.4j), 1001
     lam = 2.0 * abs(g) * np.cos(np.arange(1, dim + 1) * np.pi / (dim + 1))
     assert np.max(np.abs(eigenphases(PinemPulse.single(g), dim) - np.sort(-lam))) <= 1e-12
+
+
+def _circular_mismatch(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest circular distance between two sets of angles, each matched to
+    one of the other. On a circle the best such matching of two sorted sets
+    is a cyclic shift of one of them, so every shift is tried."""
+    a, b = np.sort(a), np.sort(b)
+    return min(np.max(np.abs(np.angle(np.exp(1j * (a - np.roll(b, s))))))
+               for s in range(b.size))
+
+
+@pytest.mark.parametrize("g", [0.25, -0.7, 1.3j, -3.0j, 2.5 * np.exp(-0.6j),
+                               4.0 * np.exp(2.1j)])
+@pytest.mark.parametrize("dim", [3, 11, 51, 201])
+def test_eigenphases_match_eigenvalues_of_dense_exponential(g, dim):
+    # independent of the gauge and the closed form: the arguments of the
+    # eigenvalues of the truncated unitary itself
+    pulse = PinemPulse.single(g)
+    dense = np.angle(np.linalg.eigvals(expm(pinem_generator(pulse, dim))))
+    assert _circular_mismatch(eigenphases(pulse, dim), dense) <= 1e-12
 
 
 def test_eigenphases_reject_dim_below_three():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import jv
 
 from fequbit import (
+    ConfigurationError,
     Gate,
     LadderState,
     PinemPulse,
@@ -213,6 +214,14 @@ def test_shot_noise_determinism_and_normalization():
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
     assert np.allclose(a.data.sum(axis=0), 1.0)
+
+
+def test_shot_noise_with_a_column_that_counted_nothing_is_config_error():
+    # an all-zero column is no spectrum; passed on, a fit matches it with
+    # the zero state at residual 0
+    sg = spectrogram(normalized_random_state(6), n_phases=8)
+    with pytest.raises(ConfigurationError, match="counts per column"):
+        add_shot_noise(sg, 0.01, seed=0)
 
 
 # ---------------------------------------------------------------- reconstruction
