@@ -12,9 +12,11 @@ transform of the data splits by diagonal of rho = psi psi^dagger:
 D_l[d] = (-1)^d sum_m J_{l-m}(2 m_p) J_{l-m-d}(2 m_p) rho_{m,m+d}, as in the
 SQUIRRELS reconstruction of attosecond electron pulse trains (Priebe et al.,
 Nature Photonics 11, 793, 2017). Solving diagonals 0, 1 and 2 seeds a
-nonlinear least-squares fit of the complex amplitudes against the forward
-model; the seed is exact on noiseless data, and the fit stops once its cost,
-at the shot-noise floor on noisy data, no longer drops. Random restarts run
+Levenberg-Marquardt fit of the complex amplitudes against the forward model,
+each step one damped solve of the normal equations, square in the number of
+real unknowns. The seed is exact on noiseless data up to rounding; the fit
+stops once its gradient, the cost drop of a step or the step itself falls
+below a tolerance, on noisy data at the shot-noise floor. Random restarts run
 only when that fit fails. The global phase is fixed afterwards by making the
 largest amplitude real-positive.
 """
@@ -38,15 +40,19 @@ FAIL_THRESHOLD = 0.05
 
 MAX_FIT_CELLS = 2 ** 24
 """Most phases x data rows x fit levels one fit takes; ``reconstruct_state``
-rejects a larger fit before it allocates. The fit holds a Jacobian and a
-complex temporary of 16 bytes per cell each, and scipy's ``trf`` solver
-copies and decomposes the Jacobian: tracemalloc peaks of 113-119 bytes per
-cell on noisy fits (33 where the seed fit stops at once), so about 2 GB at
-the bound. A 2000-level state at 32 phases (1.3e8 cells) is rejected."""
+rejects a larger fit before it allocates. Building the Jacobian holds it and
+the complex temporary it is formed from, 16 bytes per cell each; the damped
+step needs only the square matrix J^T J. tracemalloc peaks were 34-37 bytes
+per cell on noisy and noiseless fits alike (9 levels at probe 1 and 20, and
+41 levels), so about 0.6 GB at the bound, which now has headroom; the
+``trf`` solver used before peaked at 119-120 bytes per cell (about 2 GB). A
+2000-level state at 32 phases (1.3e8 cells) is rejected."""
 
 _FIT_TOL = 1e-8
-"""xtol, ftol and gtol of the fit (the stop rule is in ``reconstruct_state``).
-A looser 1e-6 raised 1 - F by up to 5e-5 on noisy 9-level states."""
+"""Tolerance of the fit's three stop rules (``_levenberg_marquardt``): the
+gradient's largest entry, the relative cost drop of a taken step, and the
+step length relative to the parameters. A looser 1e-6 raised 1 - F by up to
+5e-5 on noisy 9-level states."""
 
 
 @dataclass(frozen=True)
@@ -281,20 +287,68 @@ def _fourier_seed(sg: Spectrogram, bess: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(pop.real, 0.0, None)) * np.exp(1j * phase)
 
 
+def _levenberg_marquardt(residuals, jacobian, x0: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimize cost = |residuals(x)|^2 / 2 from ``x0``; return (x, cost).
+
+    Levenberg-Marquardt on the normal equations (Marquardt, SIAM J. Appl.
+    Math. 11, 431, 1963): with A = J^T J and g = J^T r at x, solve
+    (A + lam diag A) step = -g, a square system of the size of x. A step
+    that lowers the cost is taken and lam divided by 3; otherwise lam is
+    multiplied by 4 and the step solved again from the same A and g. A null
+    direction of A (the global phase of the amplitudes) is held by the
+    damping. diag A is floored at eps of its largest entry, so a parameter
+    that no residual depends on keeps the system solvable with a zero step.
+    The fit stops on the first of: |g|_inf < ``_FIT_TOL``; a taken step that
+    lowers the cost by less than ``_FIT_TOL`` of it; a step shorter than
+    ``_FIT_TOL`` (|x| + ``_FIT_TOL``); 300 evaluations of ``residuals``.
+    """
+    x, r = x0, residuals(x0)
+    cost = 0.5 * float(r @ r)
+    if not math.isfinite(cost):
+        raise ValueError("residuals are not finite at the start point")
+    lam, taken = 1e-3, True
+    for _ in range(299):
+        if taken:
+            jac = jacobian(x)
+            a, g = jac.T @ jac, jac.T @ r
+            del jac  # not held while the next one is built
+            if np.max(np.abs(g)) < _FIT_TOL:
+                break
+            scale = np.diag(a)
+            scale = np.maximum(scale, np.finfo(float).eps * scale.max())
+        step = np.linalg.solve(a + np.diag(lam * scale), -g)
+        r_trial = residuals(x + step)
+        trial_cost = 0.5 * float(r_trial @ r_trial)
+        taken = trial_cost < cost
+        done = (taken and cost - trial_cost < _FIT_TOL * cost
+                or np.linalg.norm(step) < _FIT_TOL * (np.linalg.norm(x) + _FIT_TOL))
+        if taken:
+            x, r, cost, lam = x + step, r_trial, trial_cost, lam / 3
+        else:
+            lam *= 4
+        if done:
+            break
+    return x, cost
+
+
 def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
                       n_restarts: int = DEFAULT_RESTARTS, seed: int = 0
                       ) -> ReconstructionResult:
     """Least-squares fit of complex amplitudes to a spectrogram.
 
-    Local optimization with an analytic Jacobian, started from the
-    Fourier-diagonal seed: the phase-Fourier components D_l[d] of the data
-    equal (-1)^d sum_m J_{l-m}(2 m_p) J_{l-m-d}(2 m_p) rho_{m,m+d} for evenly
-    spaced phases, and solving d = 0, 1, 2 gives |psi_m| and the phase links
-    (see ``_fourier_seed``). On noiseless data that seed is the answer and the
-    fit ends on ``gtol``/``xtol`` at once. On noisy data the fit stops once a
-    step lowers the cost by less than ``_FIT_TOL`` of it; at the optimum that
-    cost is the shot-noise chi^2 / 2 ~ n_phases / (2 counts), so the residual
-    ends near sqrt(n_phases / counts) and no steps are spent below that floor.
+    Levenberg-Marquardt steps (``_levenberg_marquardt``) with an analytic
+    Jacobian, started from the Fourier-diagonal seed: the phase-Fourier
+    components D_l[d] of the data equal (-1)^d sum_m J_{l-m}(2 m_p)
+    J_{l-m-d}(2 m_p) rho_{m,m+d} for evenly spaced phases, and solving
+    d = 0, 1, 2 gives |psi_m| and the phase links (see ``_fourier_seed``). On
+    noiseless data that seed is the answer up to rounding: the fit ends at
+    once on its gradient rule, or after one step that removes the rounding
+    the seed's square roots leave on empty levels. On noisy data the fit
+    stops once a step lowers the cost by less than ``_FIT_TOL`` of it or
+    moves the amplitudes by less than ``_FIT_TOL`` of their norm; at the
+    optimum that cost is the shot-noise chi^2 / 2 ~ n_phases / (2 counts), so
+    the residual ends near sqrt(n_phases / counts) and no steps are spent
+    below that floor.
     Only when the first fit fails do random-phase starts with the seed's
     magnitudes follow, at most ``n_restarts`` starts in all: the
     loop stops at the first start whose residual (Frobenius mismatch between
@@ -310,8 +364,6 @@ def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
     ``MAX_FIT_CELLS`` phases x data rows x fit levels raises
     ConfigurationError before anything is allocated.
     """
-    from scipy.optimize import least_squares
-
     if n_restarts < 1:
         raise ValueError("need at least one restart")
     fit_l_min, n_par = _fit_window(sg, window)
@@ -341,22 +393,21 @@ def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
     seed_psi = _fourier_seed(sg, bess)
     rng = np.random.default_rng(seed)
 
-    best, best_index = None, 0
+    best_x, best_cost, best_index = None, math.inf, 0
     for restart in range(n_restarts):
         if restart == 0:
             psi0 = seed_psi
         else:
             psi0 = np.abs(seed_psi) * np.exp(2j * np.pi * rng.random(n_par))
-        x0 = np.concatenate([psi0.real, psi0.imag])
-        fit = least_squares(residuals, x0, jac=jacobian, method="trf",
-                            xtol=_FIT_TOL, ftol=_FIT_TOL, gtol=_FIT_TOL, max_nfev=300)
-        if best is None or fit.cost < best.cost:
-            best, best_index = fit, restart
-        residual = math.sqrt(2.0 * best.cost)
+        x, cost = _levenberg_marquardt(residuals, jacobian,
+                                       np.concatenate([psi0.real, psi0.imag]))
+        if cost < best_cost:
+            best_x, best_cost, best_index = x, cost, restart
+        residual = math.sqrt(2.0 * best_cost)
         if residual <= FAIL_THRESHOLD:
             break
 
-    psi = best.x[:n_par] + 1j * best.x[n_par:]
+    psi = best_x[:n_par] + 1j * best_x[n_par:]
     anchor = int(np.argmax(np.abs(psi)))
     if abs(psi[anchor]) > 0:
         psi = psi * np.exp(-1j * np.angle(psi[anchor]))

@@ -28,3 +28,18 @@ def test_eigenphases_load_no_linear_algebra():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_noisy_reconstruction_loads_no_optimizer():
+    # the fit takes its own Levenberg-Marquardt steps; no scipy solver is imported
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fequbit.__file__)))
+    code = ("import sys\n"
+            "from fequbit import LadderState, add_shot_noise, reconstruct_state, spectrogram\n"
+            "sg = add_shot_noise(spectrogram(LadderState(-1, [0.6, 0.0, 0.8j])), 1e5, seed=1)\n"
+            "result = reconstruct_state(sg, seed=0)\n"
+            "print(result.ok, 'scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "True False"

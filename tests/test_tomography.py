@@ -26,7 +26,7 @@ from fequbit import (
     simulate_schedule,
     spectrogram,
 )
-from fequbit.tomography import _fit_window, _fourier_seed, _probe_matrix
+from fequbit.tomography import _fit_window, _fourier_seed, _levenberg_marquardt, _probe_matrix
 from helpers import random_interior_state, state_fidelity
 from oracles import bessel_series
 
@@ -384,6 +384,63 @@ def test_noisy_fit_ends_at_the_shot_noise_floor(counts):
     assert result.restarts == 1
     floor = np.sqrt(sg.n_phases / counts)
     assert 0.5 * floor <= result.residual <= 1.5 * floor
+
+
+def test_levenberg_marquardt_solves_a_linear_problem():
+    rng = np.random.default_rng(30)
+    m, b = rng.normal(size=(60, 8)), rng.normal(size=60)
+    x, cost = _levenberg_marquardt(lambda x: m @ x - b, lambda x: m, np.zeros(8))
+    expected, (squares,), *_ = np.linalg.lstsq(m, b, rcond=None)
+    assert np.max(np.abs(x - expected)) <= 1e-10
+    assert cost == pytest.approx(squares / 2, rel=1e-12)
+
+
+def record_fits(monkeypatch):
+    """Make reconstruct_state's fits report their start, result and evaluations."""
+    fits = []
+
+    def recorded(residuals, jacobian, x0):
+        evaluations = 0
+
+        def counted(x):
+            nonlocal evaluations
+            evaluations += 1
+            return residuals(x)
+
+        x, cost = _levenberg_marquardt(counted, jacobian, x0)
+        start = residuals(x0)
+        fits.append({"x0": x0, "start_cost": 0.5 * float(start @ start), "x": x,
+                     "cost": cost, "evaluations": evaluations})
+        return x, cost
+
+    monkeypatch.setattr("fequbit.tomography._levenberg_marquardt", recorded)
+    return fits
+
+
+def test_fit_never_ends_above_its_start_cost(monkeypatch):
+    # seeded and random-phase starts alike; the low counts make every first
+    # fit fail at the noise floor, so each spectrogram runs all three starts
+    fits = record_fits(monkeypatch)
+    for seed in range(6):
+        n, n_phases = (5, 9, 13)[seed % 3], (8, 16)[seed % 2]
+        sg = add_shot_noise(spectrogram(normalized_random_state(40 + seed, n, -(n // 2)),
+                                        n_phases=n_phases), 1e3, seed=seed)
+        reconstruct_state(sg, n_restarts=3, seed=seed)
+    assert len(fits) == 18
+    assert all(f["cost"] <= f["start_cost"] for f in fits)
+    assert all(f["cost"] < f["start_cost"] for f in fits[1::3])
+
+
+@pytest.mark.parametrize("gate", ["H", "T", "NOT"])
+def test_fit_from_the_exact_seed_takes_no_step(monkeypatch, gate):
+    # on these states the Fourier seed matches the data to rounding, so its
+    # gradient is below the stop rule's tolerance
+    fits = record_fits(monkeypatch)
+    result = reconstruct_state(spectrogram(gate_prepared(gate)), seed=0)
+    (fit,) = fits
+    assert fit["evaluations"] == 1
+    assert np.array_equal(fit["x"], fit["x0"])
+    assert result.ok
 
 
 def test_reconstruct_validation():
