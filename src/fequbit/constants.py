@@ -1,7 +1,7 @@
 """Physical constants, CODATA 2018.
 
-Hard-coded so that derived quantities (notably the dispersion length) are
-bit-reproducible regardless of the installed scipy version.
+Hard-coded, not read from a library, so that derived quantities (notably
+the dispersion length) are bit-reproducible.
 """
 
 import math

@@ -103,6 +103,8 @@ class Spectrogram:
         data = np.asarray(self.data, dtype=np.float64).copy()
         if data.ndim != 2 or data.shape[1] != phases.size:
             raise ValueError("data must be (n_levels, n_phases)")
+        if not (np.isfinite(data).all() and np.isfinite(phases).all()):
+            raise ValueError("data and scan phases must be finite")
         if phases.size == 0 or not 0.0 < self.probe_magnitude < math.inf:
             raise ValueError(f"needs a scan phase and a finite probe magnitude > 0, got "
                              f"{phases.size} phases and magnitude {self.probe_magnitude!r}")

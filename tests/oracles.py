@@ -2,9 +2,8 @@
 
 Nothing here may call into fequbit's own computational paths: Bessel values
 come from a direct power-series summation (arbitrary-precision to survive
-the alternating-series cancellation) or from Miller's backward recurrence,
-unitaries from QR, pulse unitaries from the dense generator, expected
-projections from plain Python loops.
+the alternating-series cancellation), unitaries from QR, pulse unitaries
+from the dense generator, expected projections from plain Python loops.
 """
 
 import math
@@ -41,28 +40,6 @@ def bessel_series(k: int, x: float) -> float:
                 break
             m += 1
         return float(total)
-
-
-def bessel_row_miller(x: float, n_max: int) -> np.ndarray:
-    """J_0(x) .. J_{n_max}(x) by Miller's backward recurrence (float64).
-
-    Algorithmically unrelated to both the power series and scipy's
-    implementation; normalized with J_0 + 2 sum J_{2m} = 1.
-    """
-    if x == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
-    start = int(max(n_max, math.ceil(x)) + 14.0 * max(x, 1.0) ** (1.0 / 3.0) + 40)
-    vals = np.zeros(start + 2)
-    vals[start + 1] = 0.0
-    vals[start] = 1e-300
-    for n in range(start, 0, -1):
-        vals[n - 1] = (2.0 * n / x) * vals[n] - vals[n + 1]
-        if abs(vals[n - 1]) > 1e250:
-            vals[:start + 2] *= 1e-250
-    norm = vals[0] + 2.0 * np.sum(vals[2::2])
-    return vals[:n_max + 1] / norm
 
 
 def pinem_amplitudes_oracle(g: complex, k_values) -> np.ndarray:

@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from fequbit import (
 )
 from fequbit.ladder import bessel_row, write_text
 from fequbit.operators import CHEBYSHEV_TAIL_TOL
-from helpers import bessel_tail_half_width
+from oracles import bessel_series
 
 # frozen at first derivation from the CODATA 2018 constants; see
 # test_dispersion_length_regression for the independent evaluation
@@ -213,9 +214,41 @@ def test_occupied_levels():
 @pytest.mark.parametrize("budget", [1e-24, CHEBYSHEV_TAIL_TOL ** 2 / 8])
 @pytest.mark.parametrize("x", [0.0, 0.5, 2.0, 50.0, 500.0])
 def test_bessel_row_is_jv_on_its_cut(x, budget):
-    # the negative orders come from the reflection J_{-k} = (-1)^k J_k, bit for bit
-    k = bessel_tail_half_width(x, budget)
-    assert np.array_equal(bessel_row(x, budget), jv(np.arange(-k, k + 1), x))
+    row = bessel_row(x, budget)
+    k = row.size // 2
+    # within jv's own error at x = 500
+    assert np.max(np.abs(row - jv(np.arange(-k, k + 1), x))) <= 5e-14
+    # within rounding of the mpmath series wherever that series is cheap
+    if x <= 50:
+        for order in range(-k, k + 1, max(1, k // 8)):
+            assert abs(row[k + order] - bessel_series(order, x)) <= 1e-15
+    # J_{-k} = (-1)^k J_k, bit for bit
+    assert np.array_equal(row[:k][::-1], row[k + 1:] * (-1.0) ** np.arange(1, k + 1))
+    # K is the smallest cut whose tail 2 sum_{j>K} J_j^2, summed from the far
+    # end of a jv row that runs well past it, meets the budget
+    p = jv(np.arange(math.ceil(x) + 300), x) ** 2
+    tail = 2.0 * np.cumsum(p[::-1])[::-1]  # tail[j] = 2 sum_{i>=j} p_i
+    assert k == int(np.argmax(tail[1:] <= budget))
+
+
+def test_bessel_row_keeps_the_first_orders_of_a_tiny_argument():
+    # 2 J_1(1e-8)^2 = 5e-17 is far above the budget, so the cut is K = 1
+    assert bessel_row(1e-8, 1e-24).size == 3
+
+
+@pytest.mark.parametrize("budget", [1e-24, CHEBYSHEV_TAIL_TOL ** 2 / 8])
+@pytest.mark.parametrize("x", [0.0, 5e-324, 1e-300, 1e-30])
+def test_bessel_row_below_its_budget_is_one(x, budget):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = bessel_row(x, budget)
+    assert row.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("budget", [0.0, 1e-101, 1e-7, math.nan])
+def test_bessel_row_rejects_a_budget_outside_its_range(budget):
+    with pytest.raises(ValueError):
+        bessel_row(1.0, budget)
 
 
 def test_write_text_over_a_longer_file_leaves_only_the_new_bytes(tmp_path):

@@ -94,6 +94,15 @@ def test_bessel_on_basis_reproduces_closed_form():
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
 
 
+def test_weak_pulse_keeps_its_first_sidebands():
+    # |g| = 5e-9: the l = +-1 sidebands, of amplitude 5e-9, stand far above the
+    # kernel's tail budget and the 1e-13 amplitude tolerance
+    g = 5e-9
+    out = apply_pinem(basis_state(0, 8), PinemPulse.single(g))
+    expected = np.exp(1j * np.angle(-g)) * jv(1, 2.0 * abs(g))  # -J_1(1e-8)
+    assert abs(out.amplitude(1) - expected) <= 1e-13
+
+
 def test_kernel_norm_is_one():
     for g in (0.2, 1.0, 9.5):
         kernel = pinem_kernel(g)

@@ -193,6 +193,27 @@ def test_spectrogram_csv_rejects_bad_level_rows(tmp_path):
             Spectrogram.from_csv(path)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_spectrogram_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Spectrogram(np.array([0.0, 1.0]), 0, np.array([[0.5, bad]]))
+    with pytest.raises(ValueError, match="finite"):
+        Spectrogram(np.array([0.0, bad]), 0, np.array([[0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("text", [
+    "l,0.0,3.14\nprobe,1.0,1.0\n0,0.5,nan\n",
+    "l,0.0,3.14\nprobe,1.0,1.0\n0,inf,0.5\n",
+    "l,0.0,nan\nprobe,1.0,1.0\n0,0.5,0.5\n",
+    "l,-inf,3.14\nprobe,1.0,1.0\n0,0.5,0.5\n",
+], ids=["nan-count", "inf-count", "nan-phase", "inf-phase"])
+def test_spectrogram_csv_rejects_non_finite_values(tmp_path, text):
+    path = tmp_path / "sg.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match="sg.csv"):
+        Spectrogram.from_csv(path)
+
+
 @pytest.mark.parametrize("x", [2.0, 10.0, 100.0, 200.0, 500.0])
 def test_probe_window_is_smallest_within_tail_budget(x):
     # K is the smallest half-width whose dropped tail 2 sum_{k>K} J_k(x)^2 is <= 1e-24
