@@ -84,9 +84,10 @@ probe; together with a wide probe or state the product is bounded by
 MAX_RESTARTS = 256
 """Most fit starts. Starts after the first run only while the fit fails; each
 failed start on the 3-gate ``H T H`` state at the default probe and phases
-(``--counts 30``) took ~0.14 s with one BLAS thread and ~1 s with OpenBLAS's
-default two threads on a 2-core x86 server, so the bound caps such a run
-between ~36 s and ~4 min. Wider states and more phases cost more per start."""
+(``--counts 30``) took 0.07-0.08 s on a 2-core x86 server, with one BLAS
+thread and with OpenBLAS's default two alike (medians of 5 runs at 1, 8 and
+32 starts), so the bound caps such a run near 20 s. Wider states and more
+phases cost more per start."""
 
 MAX_EIGENPHASES_DIM = 4097
 """Largest ``eigenphases --dim``: the closed-form phases take O(dim) time and
@@ -174,9 +175,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                         config.delta_e_ev)
         except ConfigurationError as exc:
             problems.append(str(exc))
-    if int(config.seed) < 0:
+    if config.seed < 0:
         problems.append("seed must be >= 0")
-    config.seed = int(config.seed)
     if not 0 < config.probe <= MAX_PROBE:
         problems.append(f"probe magnitude must be in (0, {MAX_PROBE:g}]")
     if not 8 <= config.phases <= MAX_PHASES:
@@ -185,8 +185,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         problems.append(f"counts per column must be in [0, {MAX_COUNTS:.2g}]")
     if not 1 <= config.restarts <= MAX_RESTARTS:
         problems.append(f"reconstruction restarts must be in [1, {MAX_RESTARTS}]")
-    if getattr(args, "g", None) is not None and not 0 <= args.g < math.inf:
-        problems.append("coupling magnitude must be finite and >= 0")
+    if getattr(args, "g", None) is not None and not 0 <= 2.0 * args.g < math.inf:
+        problems.append("coupling magnitude must be >= 0 with 2|g| finite")
     if getattr(args, "dim", None) is not None:
         cap = MAX_EIGENPHASES_DIM if args.command == "eigenphases" else MAX_BENCH_DIM
         if not 3 <= args.dim <= cap or args.dim % 2 == 0:

@@ -193,10 +193,7 @@ def euler_xyx(u: np.ndarray) -> tuple[float, float, float, complex]:
     a = _wrap_angle(0.5 * (arg_x + arg_y))
     b = _wrap_angle(-b_bar)
     c = _wrap_angle(0.5 * (arg_x - arg_y))
-    rec = pinem_rotation(a) @ _ry(b) @ pinem_rotation(c)
-    tr = np.trace(rec.conj().T @ u)
-    phase = tr / abs(tr)
-    return a, b, c, complex(phase)
+    return a, b, c, _phase_to(pinem_rotation(a) @ _ry(b) @ pinem_rotation(c), u)
 
 
 @dataclass(frozen=True)
@@ -246,30 +243,15 @@ class Schedule:
                 "global_phase": [self.global_phase.real, self.global_phase.imag]}
 
 
-def _assemble(raw: list) -> tuple:
-    """Drop null operations and merge neighbours; raw is (kind, value) pairs
-    with pulse values in radians and drift values in quarter units."""
-    stack: list[tuple[str, float | int]] = []
-    for kind, value in raw:
-        if stack and stack[-1][0] == kind:
-            value = value + stack.pop()[1]
-        if kind == "pulse":
-            value = _wrap_angle(value)
-            if abs(value) >= ZERO_ANGLE_TOL:
-                stack.append((kind, value))
-        else:
-            value = int(value) % 4
-            if value:
-                stack.append((kind, value))
-    # a pulse of coupling g rotates by theta = -2 Im g, so g = -i theta / 2
-    return tuple(
-        PinemPulse.single(-0.5j * value) if kind == "pulse" else FspPhase.quarter(value)
-        for kind, value in stack)
-
-
 def _phase_to(realized: np.ndarray, target: np.ndarray) -> complex:
     tr = np.trace(realized.conj().T @ target)
     return complex(tr / abs(tr)) if abs(tr) > 1e-12 else 1.0 + 0.0j
+
+
+def _pulses(theta: float) -> tuple:
+    """The pulse rotating by Rx(theta), none for a null angle; a pulse of
+    coupling g rotates by theta = -2 Im g, so g = -i theta / 2."""
+    return () if abs(theta) < ZERO_ANGLE_TOL else (PinemPulse.single(-0.5j * theta),)
 
 
 def compile_gate(gate: Gate, beam: BeamParameters) -> Schedule:
@@ -278,21 +260,23 @@ def compile_gate(gate: Gate, beam: BeamParameters) -> Schedule:
     Quarter-turn phase gates become one drift, pure x-rotations one pulse,
     and everything else the XYX sequence, first applied first: pulse Rx(c),
     ``FspPhase.quarter(3)``, pulse Rx(b), ``FspPhase.quarter(1)``, pulse
-    Rx(a), since Ry(b) = F Rx(b) F^3. Null operations are elided and
-    neighbours merged. Pulses are single-harmonic ``PinemPulse`` objects; the
-    beam sets only the schedule's ``quarter_length_m``. ``global_phase``
-    makes ``qubit_matrix()`` equal the target.
+    Rx(a), since Ry(b) = F Rx(b) F^3. A null pulse or drift is left out. b
+    is never null there: |b| < 1e-12 puts both entries ``_as_x_rotation``
+    tests below its 1e-12, so such a gate is an x-rotation, and no two
+    pulses or two drifts ever meet. Pulses are single-harmonic ``PinemPulse``
+    objects; the beam sets only the schedule's ``quarter_length_m``.
+    ``global_phase`` makes ``qubit_matrix()`` equal the target.
     """
     u = gate.target_matrix()
     z_quarters = _as_quarter_phase_gate(gate)
     if z_quarters is not None:  # pure phase gates on a quarter grid map to drifts
-        raw = [("drift", z_quarters)]
+        elements = (FspPhase.quarter(z_quarters),) if z_quarters else ()
     elif (theta_x := _as_x_rotation(u)) is not None:  # pure x-rotations: one pulse
-        raw = [("pulse", theta_x)]
+        elements = _pulses(theta_x)
     else:
         a, b, c, _ = euler_xyx(u)
-        raw = [("pulse", c), ("drift", 3), ("pulse", b), ("drift", 1), ("pulse", a)]
-    elements = _assemble(raw)
+        elements = (*_pulses(c), FspPhase.quarter(3), *_pulses(b), FspPhase.quarter(1),
+                    *_pulses(a))
     return Schedule(elements, _phase_to(Schedule(elements).qubit_matrix(), u),
                     beam.quarter_length_m)
 

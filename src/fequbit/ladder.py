@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -169,10 +169,7 @@ class LadderState:
         """Zero-pad onto the window [l_min, l_max] (must contain the current one)."""
         if l_min > self.l_min or l_max < self.l_max:
             raise WindowError("padded window must contain the current window")
-        out = np.zeros(l_max - l_min + 1, dtype=np.complex128)
-        off = self.l_min - l_min
-        out[off:off + self.dim] = self.amplitudes
-        return LadderState(l_min, out)
+        return LadderState(l_min, _aligned(self.amplitudes, self.l_min, l_min, l_max - l_min + 1))
 
     def trimmed(self) -> "LadderState":
         """Drop probability-free window edges: cells of probability <= 1e-18.
@@ -222,6 +219,16 @@ class LadderState:
     def load(cls, path) -> "LadderState":
         """Read a state file; a malformed one raises ConfigurationError naming it."""
         return cls.from_json(read_json(path), f"state file {path}")
+
+
+def _aligned(amps: np.ndarray, l_min: int, target_l_min: int, target_dim: int) -> np.ndarray:
+    """Crop/zero-pad a raw amplitude array onto a target window."""
+    out = np.zeros(target_dim, dtype=np.complex128)
+    src_lo = max(l_min, target_l_min)
+    src_hi = min(l_min + amps.size, target_l_min + target_dim)
+    if src_lo < src_hi:
+        out[src_lo - target_l_min:src_hi - target_l_min] = amps[src_lo - l_min:src_hi - l_min]
+    return out
 
 
 def _is_finite_number(x) -> bool:
@@ -375,23 +382,11 @@ class BeamParameters:
         return self.z_d / 4.0
 
     def to_json(self) -> dict:
-        return {
-            "kinetic_energy_ev": self.kinetic_energy_ev,
-            "laser_wavelength_m": self.laser_wavelength_m,
-            "delta_e_ev": self.delta_e_ev,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "v": self.v,
-            "omega": self.omega,
-            "omega_c": self.omega_c,
-            "z_d": self.z_d,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "BeamParameters":
-        return cls(**{k: float(obj[k]) for k in (
-            "kinetic_energy_ev", "laser_wavelength_m", "delta_e_ev",
-            "beta", "gamma", "v", "omega", "omega_c", "z_d")})
+        return cls(**{f.name: float(obj[f.name]) for f in fields(cls)})
 
 
 def derive_beam(kinetic_energy_ev: float, laser_wavelength_m: float,

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ladder import DEFAULT_POLICY, LadderState, TruncationPolicy, bessel_row, check_edge_leakage
+from .ladder import (DEFAULT_POLICY, LadderState, TruncationPolicy, _aligned, bessel_row,
+                     check_edge_leakage)
 
 MATEXP_DENSE_MAX_DIM = 1024
 """Selects nothing; kept only because perfbench/layers.py reads it to label its
@@ -112,16 +113,6 @@ class FspPhase:
     @property
     def is_quarter(self) -> bool:
         return self.quarter_units is not None
-
-
-def _aligned(amps: np.ndarray, l_min: int, target_l_min: int, target_dim: int) -> np.ndarray:
-    """Crop/zero-pad a raw amplitude array onto a target window."""
-    out = np.zeros(target_dim, dtype=np.complex128)
-    src_lo = max(l_min, target_l_min)
-    src_hi = min(l_min + amps.size, target_l_min + target_dim)
-    if src_lo < src_hi:
-        out[src_lo - target_l_min:src_hi - target_l_min] = amps[src_lo - l_min:src_hi - l_min]
-    return out
 
 
 def pinem_kernel(g: complex) -> np.ndarray:
@@ -235,7 +226,8 @@ def eigenphases(pulse: PinemPulse, dim: int) -> np.ndarray:
     at k = 0 and k = dim + 1, the first cells past each end, so the
     eigenvalue equation holds in the edge rows with nothing cut off. The
     eigenphases are -lambda_j wrapped into (-pi, pi]; they are
-    unit-modulus by construction and cost O(dim) time and memory.
+    unit-modulus by construction and cost O(dim) time and memory. A coupling
+    whose 2|g| is not finite raises ValueError.
     """
     if not pulse.is_single_harmonic:
         raise ValueError("eigenphases is defined for single-harmonic pulses")
@@ -243,7 +235,10 @@ def eigenphases(pulse: PinemPulse, dim: int) -> np.ndarray:
         raise ValueError("dim must be >= 3")
     if dim % 2 == 0:
         raise ValueError("dim must be odd (symmetric window)")
-    lam = 2.0 * abs(pulse.g) * np.cos(np.pi * np.arange(1, dim + 1) / (dim + 1))
+    two_g = 2.0 * abs(pulse.g)
+    if not np.isfinite(two_g):
+        raise ValueError(f"2|g| = {two_g!r} is not finite")
+    lam = two_g * np.cos(np.pi * np.arange(1, dim + 1) / (dim + 1))
     phases = np.mod(-lam + np.pi, 2.0 * np.pi) - np.pi
     phases[phases == -np.pi] = np.pi
     return np.sort(phases)

@@ -24,7 +24,7 @@ largest amplitude real-positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,15 +44,18 @@ rejects a larger fit before it allocates. Building the Jacobian holds it and
 the complex temporary it is formed from, 16 bytes per cell each; the damped
 step needs only the square matrix J^T J. tracemalloc peaks were 34-37 bytes
 per cell on noisy and noiseless fits alike (9 levels at probe 1 and 20, and
-41 levels), so about 0.6 GB at the bound, which now has headroom; the
-``trf`` solver used before peaked at 119-120 bytes per cell (about 2 GB). A
-2000-level state at 32 phases (1.3e8 cells) is rejected."""
+41 levels), so about 0.6 GB at the bound. A 2000-level state at 32 phases
+(1.3e8 cells) is rejected."""
 
 _FIT_TOL = 1e-8
 """Tolerance of the fit's three stop rules (``_levenberg_marquardt``): the
 gradient's largest entry, the relative cost drop of a taken step, and the
 step length relative to the parameters. A looser 1e-6 raised 1 - F by up to
-5e-5 on noisy 9-level states."""
+5e-5 on noisy 9-level states. The cost-drop rule stops on the first taken
+step whose relative drop is below 1e-8; it does not bound the distance to
+the optimum by 1e-8. Near the optimum of a noisy fit the steps converge
+linearly, each lowering the cost by 1e-8 to 1e-7 of it, and such fits end
+within about 1e-6 of the optimum in relative cost."""
 
 
 @dataclass(frozen=True)
@@ -223,14 +226,8 @@ class ReconstructionResult:
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "state": self.state.to_json(),
-            "residual": self.residual,
-            "ok": self.ok,
-            "restarts": self.restarts,
-            "best_restart": self.best_restart,
-            "seed": self.seed,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**doc, "state": self.state.to_json()}
 
 
 def _fit_window(sg: Spectrogram, window: TruncationPolicy | None) -> tuple[int, int]:

@@ -79,6 +79,18 @@ def test_simulate_bad_gate_is_parse_error(tmp_path):
     assert main(["simulate", str(bad), *out_args(tmp_path)]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("line, message", [
+    ("RX()", "missing angle"),
+    ("U [[1,0],[0]]", "malformed matrix, expected"),
+    ("U [[a,0],[0,1]]", "malformed matrix entry"),
+])
+def test_malformed_gate_line_is_parse_error_naming_its_line(tmp_path, capsys, line, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"H\n{line}\n")
+    assert main(["simulate", str(bad), *out_args(tmp_path)]) == EXIT_PARSE
+    assert f"line 2: {message}" in capsys.readouterr().err
+
+
 def test_simulate_invalid_config_aggregates(tmp_path, circuit_file, capsys):
     code = main(["simulate", circuit_file, "--beam-kev", "-2",
                  "--wavelength-nm", "0", *out_args(tmp_path)])
@@ -215,7 +227,7 @@ def test_eigenphases_validation(tmp_path):
                  *out_args(tmp_path)]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("g", ["nan", "inf"])
+@pytest.mark.parametrize("g", ["nan", "inf", "1e308"])
 def test_eigenphases_non_finite_coupling_is_config_error(tmp_path, g):
     assert main(["eigenphases", "--g", g, "--dim", "21", *out_args(tmp_path)]) == EXIT_CONFIG
 
@@ -319,7 +331,7 @@ def test_bench_rejects_a_short_window_before_building_the_kernel(tmp_path, monke
     assert main(["bench", "--g", "1e8", "--dim", "201", *out_args(tmp_path)]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("g", ["nan", "inf"])
+@pytest.mark.parametrize("g", ["nan", "inf", "1e308"])
 def test_bench_non_finite_coupling_is_config_error(tmp_path, g):
     assert main(["bench", "--g", g, "--dim", "201", *out_args(tmp_path)]) == EXIT_CONFIG
 

@@ -205,6 +205,12 @@ def test_state_window_accessors():
         state.padded(4, 10)
 
 
+@pytest.mark.parametrize("l_min, dim, kept", [(-3, 7, 0), (2, 4, 2), (-9, 4, -6)])
+def test_trimming_an_empty_state_keeps_the_cell_nearest_level_0(l_min, dim, kept):
+    trimmed = LadderState(l_min, np.zeros(dim)).trimmed()
+    assert (trimmed.l_min, trimmed.dim, trimmed.amplitude(kept)) == (kept, 1, 0)
+
+
 def test_occupied_levels():
     assert occupied_levels(basis_state(0, 8)) == 1
     with pytest.raises(ValueError):

@@ -434,6 +434,12 @@ def test_eigenphases_match_eigenvalues_of_dense_exponential(g, dim):
     assert _circular_mismatch(eigenphases(pulse, dim), dense) <= 1e-12
 
 
+@pytest.mark.parametrize("g", [1e308, complex(1e308, 1e308), np.inf, np.nan])
+def test_eigenphases_reject_a_coupling_whose_2g_is_not_finite(g):
+    with pytest.raises(ValueError):
+        eigenphases(PinemPulse.single(g), 21)
+
+
 def test_eigenphases_reject_dim_below_three():
     with pytest.raises(ValueError):
         eigenphases(PinemPulse.single(1.0), 1)

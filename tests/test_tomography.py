@@ -255,6 +255,17 @@ def test_reconstruct_noiseless_nine_levels():
     assert state_fidelity(result.state, true) >= 1 - 1e-6
 
 
+def test_fixed_window_fit_recovers_a_state_inside_it():
+    # the 9-level state lies on [-4, 4] inside [-6, 6]; the data window is wider by the
+    # probe's half-width on each side, so the fit window is [-6, 6]
+    true = normalized_random_state(7)
+    sg = spectrogram(true)
+    result = reconstruct_state(sg, window=TruncationPolicy.fixed(6))
+    assert result.ok
+    assert result.state.l_min == max(sg.l_min, -6) == -6
+    assert state_fidelity(result.state, true) >= 1 - 1e-9
+
+
 def test_reconstruct_basis_state():
     sg = spectrogram(basis_state(0, 4), n_phases=16)
     result = reconstruct_state(sg, seed=0)
