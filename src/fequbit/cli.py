@@ -69,16 +69,18 @@ MAX_COUNTS = 9.2e18
 """Largest counts per column numpy's Poisson sampler accepts (its limit is near 2**63)."""
 
 MAX_PROBE = 100.0
-"""Largest probe magnitude. On the default fit window both the data rows and
-the fit levels grow with the probe width, so a fit's phases x rows x levels
-grow with the square of the magnitude; ``tomography.MAX_FIT_CELLS`` bounds
-that product. At this bound the 35-level ``H T H`` state spans 537 data rows,
-9.2e6 cells at the default 32 phases."""
+"""Largest probe magnitude. The data rows grow with the probe width, the fit
+levels do not: the default fit window is the state's own, unless the fit
+falls back to every data row, whose phases x rows x rows grow with the
+square of the magnitude. ``tomography.MAX_FIT_CELLS`` bounds that fallback.
+At this bound the 35-level ``H T H`` state spans 537 data rows, 6.0e5 cells
+on its own window and 9.2e6 on every row at the default 32 phases."""
 
 MAX_PHASES = 1024
 """Most tomography scan phases. A fit's phases x data rows x fit levels grow
-with it, 4.3e6 at the bound for the 65 data rows of ``H T H`` at the default
-probe; together with a wide probe or state the product is bounded by
+with it: at the bound, the 65 data rows of ``H T H`` at the default probe
+give 2.3e6 cells on the state's 35 levels and 4.3e6 if the fit falls back
+to every row. Together with a wide probe or state the product is bounded by
 ``tomography.MAX_FIT_CELLS``, not by this cap."""
 
 MAX_RESTARTS = 256

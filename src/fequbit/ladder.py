@@ -281,8 +281,9 @@ def support_leakage(state: LadderState, edge_margin: int) -> float:
         raise ValueError("edge_margin must be smaller than the window half-width")
     if edge_margin == 0:
         return 0.0
-    p = state.probabilities()
-    return float(np.sum(p[:edge_margin]) + np.sum(p[-edge_margin:]))
+    amps = state.amplitudes
+    return float(np.sum(np.abs(amps[:edge_margin]) ** 2)
+                 + np.sum(np.abs(amps[-edge_margin:]) ** 2))
 
 
 def check_edge_leakage(state: LadderState, edge_margin: int, leakage_tol: float) -> None:

@@ -197,13 +197,13 @@ def apply_fsp(state: LadderState, phase: FspPhase) -> LadderState:
     (even levels untouched, odd levels times i^k), so composition and
     full-revival identities hold to the last bit.
     """
-    l = state.indices
     if phase.is_quarter:
-        k = phase.quarter_units
-        exponents = (k * (l % 2)) % 4  # l^2 mod 4 is the parity of l
-        factors = np.array(_I_POW, dtype=np.complex128)[exponents]
-    else:
-        factors = np.exp(2j * np.pi * np.mod(phase.fraction * l.astype(np.float64) ** 2, 1.0))
+        # l^2 mod 4 is the parity of l; the first odd level is at index (l_min + 1) % 2
+        amps = state.amplitudes.copy()
+        amps[(state.l_min + 1) % 2::2] *= _I_POW[phase.quarter_units % 4]
+        return LadderState(state.l_min, amps)
+    l = state.indices
+    factors = np.exp(2j * np.pi * np.mod(phase.fraction * l.astype(np.float64) ** 2, 1.0))
     return LadderState(state.l_min, state.amplitudes * factors)
 
 

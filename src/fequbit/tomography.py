@@ -39,13 +39,17 @@ FAIL_THRESHOLD = 0.05
 """Largest fit residual that counts as a successful reconstruction."""
 
 MAX_FIT_CELLS = 2 ** 24
-"""Most phases x data rows x fit levels one fit takes; ``reconstruct_state``
-rejects a larger fit before it allocates. Building the Jacobian holds it and
-the complex temporary it is formed from, 16 bytes per cell each; the damped
-step needs only the square matrix J^T J. tracemalloc peaks were 34-37 bytes
-per cell on noisy and noiseless fits alike (9 levels at probe 1 and 20, and
-41 levels), so about 0.6 GB at the bound. A 2000-level state at 32 phases
-(1.3e8 cells) is rejected."""
+"""Most phases x data rows x fit levels one fit may take; ``reconstruct_state``
+rejects a larger fit before it allocates, counting every data row as fit
+levels for None and adaptive windows, which may fall back to them. A fit
+holds its Jacobian and the complex factor it is formed from, 16 bytes per
+cell each, from its first step to its last, and beside them the damped
+step's square matrices of side 2 x fit levels. tracemalloc peaks of
+whole-window fits were 34.4 bytes per cell at 32 phases (9 and 41 levels at
+probe 20, 201 levels at probe 1) and 41.2 at 8 phases (201 levels), so
+0.6-0.7 GB at the bound. A fit on the state's own window holds less in all
+and more per cell: 0.66 MB, 59 bytes per cell, for 9 levels at probe 1. A
+2000-level state at 32 phases (1.3e8 cells) is rejected."""
 
 _FIT_TOL = 1e-8
 """Tolerance of the fit's three stop rules (``_levenberg_marquardt``): the
@@ -94,12 +98,18 @@ def eels_spectrum(state: LadderState) -> Spectrum:
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """One population spectrum per probe scan phase (columns), shared window."""
+    """One population spectrum per probe scan phase (columns), shared window.
+
+    ``counts_per_column`` is the electron count each column was drawn with
+    (``add_shot_noise``), or None when it is not known; the CSV does not
+    carry it.
+    """
 
     scan_phases: np.ndarray = field(repr=False)
     l_min: int = 0
     data: np.ndarray = field(default=None, repr=False)  # (n_levels, n_phases)
     probe_magnitude: float = DEFAULT_PROBE_MAGNITUDE
+    counts_per_column: float | None = None
 
     def __post_init__(self):
         phases = np.asarray(self.scan_phases, dtype=np.float64).copy()
@@ -111,6 +121,8 @@ class Spectrogram:
         if phases.size == 0 or not 0.0 < self.probe_magnitude < math.inf:
             raise ValueError(f"needs a scan phase and a finite probe magnitude > 0, got "
                              f"{phases.size} phases and magnitude {self.probe_magnitude!r}")
+        if self.counts_per_column is not None and not self.counts_per_column > 0:
+            raise ValueError(f"counts per column must be > 0, got {self.counts_per_column!r}")
         phases.flags.writeable = False
         data.flags.writeable = False
         object.__setattr__(self, "scan_phases", phases)
@@ -213,7 +225,8 @@ def add_shot_noise(sg: Spectrogram, counts_per_column: float, seed: int = 0) -> 
         raise ConfigurationError(
             f"{empty} of {totals.size} spectrogram columns counted no electron at "
             f"{counts_per_column:g} counts per column; raise the counts")
-    return Spectrogram(sg.scan_phases, sg.l_min, counts / totals, sg.probe_magnitude)
+    return Spectrogram(sg.scan_phases, sg.l_min, counts / totals, sg.probe_magnitude,
+                       counts_per_column)
 
 
 @dataclass(frozen=True)
@@ -231,12 +244,26 @@ class ReconstructionResult:
 
 
 def _fit_window(sg: Spectrogram, window: TruncationPolicy | None) -> tuple[int, int]:
-    """(l_min, n_levels) of the fit: the whole data window for None or an
-    adaptive policy, [-h, h] within the data window for fixed(h)."""
+    """(l_min, n_levels) of the fit; fixed(h) gives [-h, h] within the data window.
+
+    None or an adaptive policy gives the levels whose whole image lies in the
+    data window, [l_min + K, l_max - K] for the probe row's half-width K: the
+    window ``spectrogram`` recorded the state on. A side is narrowed only when
+    its outermost data row holds at most row[0]^2 + 0.5e-24 in every column.
+    Only the cut row's outermost entry links that row to the narrowed window,
+    so by Cauchy-Schwarz that is the most a normalized state inside it can put
+    there; a spectrogram cropped closer to the state keeps that side's data
+    edge. An empty narrowed range gives the whole data window.
+    """
+    l_max = sg.l_min + sg.n_levels - 1
     if window is None or window.mode == "adaptive":
-        return sg.l_min, sg.n_levels
+        row = _probe_row(sg.probe_magnitude)
+        k_half, bound = row.size // 2, row[0] ** 2 + 0.5e-24
+        lo = sg.l_min + k_half if np.all(sg.data[0] <= bound) else sg.l_min
+        hi = l_max - k_half if np.all(sg.data[-1] <= bound) else l_max
+        return (lo, hi - lo + 1) if lo <= hi else (sg.l_min, sg.n_levels)
     lo = max(sg.l_min, -window.half_width)
-    hi = min(sg.l_min + sg.n_levels - 1, window.half_width)
+    hi = min(l_max, window.half_width)
     if lo > hi:
         raise WindowError("reconstruction window does not overlap the data window")
     return lo, hi - lo + 1
@@ -357,22 +384,47 @@ def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
     that best residual exceeds ``FAIL_THRESHOLD``; the best candidate is
     still returned.
 
-    The fit window follows ``window``: None or an adaptive policy fits every
-    level of the data window, a fixed(h) policy fits [-h, h] within it and
-    raises WindowError when the two do not overlap. A fit of more than
+    The fit window follows ``window`` (``_fit_window``). A fixed(h) policy
+    fits [-h, h] within the data window and raises WindowError when the two
+    do not overlap. None or an adaptive policy first fits the levels the
+    data window fully images, which for a spectrogram this module made is
+    the state's own window, from the seeded start alone. If that fit is not
+    ok, the procedure above runs on every data row, as it does when nothing
+    can be narrowed, and its result does not depend on the narrowed try.
+    The try is skipped when the spectrogram's recorded counts put the noise
+    floor sqrt(n_phases / counts) above ``FAIL_THRESHOLD``: no start can be
+    ok there, so it would only add a fit. A fit of more than
     ``MAX_FIT_CELLS`` phases x data rows x fit levels raises
-    ConfigurationError before anything is allocated.
+    ConfigurationError before anything is allocated; for None and adaptive
+    policies the fit levels are every data row, which the fallback fits.
     """
     if n_restarts < 1:
         raise ValueError("need at least one restart")
     fit_l_min, n_par = _fit_window(sg, window)
-    if sg.n_phases * sg.n_levels * n_par > MAX_FIT_CELLS:
+    widest = n_par if window is not None and window.mode == "fixed" else sg.n_levels
+    if sg.n_phases * sg.n_levels * widest > MAX_FIT_CELLS:
         raise ConfigurationError(
-            f"a fit of {sg.n_phases} phases x {sg.n_levels} data rows x {n_par} levels "
+            f"a fit of {sg.n_phases} phases x {sg.n_levels} data rows x {widest} levels "
             f"exceeds {MAX_FIT_CELLS} cells; use fewer phases or a narrower state or probe")
+    if n_par < widest:
+        if (sg.counts_per_column is None
+                or sg.n_phases / sg.counts_per_column <= FAIL_THRESHOLD ** 2):
+            narrowed = _fit(sg, fit_l_min, n_par, 1, seed)
+            if narrowed.ok:
+                return narrowed
+        fit_l_min, n_par = sg.l_min, sg.n_levels
+    return _fit(sg, fit_l_min, n_par, n_restarts, seed)
+
+
+def _fit(sg: Spectrogram, fit_l_min: int, n_par: int, n_restarts: int,
+         seed: int) -> ReconstructionResult:
+    """``reconstruct_state``'s starts on the n_par levels from fit_l_min."""
     bess = _probe_matrix(sg, fit_l_min, n_par)
     gauge = _gauge(sg.scan_phases, n_par)
     observed = sg.data.T  # (n_phases, n_rows)
+    # the Jacobian and its complex factor, filled in place at every taken step
+    weighted = np.empty((sg.n_phases, sg.n_levels, n_par), dtype=np.complex128)
+    jac = np.empty((sg.n_phases, sg.n_levels, 2, n_par))
 
     def mixed(x):
         # probed amplitudes on the data rows, one row per scan phase
@@ -383,8 +435,7 @@ def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
 
     def jacobian(x):
         # d|mixed|^2 / d(re, im) psi_m = 2 (re, -im) of conj(mixed) e^{-i(chi+pi)m} J_{l-m}
-        weighted = np.conj(mixed(x))[:, :, None] * gauge[:, None, :]
-        jac = np.empty(weighted.shape[:2] + (2, n_par))
+        np.multiply(np.conj(mixed(x))[:, :, None], gauge[:, None, :], out=weighted)
         np.multiply(weighted.real, 2.0 * bess, out=jac[:, :, 0])
         np.multiply(weighted.imag, -2.0 * bess, out=jac[:, :, 1])
         return jac.reshape(-1, 2 * n_par)
@@ -427,7 +478,8 @@ def readout_qubit(sg: Spectrogram, window: TruncationPolicy | None = None,
 
     The overall phase of (alpha, beta) inherits the reconstruction's fixed
     gauge and is not physical. ``window`` sets the fit window as in
-    ``reconstruct_state``: the whole data window unless it is fixed(h). The
+    ``reconstruct_state``: the levels the data window fully images, or every
+    data row when that fit is not ok, unless it is fixed(h). The
     residual is returned whether or not it is within ``FAIL_THRESHOLD``.
     """
     result = reconstruct_state(sg, window, n_restarts, seed)

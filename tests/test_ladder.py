@@ -146,6 +146,14 @@ def test_support_leakage_monotone_in_window():
     assert all(b <= a for a, b in zip(leaks, leaks[1:]))
 
 
+def test_support_leakage_sums_the_edge_probabilities():
+    rng = np.random.default_rng(6)
+    state = LadderState(-10, rng.normal(size=21) + 1j * rng.normal(size=21))
+    p = state.probabilities()
+    for margin in range(1, 11):
+        assert support_leakage(state, margin) == float(np.sum(p[:margin]) + np.sum(p[-margin:]))
+
+
 def test_support_leakage_post_pulse_below_tolerance():
     for g in (0.5, 5.0, 20.0):
         out = apply_pinem_bessel(basis_state(0, 8), PinemPulse.single(g))

@@ -286,6 +286,17 @@ def test_fsp_quarter_composition_exact():
     assert np.array_equal(combined.amplitudes, stepped.amplitudes)
 
 
+@pytest.mark.parametrize("l_min", [-5, -4, 3, 6])
+def test_fsp_quarter_is_the_unit_root_table(l_min):
+    # level l gains i^(k l^2), and l^2 mod 4 is the parity of l
+    rng = np.random.default_rng(12)
+    state = LadderState(l_min, rng.normal(size=11) + 1j * rng.normal(size=11))
+    table = np.array([1.0, 1j, -1.0, -1j])
+    for k in range(9):
+        expected = state.amplitudes * table[(k * state.indices ** 2) % 4]
+        assert np.array_equal(apply_fsp(state, FspPhase.quarter(k)).amplitudes, expected)
+
+
 def test_fsp_sign_convention_odd_levels_gain_plus_i():
     # the global sign choice everything downstream relies on
     out = apply_fsp(basis_state(1, 4), FspPhase.quarter(1))

@@ -27,6 +27,7 @@ from fequbit import (
     spectrogram,
 )
 from fequbit.tomography import _fit_window, _fourier_seed, _levenberg_marquardt, _probe_matrix
+from fequbit.tomography import DEFAULT_PROBE_MAGNITUDE, _probe_row
 from helpers import random_interior_state, state_fidelity
 from oracles import bessel_series
 
@@ -512,3 +513,105 @@ def test_adaptive_policy_fits_the_whole_data_window():
     qubit, _ = readout_qubit(sg, window=TruncationPolicy.adaptive())
     # 1 + 7e-8 on the whole window; a [-8, 8] fit of this [-12, 12] state gave 1 - 7e-6
     assert qubit.weight == pytest.approx(1.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------- fit window
+
+PROBE_HALF_WIDTH = _probe_row(DEFAULT_PROBE_MAGNITUDE).size // 2
+
+
+def cropped(sg, low, high):
+    """``sg`` without its ``low`` lowest and ``high`` highest data rows, as a
+    cropped CSV reads: no counts recorded."""
+    return Spectrogram(sg.scan_phases, sg.l_min + low, sg.data[low:sg.n_levels - high],
+                       sg.probe_magnitude)
+
+
+@pytest.mark.parametrize("counts", [0.0, 1e5])
+@pytest.mark.parametrize("make", [lambda: normalized_random_state(50), even_comb_state,
+                                  lambda: gate_prepared("H")], ids=["random", "even-comb", "H"])
+def test_spectrogram_output_is_fitted_on_the_state_window(make, counts):
+    true = make()
+    sg = spectrogram(true)
+    if counts:
+        sg = add_shot_noise(sg, counts, seed=6)
+    assert _fit_window(sg, None) == (true.l_min, true.dim)
+    result = reconstruct_state(sg, seed=0)
+    assert result.ok and result.restarts == 1
+    assert (result.state.l_min, result.state.dim) == (true.l_min, true.dim)
+    assert state_fidelity(result.state, true) >= (0.999 if counts else 1 - 1e-9)
+
+
+def fit_edges(sg):
+    lo, n = _fit_window(sg, None)
+    return lo, lo + n - 1
+
+
+@pytest.mark.parametrize("rows", [1, 3, PROBE_HALF_WIDTH - 1])
+@pytest.mark.parametrize("side", ["low", "high"])
+def test_cropped_side_keeps_its_data_edge(rows, side):
+    true = normalized_random_state(51)
+    sg = cropped(spectrogram(true), *((rows, 0) if side == "low" else (0, rows)))
+    data_edges = (sg.l_min, sg.l_min + sg.n_levels - 1)
+    if side == "low":
+        assert fit_edges(sg) == (data_edges[0], true.l_max)
+    else:
+        assert fit_edges(sg) == (true.l_min, data_edges[1])
+    result = reconstruct_state(sg, seed=0)
+    assert result.ok
+    assert (result.state.l_min, result.state.l_max) == fit_edges(sg)
+    assert state_fidelity(result.state, true) >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("low, high", [(0, 0), (3, 0), (0, 1), (3, 1), (1, 3)])
+def test_each_side_is_checked_on_its_own(low, high):
+    # a side keeps its data edge exactly when it was cropped, whatever the other side holds
+    true = normalized_random_state(52)
+    sg = cropped(spectrogram(true), low, high)
+    expected = (sg.l_min if low else true.l_min,
+                sg.l_min + sg.n_levels - 1 if high else true.l_max)
+    assert fit_edges(sg) == expected
+
+
+def test_cropped_noisy_spectrogram_falls_back_to_every_data_row():
+    # shot noise empties the outer rows, so the edge rule narrows the low side
+    # onto three state levels too few; that fit fails and every row is fitted
+    true = normalized_random_state(53)
+    sg = cropped(add_shot_noise(spectrogram(true), 1e5, seed=7), 3, 0)
+    assert not sg.data[0].any()
+    assert fit_edges(sg)[0] == true.l_min + 3
+    result = reconstruct_state(sg, seed=0)
+    assert result.ok
+    assert (result.state.l_min, result.state.dim) == (sg.l_min, sg.n_levels)
+    assert state_fidelity(result.state, true) >= 0.999
+
+
+def same_result(a, b):
+    return (a.state.l_min == b.state.l_min
+            and a.state.amplitudes.tobytes() == b.state.amplitudes.tobytes()
+            and (a.residual, a.ok, a.restarts, a.best_restart, a.seed)
+            == (b.residual, b.ok, b.restarts, b.best_restart, b.seed))
+
+
+def test_failing_fit_falls_back_and_runs_every_start(monkeypatch):
+    # at 200 counts the noise floor sqrt(32 / 200) is far above FAIL_THRESHOLD:
+    # with the counts recorded no narrowed fit is tried; without them one is,
+    # fails, and the fallback gives the same result
+    fits = record_fits(monkeypatch)
+    sg = add_shot_noise(spectrogram(normalized_random_state(11)), 200.0, seed=3)
+    assert sg.counts_per_column == 200.0
+    result = reconstruct_state(sg, n_restarts=4, seed=0)
+    assert not result.ok
+    assert result.restarts == 4
+    assert (result.state.l_min, result.state.dim) == (sg.l_min, sg.n_levels)
+    assert len(fits) == 4
+    unrecorded = reconstruct_state(cropped(sg, 0, 0), n_restarts=4, seed=0)  # counts dropped
+    assert len(fits) == 4 + 5
+    assert same_result(unrecorded, result)
+
+
+def test_counts_per_column_must_be_positive():
+    sg = spectrogram(normalized_random_state(54), n_phases=8)
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="counts per column"):
+            Spectrogram(sg.scan_phases, sg.l_min, sg.data, sg.probe_magnitude, bad)
