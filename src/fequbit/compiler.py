@@ -174,12 +174,19 @@ def _wrap_angle(theta: float) -> float:
 
 
 def euler_xyx(u: np.ndarray) -> tuple[float, float, float, complex]:
-    """Angles (a, b, c) and unit phase with u = phase * Rx(a) * Ry(b) * Rx(c).
+    """Angles (a, b, c) and unit phase with u = phase * Rx(a) * Ry(b) * Rx(c)."""
+    u = np.asarray(u, dtype=np.complex128).reshape(2, 2)
+    a, b, c = _xyx_angles(u)
+    return a, b, c, _phase_to(pinem_rotation(a) @ _ry(b) @ pinem_rotation(c), u)
+
+
+def _xyx_angles(u: np.ndarray) -> tuple[float, float, float]:
+    """The angles of ``euler_xyx`` for a complex 2x2 array; a matrix that is
+    not unitary raises ValueError.
 
     Solved by Hadamard conjugation: H Rx(t) H = e^{itZ} and H Ry(t) H =
     Ry(-t), which turns the problem into a ZYZ read-off on H u H.
     """
-    u = np.asarray(u, dtype=np.complex128).reshape(2, 2)
     defect = _unitarity_defect(u)
     if not defect <= UNITARY_TOL:
         raise ValueError(f"input is not unitary (defect {defect:.2e})")
@@ -193,7 +200,7 @@ def euler_xyx(u: np.ndarray) -> tuple[float, float, float, complex]:
     a = _wrap_angle(0.5 * (arg_x + arg_y))
     b = _wrap_angle(-b_bar)
     c = _wrap_angle(0.5 * (arg_x - arg_y))
-    return a, b, c, _phase_to(pinem_rotation(a) @ _ry(b) @ pinem_rotation(c), u)
+    return a, b, c
 
 
 @dataclass(frozen=True)
@@ -274,7 +281,7 @@ def compile_gate(gate: Gate, beam: BeamParameters) -> Schedule:
     elif (theta_x := _as_x_rotation(u)) is not None:  # pure x-rotations: one pulse
         elements = _pulses(theta_x)
     else:
-        a, b, c, _ = euler_xyx(u)
+        a, b, c = _xyx_angles(u)
         elements = (*_pulses(c), FspPhase.quarter(3), *_pulses(b), FspPhase.quarter(1),
                     *_pulses(a))
     return Schedule(elements, _phase_to(Schedule(elements).qubit_matrix(), u),

@@ -91,9 +91,11 @@ class TruncationPolicy:
     most CHEBYSHEV_TAIL_TOL in l1 norm. No pulse window is sized by a margin:
     each is the support its kernels' tail budgets give. An adaptive state
     starts on [-ADAPTIVE_START_HALF_WIDTH, ADAPTIVE_START_HALF_WIDTH]
-    (``basis_state``). Fits read the policy too
-    (``tomography.reconstruct_state``): fixed(L) fits [-L, L] within the data
-    window, adaptive fits the whole data window.
+    (``basis_state``). Fits read the policy too (``tomography._fit_window``):
+    fixed(L) fits [-L, L] within the data window, and adaptive, like None,
+    fits the levels the spectrogram fully images, [l_min + K, l_max - K] for
+    the probe row's half-width K, falling back to every data row when that
+    fit is not ok.
 
     ``edge_margin`` and ``leakage_tol`` are class attributes, not fields:
     every policy carries ``DEFAULT_EDGE_MARGIN`` and ``LEAKAGE_TOL``.
@@ -222,7 +224,11 @@ class LadderState:
 
 
 def _aligned(amps: np.ndarray, l_min: int, target_l_min: int, target_dim: int) -> np.ndarray:
-    """Crop/zero-pad a raw amplitude array onto a target window."""
+    """Crop/zero-pad a raw amplitude array onto a target window; a target
+    inside the array's own window is a view of ``amps``, not a copy."""
+    start = target_l_min - l_min
+    if 0 <= start and start + target_dim <= amps.size:
+        return amps[start:start + target_dim]
     out = np.zeros(target_dim, dtype=np.complex128)
     src_lo = max(l_min, target_l_min)
     src_hi = min(l_min + amps.size, target_l_min + target_dim)

@@ -66,7 +66,9 @@ class PinemPulse:
 
     @classmethod
     def single(cls, g: complex) -> "PinemPulse":
-        return cls(((1, complex(g)),))
+        pulse = object.__new__(cls)  # one h = 1 entry: nothing to sort or check
+        object.__setattr__(pulse, "couplings", ((1, complex(g)),))
+        return pulse
 
     @classmethod
     def multi(cls, couplings: dict) -> "PinemPulse":
@@ -142,15 +144,18 @@ def apply_pinem(state: LadderState, pulse: PinemPulse,
     harmonics (up to products of tails).
 
     Adaptive policies put the result on its support plus ``policy.edge_margin``
-    zero guard cells per side. The support drops, from each end of the
+    guard cells per side. The support drops, from each end of the
     convolution, the longest run of cells whose summed |amplitude| is at most
-    CHEBYSHEV_TAIL_TOL / 2. That moves the state by at most CHEBYSHEV_TAIL_TOL
-    in l1 (hence in l2 norm and in each comb sum) and leaves at most
-    (tol / 2)^2 probability in each guard, so a later edge check never trips
-    on a trimmed edge. A state whose l1 norm is at most tol has no support
-    and keeps the whole convolution plus the guards. Fixed policies keep the
-    window and raise TruncationError if the result carries weight near its
-    edge. A pulse whose couplings are all zero returns the state unchanged.
+    CHEBYSHEV_TAIL_TOL / 2; ``_tail_run`` scans only the ends for it and
+    finds the run a sum over the whole convolution would. A guard holds the
+    dropped cells it overlaps and zeros past the convolution. The trim moves
+    the state by at most CHEBYSHEV_TAIL_TOL in l1 (hence in l2 norm and in
+    each comb sum) and leaves at most (tol / 2)^2 probability in each guard,
+    so a later edge check never trips on a trimmed edge. A state whose l1
+    norm is at most tol has no support and keeps the whole convolution plus
+    the guards. Fixed policies keep the window and raise TruncationError if
+    the result carries weight near its edge. A pulse whose couplings are all
+    zero returns the state unchanged.
     """
     harmonics = [(h, g) for h, g in pulse.couplings if g != 0]
     if not harmonics:
@@ -159,23 +164,41 @@ def apply_pinem(state: LadderState, pulse: PinemPulse,
     for h, g in harmonics:
         kernel = pinem_kernel(g)
         k_half = (kernel.size - 1) // 2
-        dilated = np.zeros(2 * h * k_half + 1, dtype=np.complex128)
-        dilated[::h] = kernel
-        amps = np.convolve(amps, dilated)
+        if h > 1:  # the kernel steps over every h-th level
+            dilated = np.zeros(2 * h * k_half + 1, dtype=np.complex128)
+            dilated[::h] = kernel
+            kernel = dilated
+        amps = np.convolve(amps, kernel)
         amps_l_min -= h * k_half
     if policy.mode == "fixed":
         result = LadderState(state.l_min, _aligned(amps, amps_l_min, state.l_min, state.dim))
         check_edge_leakage(result, policy.edge_margin, policy.leakage_tol)
         return result
-    mass = np.abs(amps)
     half_tol = CHEBYSHEV_TAIL_TOL / 2.0
-    lo = int(np.searchsorted(np.cumsum(mass), half_tol, side="right"))
-    hi = int(np.searchsorted(np.cumsum(mass[::-1]), half_tol, side="right"))
+    lo = _tail_run(amps, half_tol, from_end=False)
+    hi = _tail_run(amps, half_tol, from_end=True)
     if lo + hi >= amps.size:  # l1 norm <= tol, e.g. an all-zero state: no support
         lo = hi = 0
     l_min = amps_l_min + lo - policy.edge_margin
     dim = amps.size - lo - hi + 2 * policy.edge_margin
     return LadderState(l_min, _aligned(amps, amps_l_min, l_min, dim))
+
+
+def _tail_run(amps: np.ndarray, limit: float, from_end: bool) -> int:
+    """Length of the longest run at one end of ``amps`` whose summed |amplitude|
+    is at most ``limit``.
+
+    Scans 64 cells from that end, doubling until the running sum passes
+    ``limit`` or the scan covers the array. A running sum adds in order, so
+    the run equals the one a running sum over the whole array gives.
+    """
+    n = 64
+    while True:
+        mass = np.abs(amps[-n:])[::-1] if from_end else np.abs(amps[:n])
+        running = np.add.accumulate(mass)
+        if running[-1] > limit or n >= amps.size:
+            return int(running.searchsorted(limit, side="right"))
+        n *= 2
 
 
 def apply_pinem_bessel(state: LadderState, pulse: PinemPulse,

@@ -67,14 +67,18 @@ def project_period_p(state: LadderState, p: int,
 
     p = 2 is the qubit projection, p = 4 the two-qubit read, p = 3 a qutrit.
     Indices are absolute ladder indices, so asymmetric windows project
-    consistently. Pass edge_margin=0 to skip the interior-support check.
+    consistently. Each sum adds its cells in index order. Pass edge_margin=0
+    to skip the interior-support check.
     """
     if p < 2:
         raise ValueError("period p must be >= 2")
     check_edge_leakage(state, edge_margin, leakage_tol)
     components = np.zeros(p, dtype=np.complex128)
-    np.add.at(components, state.indices % p, state.amplitudes)
-    return components
+    for r in range(min(p, state.dim)):
+        components[(state.l_min + r) % p] = np.add.accumulate(state.amplitudes[r::p])[-1]
+    # a running sum adds in index order, as a sum from zero does; + 0j turns the
+    # -0.0 parts it can end on into the +0.0 that sum gives
+    return components + 0j
 
 
 def project_qubit(state: LadderState,
@@ -91,18 +95,24 @@ def pinem_rotation(theta: float) -> np.ndarray:
     return np.array([[c, 1j * s], [1j * s, c]], dtype=np.complex128)
 
 
+_DRIFT_GATES = np.array([np.diag([1.0 + 0.0j, phase]) for phase in _I_POW])
+"""diag(1, i^k) for k = 0..3, shared by every call, hence read-only."""
+_DRIFT_GATES.flags.writeable = False
+
+
 def qubit_gate(operation: PinemPulse | FspPhase) -> np.ndarray:
     """The 2x2 gate one pulse or one drift induces on the comb qubit.
 
     A pulse rotates about x by theta = -2 Im g summed over its odd harmonics;
     an even harmonic keeps each comb on itself and only multiplies both by
-    exp(-2i Im g_h). k quarter-length drifts give diag(1, i^k). A fractional
-    drift leaves the encoding and raises ValueError.
+    exp(-2i Im g_h). k quarter-length drifts give diag(1, i^k), a shared
+    read-only array. A fractional drift leaves the encoding and raises
+    ValueError.
     """
     if isinstance(operation, FspPhase):
         if not operation.is_quarter:
             raise ValueError("fractional drift is not legal on the qubit encoding")
-        return np.diag([1.0 + 0.0j, _I_POW[operation.quarter_units % 4]])
+        return _DRIFT_GATES[operation.quarter_units % 4]
     theta_odd = theta_even = 0.0
     for h, g in operation.couplings:
         if h % 2:

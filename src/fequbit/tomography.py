@@ -340,9 +340,10 @@ def _levenberg_marquardt(residuals, jacobian, x0: np.ndarray) -> tuple[np.ndarra
             del jac  # not held while the next one is built
             if np.max(np.abs(g)) < _FIT_TOL:
                 break
-            scale = np.diag(a)
-            scale = np.maximum(scale, np.finfo(float).eps * scale.max())
-        step = np.linalg.solve(a + np.diag(lam * scale), -g)
+            diagonal = a.diagonal().copy()
+            scale = np.maximum(diagonal, np.finfo(float).eps * diagonal.max())
+        a.flat[::len(a) + 1] = diagonal + lam * scale  # damped in place, no square temporary
+        step = np.linalg.solve(a, -g)
         r_trial = residuals(x + step)
         trial_cost = 0.5 * float(r_trial @ r_trial)
         taken = trial_cost < cost

@@ -76,6 +76,37 @@ def residue_sums_oracle(state, p: int) -> np.ndarray:
     return out
 
 
+def residue_sums_add_at(state, p: int) -> np.ndarray:
+    """Residue-class sums mod p by np.add.at over the absolute indices: each
+    class is summed in index order, starting from +0."""
+    out = np.zeros(p, dtype=np.complex128)
+    np.add.at(out, state.indices % p, state.amplitudes)
+    return out
+
+
+def adaptive_trim_oracle(amps: np.ndarray, l_min: int, edge_margin: int,
+                         tol: float) -> tuple[int, np.ndarray]:
+    """(l_min, amplitudes) of a raw convolution cut to its support plus guards.
+
+    From each end the longest run whose summed |amplitude| is at most tol / 2
+    is dropped, found with np.abs of the whole array and one np.cumsum from
+    each end; an array whose runs meet keeps every cell. ``edge_margin``
+    guard cells are kept per side: a zero-filled window, then the array's
+    cells copied in.
+    """
+    mass = np.abs(amps)
+    lo = int(np.searchsorted(np.cumsum(mass), tol / 2, side="right"))
+    hi = int(np.searchsorted(np.cumsum(mass[::-1]), tol / 2, side="right"))
+    if lo + hi >= amps.size:
+        lo = hi = 0
+    out_l_min = l_min + lo - edge_margin
+    out = np.zeros(amps.size - lo - hi + 2 * edge_margin, dtype=np.complex128)
+    src_lo = max(l_min, out_l_min)
+    src_hi = min(l_min + amps.size, out_l_min + out.size)
+    out[src_lo - out_l_min:src_hi - out_l_min] = amps[src_lo - l_min:src_hi - l_min]
+    return out_l_min, out
+
+
 def pinem_generator(pulse, dim: int) -> np.ndarray:
     """Anti-Hermitian generator of the laser interaction on a dim-level window."""
     if dim < 3:

@@ -1,0 +1,172 @@
+"""The circuit path's shortcuts give the bits of the whole-array computations.
+
+``apply_pinem`` scans only the ends of a convolution for its trim, convolves
+a fundamental without dilating its kernel and slices a window that lies
+inside the convolution; ``project_period_p`` takes running sums per residue
+class; ``compile_gate`` reads its XYX angles without the global phase. Each
+is compared here with the computation it replaced, bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from fequbit import (
+    Gate,
+    LadderState,
+    PinemPulse,
+    TruncationPolicy,
+    apply_pinem,
+    compile_gate,
+    derive_beam,
+    euler_xyx,
+    pinem_kernel,
+    project_period_p,
+)
+from fequbit.compiler import ZERO_ANGLE_TOL
+from fequbit.ladder import DEFAULT_EDGE_MARGIN
+from fequbit.operators import CHEBYSHEV_TAIL_TOL
+from oracles import adaptive_trim_oracle, haar_unitary, residue_sums_add_at
+
+ADAPTIVE = TruncationPolicy.adaptive()
+BEAM = derive_beam(200e3, 800e-9)
+
+
+def dilated_convolution(state: LadderState, pulse: PinemPulse) -> tuple[np.ndarray, int]:
+    """The pulse's convolutions, every kernel placed on a zero-filled dilated
+    copy (h = 1 included): (amplitudes, l_min) before any trim."""
+    amps, l_min = state.amplitudes, state.l_min
+    for h, g in pulse.couplings:
+        if g == 0:
+            continue
+        kernel = pinem_kernel(g)
+        dilated = np.zeros(h * (kernel.size - 1) + 1, dtype=np.complex128)
+        dilated[::h] = kernel
+        amps = np.convolve(amps, dilated)
+        l_min -= h * (kernel.size // 2)
+    return amps, l_min
+
+
+def assert_adaptive_matches_oracle(state: LadderState, pulse: PinemPulse) -> tuple[int, int]:
+    """apply_pinem against the whole-array trim; returns (convolution l_min, result l_min)."""
+    amps, l_min = dilated_convolution(state, pulse)
+    want_l_min, want = adaptive_trim_oracle(amps, l_min, DEFAULT_EDGE_MARGIN, CHEBYSHEV_TAIL_TOL)
+    got = apply_pinem(state, pulse, ADAPTIVE)
+    assert got.l_min == want_l_min
+    assert np.array_equal(got.amplitudes, want)
+    assert got.amplitudes.tobytes() == want.tobytes()
+    return l_min, got.l_min
+
+
+def random_pulse(rng: np.random.Generator) -> PinemPulse:
+    def coupling():
+        return 10.0 ** rng.uniform(-2.0, 0.7) * np.exp(2j * np.pi * rng.random())
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return PinemPulse.single(coupling())
+    if kind == 1:
+        return PinemPulse.multi({1: coupling(), 2: coupling()})
+    return PinemPulse.multi({int(rng.integers(1, 4)): coupling()})
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_adaptive_pulse_is_the_whole_array_trim(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        n = int(rng.integers(1, 700))
+        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+        amps /= np.linalg.norm(amps)
+        low, high = rng.integers(0, n // 3 + 1, size=2)  # faint cells the trim may drop
+        amps[:low] *= 10.0 ** rng.uniform(-20.0, -14.0, size=low)
+        amps[n - high:] *= 10.0 ** rng.uniform(-20.0, -14.0, size=high)
+        assert_adaptive_matches_oracle(LadderState(int(rng.integers(-400, 400)), amps),
+                                       random_pulse(rng))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fixed_pulse_is_the_crop_of_the_convolution(seed):
+    rng = np.random.default_rng(100 + seed)
+    pad, n = 150, int(rng.integers(1, 300))  # zeros beyond every kernel's reach
+    amps = np.zeros(n + 2 * pad + (n + 1) % 2, dtype=np.complex128)
+    amps[pad:pad + n] = rng.normal(size=n) + 1j * rng.normal(size=n)
+    half = amps.size // 2
+    state = LadderState(-half, amps / np.linalg.norm(amps))
+    pulse = random_pulse(rng)
+    conv, l_min = dilated_convolution(state, pulse)
+    got = apply_pinem(state, pulse, TruncationPolicy.fixed(half))
+    want = conv[state.l_min - l_min:state.l_min - l_min + state.dim]
+    assert got.l_min == state.l_min
+    assert got.amplitudes.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("faint_at", ["low", "high", "both"])
+def test_trim_run_longer_than_the_first_scan(faint_at):
+    rng = np.random.default_rng(7)
+    body = rng.normal(size=40) + 1j * rng.normal(size=40)
+    faint = np.full(300, 1e-17 + 0j)
+    parts = {"low": (faint, body), "high": (body, faint), "both": (faint, body, faint)}
+    state = LadderState(-150, np.concatenate(parts[faint_at]))
+    conv_l_min, l_min = assert_adaptive_matches_oracle(state, PinemPulse.single(0.7 - 0.4j))
+    if faint_at != "high":
+        assert l_min - conv_l_min > 256  # the scan had to double past 64 and 128 cells
+
+
+@pytest.mark.parametrize("l1", [0.0, 3e-14, 9e-14])
+def test_state_without_support_keeps_the_convolution(l1):
+    state = LadderState(-10, np.full(20, l1 / 20 + 0j))
+    conv_l_min, l_min = assert_adaptive_matches_oracle(state, PinemPulse.single(0.3j))
+    assert l_min == conv_l_min - DEFAULT_EDGE_MARGIN
+
+
+@pytest.mark.parametrize("couplings", [{2: 1.1 - 0.2j}, {3: 0.4j}, {2: 0.9, 3: -0.5 + 0.5j},
+                                       {1: 0.6, 2: 0.3j, 3: 0.2}])
+def test_higher_harmonics_match_the_dilated_kernel(couplings):
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=61) + 1j * rng.normal(size=61)
+    assert_adaptive_matches_oracle(LadderState(-31, amps / np.linalg.norm(amps)),
+                                   PinemPulse.multi(couplings))
+
+
+@pytest.mark.parametrize("g", [1.3, 0.05j, 4.0 * np.exp(0.3j)])
+def test_guards_past_the_convolution_are_zero_filled(g):
+    conv_l_min, l_min = assert_adaptive_matches_oracle(LadderState(5, np.array([1.0 + 0j])),
+                                                       PinemPulse.single(g))
+    assert l_min < conv_l_min  # the window starts outside the convolution
+
+
+def project_cases():
+    rng = np.random.default_rng(23)
+    for p in range(2, 6):
+        for dim in (*range(1, p), p, 9, 200, 401):
+            for l_min in (-7, -4, 0, 3, 12):
+                amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                amps *= 10.0 ** rng.uniform(-3.0, 0.0, size=dim)
+                yield p, LadderState(l_min, amps)
+        signed_zeros = np.full(3 * p + 1, complex(-0.0, -0.0))
+        signed_zeros[::p] = 0.5 - 0.25j  # one class holds values, the others only -0.0
+        yield p, LadderState(-3, signed_zeros)
+
+
+def test_project_period_p_is_the_add_at_sum():
+    for p, state in project_cases():
+        got = project_period_p(state, p, edge_margin=0)
+        want = residue_sums_add_at(state, p)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes(), (p, state.l_min, state.dim)
+
+
+def test_compiled_couplings_are_the_euler_angles():
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        u = haar_unitary(rng)
+        schedule = compile_gate(Gate("U", entries=tuple(u.ravel())), BEAM)
+        a, b, c, _ = euler_xyx(u)
+        want = []
+        for theta, quarters in ((c, 3), (b, 1), (a, None)):
+            if abs(theta) >= ZERO_ANGLE_TOL:
+                want.append(("pulse", -0.5j * theta))
+            if quarters:
+                want.append(("drift", quarters))
+        got = [("pulse", el.g) if isinstance(el, PinemPulse) else ("drift", el.quarter_units)
+               for el in schedule.elements]
+        assert got == want
+        assert np.array([v for _, v in got]).tobytes() == np.array([v for _, v in want]).tobytes()
