@@ -1,7 +1,12 @@
 """Command-line interface: simulate, compile, spectrum, eigenphases, tomography, bench.
 
-Configuration precedence is CLI flags over config-file values over built-in
-defaults; validation problems are collected and reported in one message.
+Each setting is one ``RunConfig`` field, which holds its default, flag help,
+range check, and whether only ``tomography`` takes it; the flags, the
+config-file keys and the checks are built from those fields, and each
+command's other inputs come from the ``_COMMANDS`` table. Configuration
+precedence is CLI flags over config-file values over the defaults; validation
+problems are collected and reported in one message.
+
 Each failure class has its own exit code so scripts can branch on outcomes;
 the table of codes is the epilog of ``fequbit --help``, and ``main`` is the
 one place that maps an error to its code. Every file a command reads goes
@@ -20,7 +25,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .compiler import compile_circuit, parse_circuit, simulate_schedule
 from .errors import CircuitParseError, ConfigurationError, TruncationError, WindowError
@@ -105,19 +110,53 @@ MAX_WINDOW = 2**23
 2**24 + 1 levels, about 256 MiB per complex amplitude array."""
 
 
+def _setting(default, text: str, check=None, problem: str = "", *, tomography=False,
+             types=None):
+    """A ``RunConfig`` field that carries its flag, its range ``check`` with the
+    ``problem`` listed when the check fails, and whether only ``tomography``
+    takes it. The flag's help ``text`` ends with the default, unless the flag
+    is a switch or the text places ``{default}`` itself. A value whose type
+    is not in ``types`` fails; they default to the default's own, and an int
+    also fits a float (bool is an int subclass but not an int here)."""
+    kind = type(default)
+    if "{default" in text:
+        text = text.format(default=default)
+    elif kind is not bool:
+        text += f" (default {default!r})" if kind is str else f" (default {default:g})"
+    flag = {"help": text, **({"action": "store_true"} if kind is bool else {"type": kind})}
+    return field(default=default, metadata={
+        "flag": flag, "check": check, "problem": problem, "tomography": tomography,
+        "types": types or {float: (int, float)}.get(kind, (kind,))})
+
+
 @dataclass
 class RunConfig:
-    beam_kev: float = 200.0
-    wavelength_nm: float = 800.0
-    delta_e_ev: float = 0.0
-    window: str = "adaptive"
-    seed: int = 0
-    out: str = "."
-    csv: bool = False
-    probe: float = DEFAULT_PROBE_MAGNITUDE
-    phases: int = DEFAULT_N_PHASES
-    counts: float = 0.0
-    restarts: int = DEFAULT_RESTARTS
+    """Every setting of a command, read from its flag over a config file over
+    the default; the flags, config keys and checks are built from these fields."""
+
+    beam_kev: float = _setting(200.0, "electron kinetic energy in keV", lambda v: v > 0,
+                               "beam energy must be > 0 keV")
+    wavelength_nm: float = _setting(800.0, "laser wavelength in nm", lambda v: v > 0,
+                                    "wavelength must be > 0 nm")
+    delta_e_ev: float = _setting(0.0, "beam energy spread in eV, metadata only",
+                                 lambda v: v >= 0, "energy spread must be >= 0 eV")
+    window: str = _setting("adaptive", "{default!r} (default) or a fixed half-width integer",
+                           types=(str, int))
+    seed: int = _setting(0, "RNG seed", lambda v: v >= 0, "seed must be >= 0")
+    out: str = _setting(".", "output directory", lambda v: v and "\0" not in v,
+                        "out must be a non-empty path with no NUL character")
+    csv: bool = _setting(False, "CSV instead of JSON for tabular outputs")
+    probe: float = _setting(DEFAULT_PROBE_MAGNITUDE, "probe magnitude",
+                            lambda v: 0 < v <= MAX_PROBE, tomography=True,
+                            problem=f"probe magnitude must be in (0, {MAX_PROBE:g}]")
+    phases: int = _setting(DEFAULT_N_PHASES, "scan phases", lambda v: 8 <= v <= MAX_PHASES,
+                           f"scan phases must be in [8, {MAX_PHASES}]", tomography=True)
+    counts: float = _setting(0.0, "Poisson counts per column, 0 = noiseless",
+                             lambda v: 0 <= v <= MAX_COUNTS, tomography=True,
+                             problem=f"counts per column must be in [0, {MAX_COUNTS:.2g}]")
+    restarts: int = _setting(DEFAULT_RESTARTS, "most fit starts, tried until one fits",
+                             lambda v: 1 <= v <= MAX_RESTARTS, tomography=True,
+                             problem=f"reconstruction restarts must be in [1, {MAX_RESTARTS}]")
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -127,37 +166,28 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     message lists every problem before any command allocates.
     """
     values = {f.name: f.default for f in fields(RunConfig)}
-    problems = []
-    if getattr(args, "config", None):
-        file_values = read_json(args.config)
-        if not isinstance(file_values, dict):
-            raise ConfigurationError(f"config file {args.config}: expected a JSON object")
-        for key, val in file_values.items():
-            if key in values:
-                values[key] = val
-            else:
-                problems.append(f"unknown config key {key!r}")
-    for key in values:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    file_values = read_json(args.config) if getattr(args, "config", None) else {}
+    if not isinstance(file_values, dict):
+        raise ConfigurationError(f"config file {args.config}: expected a JSON object")
+    problems = [f"unknown config key {key!r}" for key in file_values if key not in values]
+    values.update({k: v for k, v in file_values.items() if k in values})
+    values.update({k: v for k, v in vars(args).items() if k in values and v is not None})
     # a value of the wrong type or a number no float can hold is listed and
-    # replaced by its default, so the checks below still run; bool is an int
-    # subclass but only fits `csv`
+    # replaced by its default, so the checks below still run
+    out_of_range = set()
     for f in fields(RunConfig):
-        kind = type(f.default)
-        accepted = (str, int) if f.name == "window" else {float: (int, float)}.get(kind, kind)
-        value = values[f.name]
-        if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        kind, value, check = type(f.default), values[f.name], f.metadata["check"]
+        if type(value) not in f.metadata["types"]:
             problems.append(f"{f.name} must be {kind.__name__}, got {value!r}")
             values[f.name] = f.default
         elif kind is float and not abs(value) <= sys.float_info.max:
             problems.append(f"{f.name} must be finite, got {value!r}")
             values[f.name] = f.default
+        elif check and not check(value):
+            problems.append(f.metadata["problem"])
+            out_of_range.add(f.name)
 
     config = RunConfig(**values)
-    if "\0" in config.out:
-        problems.append("out must not hold a NUL character")
     config.window = str(config.window)
     if config.window != "adaptive":
         try:
@@ -165,28 +195,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 problems.append(f"window half-width must be an integer in [1, {MAX_WINDOW}]")
         except ValueError:
             problems.append(f"window must be 'adaptive' or an integer, got {config.window!r}")
-    if config.beam_kev <= 0:
-        problems.append("beam energy must be > 0 keV")
-    if config.wavelength_nm <= 0:
-        problems.append("wavelength must be > 0 nm")
-    if config.delta_e_ev < 0:
-        problems.append("energy spread must be >= 0 eV")
-    if config.beam_kev > 0 and config.wavelength_nm > 0 and config.delta_e_ev >= 0:
+    # the beam cross-check quotes the values it is given, so it runs only on
+    # beam settings that passed their own checks
+    if not out_of_range & {"beam_kev", "wavelength_nm", "delta_e_ev"}:
         try:
-            derive_beam(config.beam_kev * 1e3, config.wavelength_nm * 1e-9,
-                        config.delta_e_ev)
+            _beam(config)
         except ConfigurationError as exc:
             problems.append(str(exc))
-    if config.seed < 0:
-        problems.append("seed must be >= 0")
-    if not 0 < config.probe <= MAX_PROBE:
-        problems.append(f"probe magnitude must be in (0, {MAX_PROBE:g}]")
-    if not 8 <= config.phases <= MAX_PHASES:
-        problems.append(f"scan phases must be in [8, {MAX_PHASES}]")
-    if not 0 <= config.counts <= MAX_COUNTS:
-        problems.append(f"counts per column must be in [0, {MAX_COUNTS:.2g}]")
-    if not 1 <= config.restarts <= MAX_RESTARTS:
-        problems.append(f"reconstruction restarts must be in [1, {MAX_RESTARTS}]")
     if getattr(args, "g", None) is not None and not 0 <= 2.0 * args.g < math.inf:
         problems.append("coupling magnitude must be >= 0 with 2|g| finite")
     if getattr(args, "dim", None) is not None:
@@ -194,8 +209,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if not 3 <= args.dim <= cap or args.dim % 2 == 0:
             problems.append(f"{args.command} needs an odd dim in [3, {cap}]")
     if problems:
-        raise ConfigurationError(
-            "invalid configuration:\n  - " + "\n  - ".join(problems))
+        raise ConfigurationError("invalid configuration:\n  - " + "\n  - ".join(problems))
     return config
 
 
@@ -371,7 +385,6 @@ def cmd_bench(args, config: RunConfig) -> int:
         "dim": result.dim,
         "occupied_levels": occupied_levels(result),
         "bessel_seconds": seconds,
-        "matexp_seconds": seconds,  # one pulse path; kept as test_bench_report reads it
         "norm_error": abs(result.norm() - 1.0),
     }
     out = _outdir(config)
@@ -383,28 +396,23 @@ def cmd_bench(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--beam-kev", dest="beam_kev", type=float, default=None,
-                        help="electron kinetic energy in keV (default 200)")
-    parser.add_argument("--wavelength-nm", dest="wavelength_nm", type=float, default=None,
-                        help="laser wavelength in nm (default 800)")
-    parser.add_argument("--delta-e-ev", dest="delta_e_ev", type=float, default=None,
-                        help="beam energy spread in eV, metadata only (default 0)")
-    parser.add_argument("--window", default=None,
-                        help="'adaptive' (default) or a fixed half-width integer")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    parser.add_argument("--out", default=None, help="output directory (default '.')")
-    parser.add_argument("--csv", action="store_true", default=None,
-                        help="CSV instead of JSON for tabular outputs")
-    parser.add_argument("--config", default=None, help="JSON config file")
-
-
 _NEGATIVE_NUMBER = re.compile(
     r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 """What each parser reads as a negative number, not an option name. argparse's
 own pattern misses exponent, inf and nan forms: it would take the value of
 ``--beam-kev -1e-3`` for an option and stop with a usage error before the
 configuration checks list the problem."""
+
+_COMMANDS = {
+    # name: (function, help, what it reads: a positional circuit, --circuit or
+    # --state, or the pulse flags --g and --dim)
+    "simulate": (cmd_simulate, "run a circuit end to end from |0>", "circuit"),
+    "compile": (cmd_compile, "compile a circuit to pulse/drift schedules", "circuit"),
+    "spectrum": (cmd_spectrum, "energy spectrum of a state or circuit output", "--circuit"),
+    "eigenphases": (cmd_eigenphases, "eigenphases of one laser interaction", "--g"),
+    "tomography": (cmd_tomography, "spectrogram plus state reconstruction", "--circuit"),
+    "bench": (cmd_bench, "time one laser interaction from |0>", "--g"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -414,61 +422,35 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="exit codes:\n" + "".join(
             f"  {code}  {meaning}\n" for code, meaning in _EXIT_MEANINGS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run a circuit end to end from |0>")
-    p.add_argument("circuit", help="gate DSL file")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("compile", help="compile a circuit to pulse/drift schedules")
-    p.add_argument("circuit", help="gate DSL file")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_compile)
-
-    p = sub.add_parser("spectrum", help="energy spectrum of a state or circuit output")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--circuit", help="gate DSL file, simulated from |0>")
-    group.add_argument("--state", help="ladder-state JSON file")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("eigenphases", help="eigenphases of one laser interaction")
-    p.add_argument("--g", type=float, required=True, help="coupling magnitude |g|")
-    p.add_argument("--dim", type=int, required=True, help="odd window dimension")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_eigenphases)
-
-    p = sub.add_parser("tomography", help="spectrogram plus state reconstruction")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--circuit", help="gate DSL file, simulated from |0>")
-    group.add_argument("--state", help="ladder-state JSON file")
-    p.add_argument("--probe", type=float, default=None, help="probe magnitude (default 1)")
-    p.add_argument("--phases", type=int, default=None, help="scan phases (default 32)")
-    p.add_argument("--counts", type=float, default=None,
-                   help="Poisson counts per column, 0 = noiseless (default 0)")
-    p.add_argument("--restarts", type=int, default=None,
-                   help="most fit starts, tried until one fits (default 16)")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_tomography)
-
-    p = sub.add_parser("bench", help="time one laser interaction from |0>")
-    p.add_argument("--g", type=float, required=True, help="coupling magnitude |g|")
-    p.add_argument("--dim", type=int, required=True, help="odd window dimension")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_bench)
-
-    for p in (parser, *sub.choices.values()):
+    # tomography's own settings come first, each group in field order
+    settings = sorted(fields(RunConfig), key=lambda f: not f.metadata["tomography"])
+    for name, (func, text, reads) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p._negative_number_matcher = _NEGATIVE_NUMBER
+        if reads == "circuit":
+            p.add_argument("circuit", help="gate DSL file")
+        elif reads == "--circuit":
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--circuit", help="gate DSL file, simulated from |0>")
+            group.add_argument("--state", help="ladder-state JSON file")
+        else:
+            p.add_argument("--g", type=float, required=True, help="coupling magnitude |g|")
+            p.add_argument("--dim", type=int, required=True, help="odd window dimension")
+        for f in settings:
+            if name == "tomography" or not f.metadata["tomography"]:
+                p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None,
+                               **f.metadata["flag"])
+        p.add_argument("--config", default=None, help="JSON config file")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = build_config(args)
-        return args.func(args, config)
+        return args.func(args, build_config(args))
     except CircuitParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,7 +1,9 @@
 import json
 import math
+import re
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,7 +314,6 @@ def test_bench_report(tmp_path):
     assert report["dim"] == 201
     assert report["occupied_levels"] >= 1
     assert report["bessel_seconds"] > 0
-    assert report["matexp_seconds"] > 0
     assert report["norm_error"] < 1e-10
 
 
@@ -526,6 +527,23 @@ def test_config_out_holding_a_nul_is_config_error(tmp_path, circuit_file, capsys
     assert "NUL" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_out_is_config_error_before_any_run(tmp_path, monkeypatch, capsys, source):
+    # an empty path used to fail only at the first write, after the whole run
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "h.txt").write_text("H\n")
+    (work / "cfg.json").write_text(json.dumps({"out": "", "seed": -1}))
+    monkeypatch.chdir(work)
+    monkeypatch.setattr("fequbit.cli.simulate_schedule", _allocates)
+    argv = (["--out", "", "--seed", "-1"] if source == "flag"
+            else ["--config", "cfg.json"])
+    assert main(["simulate", "h.txt", *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "NUL" in err and "seed must be >= 0" in err
+    assert sorted(p.name for p in work.iterdir()) == ["cfg.json", "h.txt"]
+
+
 def test_number_no_int_holds_is_config_error(tmp_path, circuit_file):
     # json reads at most 4300 digits into an int; without that limit the
     # value itself is out of range
@@ -595,6 +613,70 @@ def test_help_lists_every_exit_code(capsys):
     table = capsys.readouterr().out.split("exit codes:\n")[1]
     listed = {int(line.split()[0]) for line in table.splitlines() if line.strip()}
     assert listed == {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+
+
+HELP_COMMANDS = ["", "simulate", "compile", "spectrum", "eigenphases", "tomography", "bench"]
+
+
+def _expected_help() -> dict:
+    """``cli_help.txt``: each ``$ fequbit ... --help`` line, then that command's
+    help at 80 columns."""
+    parts = re.split(r"^\$ (.*)\n", (Path(__file__).parent / "cli_help.txt").read_text(),
+                     flags=re.MULTILINE)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+@pytest.mark.parametrize("command", HELP_COMMANDS)
+def test_help_text_is_unchanged(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main([*command.split(), "--help"])
+    assert stop.value.code == EXIT_OK
+    line = " ".join(["fequbit", *command.split(), "--help"])
+    assert capsys.readouterr().out == _expected_help()[line]
+
+
+# per setting: a valid value for the config file, other than the default, and
+# a flag whose value overrides it
+SETTING_SOURCES = [
+    ("beam_kev", 80.0, ["--beam-kev", "100"], 100.0),
+    ("wavelength_nm", 500.0, ["--wavelength-nm", "600"], 600.0),
+    ("delta_e_ev", 0.5, ["--delta-e-ev", "0.25"], 0.25),
+    ("window", 40, ["--window", "50"], "50"),
+    ("seed", 5, ["--seed", "7"], 7),
+    ("out", "from-file", ["--out", "from-flag"], "from-flag"),
+    ("csv", True, ["--csv"], True),
+    ("probe", 2.5, ["--probe", "3"], 3.0),
+    ("phases", 16, ["--phases", "24"], 24),
+    ("counts", 1e5, ["--counts", "1e4"], 1e4),
+    ("restarts", 4, ["--restarts", "8"], 8),
+]
+
+
+def test_setting_sources_cover_every_setting():
+    assert [case[0] for case in SETTING_SOURCES] == [f.name for f in fields(RunConfig)]
+
+
+def _config_for(argv) -> RunConfig:
+    return cli.build_config(cli._build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("name, in_file, flag, from_flag", SETTING_SOURCES,
+                         ids=[case[0] for case in SETTING_SOURCES])
+def test_each_setting_is_read_from_the_config_file_and_a_flag_overrides_it(
+        tmp_path, name, in_file, flag, from_flag):
+    default = {f.name: f.default for f in fields(RunConfig)}[name]
+    assert in_file != default and from_flag != default
+    cfg = tmp_path / "cfg.json"
+    argv = ["tomography", "--circuit", "h.txt", "--config", str(cfg)]
+    cfg.write_text(json.dumps({name: in_file}))
+    # read as the default's type: a window's int is kept as its string
+    assert getattr(_config_for(argv), name) == type(default)(in_file)
+    # a flag wins over the file, whether the file holds the default or not
+    for file_value in (in_file, default):
+        cfg.write_text(json.dumps({name: file_value}))
+        assert getattr(_config_for([*argv, *flag]), name) == from_flag
+    assert getattr(_config_for(argv[:3]), name) == default
 
 
 def _reject_constant(name):

@@ -303,7 +303,8 @@ def test_population_consistency_within_residual():
     result = reconstruct_state(sg, seed=0)
     predicted = spectrogram(result.state, sg.probe_magnitude, sg.n_phases)
     lo = predicted.l_min - sg.l_min
-    # fit window equals data window here, so the model rows align after padding
+    # the fit window is the levels the data fully images, so the model's rows
+    # are the data rows here; the padding aligns any other offset
     pred = np.zeros_like(sg.data)
     src = predicted.data[max(0, -lo):, :]
     pred[max(0, lo):max(0, lo) + src.shape[0], :] = src[:sg.n_levels - max(0, lo)]
@@ -506,12 +507,13 @@ def test_readout_after_hadamard():
     assert abs(abs(qubit.alpha) - abs(qubit.beta)) < 1e-3
 
 
-def test_adaptive_policy_fits_the_whole_data_window():
-    # an adaptive policy sizes no fit window: it fits every data row, as None does
+def test_adaptive_policy_fits_the_same_window_as_none():
+    # an adaptive policy sizes no fit window of its own: it fits the levels the
+    # data fully images, as None does
     sg = spectrogram(gate_prepared("H"))
     assert _fit_window(sg, TruncationPolicy.adaptive()) == _fit_window(sg, None)
     qubit, _ = readout_qubit(sg, window=TruncationPolicy.adaptive())
-    # 1 + 7e-8 on the whole window; a [-8, 8] fit of this [-12, 12] state gave 1 - 7e-6
+    # 1 + 2.6e-10 on the state's own [-12, 12] window; a [-8, 8] fit gave 1 - 7e-6
     assert qubit.weight == pytest.approx(1.0, abs=1e-6)
 
 
