@@ -18,10 +18,17 @@ DSL, one gate per line, '#' comments:
 
 RX(t)/RY(t) are the full-angle rotations above; RZ(t) = diag(1, e^{it}) is a
 phase gate, so RZ(0.5pi) = S = one quarter drift and RZ(pi) = Z.
+
+The compile reads a gate's matrix once, as four row-major Python complex
+scalars, and works on those in closed form: the angles from the first row of
+H u H at unit determinant, the global phase from the entries of Rx(a) Ry(b)
+Rx(c). A gate whose
+angle is not finite or whose matrix is not unitary raises ValueError.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass, field
@@ -30,7 +37,7 @@ import numpy as np
 
 from .errors import CircuitParseError
 from .ladder import DEFAULT_POLICY, BeamParameters, LadderState, TruncationPolicy, basis_state
-from .operators import FspPhase, PinemPulse, apply_fsp, apply_pinem
+from .operators import _I_POW, FspPhase, PinemPulse, apply_fsp, apply_pinem
 from .qubit import pinem_rotation, project_qubit, qubit_gate
 
 ZERO_ANGLE_TOL = 1e-12
@@ -57,8 +64,21 @@ def _rz_phase(theta: float) -> np.ndarray:
     return np.diag([1.0 + 0.0j, np.exp(1j * theta)])
 
 
-def _unitarity_defect(u: np.ndarray) -> float:
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(2))))
+def _unitarity_defect(u: list) -> float:
+    """max |(u^dag u - 1)_ij| of a 2x2 matrix's row-major entries; nan if any
+    entry is nan, as max() over a nan depends on the order of its arguments."""
+    a, b, c, d = u
+    ac, cc = a.conjugate(), c.conjugate()
+    defects = [math.hypot(z.real, z.imag) for z in
+               (ac * a + cc * c - 1, b.conjugate() * b + d.conjugate() * d - 1, ac * b + cc * d)]
+    return math.nan if math.isnan(sum(defects)) else max(defects)
+
+
+def _require_unitary(u: list, what: object) -> None:
+    """ValueError naming ``what``, formatted only then, unless u is unitary."""
+    defect = _unitarity_defect(u)
+    if not defect <= UNITARY_TOL:
+        raise ValueError(f"{what} is not unitary (defect {defect:.2e})")
 
 
 @dataclass(frozen=True)
@@ -131,7 +151,7 @@ def _parse_matrix(text: str, line_no: int) -> Gate:
     except ValueError:
         raise CircuitParseError("malformed matrix entry", line_no) from None
     gate = Gate("U", entries=entries)
-    defect = _unitarity_defect(gate.target_matrix())
+    defect = _unitarity_defect(gate.target_matrix().ravel().tolist())
     if not defect <= UNITARY_TOL:
         raise CircuitParseError(f"non-unitary matrix (defect {defect:.2e})", line_no)
     return gate
@@ -174,33 +194,50 @@ def _wrap_angle(theta: float) -> float:
 
 
 def euler_xyx(u: np.ndarray) -> tuple[float, float, float, complex]:
-    """Angles (a, b, c) and unit phase with u = phase * Rx(a) * Ry(b) * Rx(c)."""
-    u = np.asarray(u, dtype=np.complex128).reshape(2, 2)
-    a, b, c = _xyx_angles(u)
-    return a, b, c, _phase_to(pinem_rotation(a) @ _ry(b) @ pinem_rotation(c), u)
+    """Angles (a, b, c) and unit phase with u = phase * Rx(a) * Ry(b) * Rx(c).
 
-
-def _xyx_angles(u: np.ndarray) -> tuple[float, float, float]:
-    """The angles of ``euler_xyx`` for a complex 2x2 array; a matrix that is
-    not unitary raises ValueError.
-
-    Solved by Hadamard conjugation: H Rx(t) H = e^{itZ} and H Ry(t) H =
-    Ry(-t), which turns the problem into a ZYZ read-off on H u H.
+    The angles are the ones ``compile_gate`` emits for u, in the same scalar
+    arithmetic; the phase is ``_phase_to`` of the closed-form Rx(a) Ry(b)
+    Rx(c). A matrix that is not unitary raises ValueError.
     """
-    defect = _unitarity_defect(u)
-    if not defect <= UNITARY_TOL:
-        raise ValueError(f"input is not unitary (defect {defect:.2e})")
-    v = _HADAMARD @ u @ _HADAMARD
-    det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
-    v = v / np.sqrt(det)
-    x, y = v[0, 0], v[0, 1]
+    u = np.asarray(u, dtype=np.complex128).reshape(4).tolist()
+    _require_unitary(u, "input")
+    a, b, c = _xyx_angles(*_hvh_row(u))
+    return a, b, c, _phase_to(_xyx_entries(a, b, c), u)
+
+
+def _hvh_row(u: list) -> tuple[complex, complex]:
+    """First row (x, y) of H V H, for V = u / sqrt(det u) = [[m, n], [-n*, m*]]
+    and u a unitary's row-major entries.
+
+    Entry by entry that row is ((m + n - n* + m*) / 2, (m - n - n* - m*) / 2)
+    = (Re m + i Im n, i Im m - Re n). It is read from V's first row alone,
+    as four-entry sums would cancel to rounding where y is small. H Rx(t) H =
+    e^{itZ} and H Ry(t) H = Ry(-t), so for u = phase Rx(a) Ry(b) Rx(c) it is
+    (cos b e^{i(a+c)}, -sin b e^{i(a-c)}), up to the sign of the root.
+    """
+    u00, u01, u10, u11 = u
+    root_det = cmath.sqrt(u00 * u11 - u01 * u10)
+    m, n = u00 / root_det, u01 / root_det
+    return complex(m.real, n.imag), complex(-n.real, m.imag)
+
+
+def _xyx_angles(x: complex, y: complex) -> tuple[float, float, float]:
+    """The angles of ``euler_xyx``, a ZYZ read-off on ``_hvh_row``'s (x, y)."""
     b_bar = math.atan2(abs(y), abs(x))
-    arg_x = float(np.angle(x)) if abs(x) > 1e-14 else 0.0
-    arg_y = float(np.angle(y)) if abs(y) > 1e-14 else 0.0
-    a = _wrap_angle(0.5 * (arg_x + arg_y))
-    b = _wrap_angle(-b_bar)
-    c = _wrap_angle(0.5 * (arg_x - arg_y))
-    return a, b, c
+    arg_x = cmath.phase(x) if abs(x) > 1e-14 else 0.0
+    arg_y = cmath.phase(y) if abs(y) > 1e-14 else 0.0
+    return (_wrap_angle(0.5 * (arg_x + arg_y)), _wrap_angle(-b_bar),
+            _wrap_angle(0.5 * (arg_x - arg_y)))
+
+
+def _xyx_entries(a: float, b: float, c: float) -> tuple:
+    """Row-major entries of Rx(a) Ry(b) Rx(c) = [[m, n], [-n*, m*]], where
+    m = cos b cos(a+c) - i sin b sin(a-c) and n = sin b cos(a-c) + i cos b sin(a+c)."""
+    cb, sb = math.cos(b), math.sin(b)
+    m = complex(cb * math.cos(a + c), -sb * math.sin(a - c))
+    n = complex(sb * math.cos(a - c), cb * math.sin(a + c))
+    return m, n, -n.conjugate(), m.conjugate()
 
 
 @dataclass(frozen=True)
@@ -250,15 +287,22 @@ class Schedule:
                 "global_phase": [self.global_phase.real, self.global_phase.imag]}
 
 
-def _phase_to(realized: np.ndarray, target: np.ndarray) -> complex:
-    tr = np.trace(realized.conj().T @ target)
-    return complex(tr / abs(tr)) if abs(tr) > 1e-12 else 1.0 + 0.0j
+def _phase_to(realized: tuple, target: list) -> complex:
+    """Unit phase p that brings p * realized closest to target, from the
+    row-major entries of both: tr(realized^dag target) / |tr|."""
+    tr = sum(r.conjugate() * t for r, t in zip(realized, target))
+    return tr / abs(tr) if abs(tr) > 1e-12 else 1.0 + 0.0j
+
+
+def _kept(theta: float) -> float:
+    """The angle a pulse realizes: a null angle gets no pulse, so it is 0."""
+    return 0.0 if abs(theta) < ZERO_ANGLE_TOL else theta
 
 
 def _pulses(theta: float) -> tuple:
-    """The pulse rotating by Rx(theta), none for a null angle; a pulse of
-    coupling g rotates by theta = -2 Im g, so g = -i theta / 2."""
-    return () if abs(theta) < ZERO_ANGLE_TOL else (PinemPulse.single(-0.5j * theta),)
+    """The pulse rotating by Rx(theta) for a kept angle, none for 0; a pulse
+    of coupling g rotates by theta = -2 Im g, so g = -i theta / 2."""
+    return (PinemPulse.single(-0.5j * theta),) if theta else ()
 
 
 def compile_gate(gate: Gate, beam: BeamParameters) -> Schedule:
@@ -268,24 +312,37 @@ def compile_gate(gate: Gate, beam: BeamParameters) -> Schedule:
     and everything else the XYX sequence, first applied first: pulse Rx(c),
     ``FspPhase.quarter(3)``, pulse Rx(b), ``FspPhase.quarter(1)``, pulse
     Rx(a), since Ry(b) = F Rx(b) F^3. A null pulse or drift is left out. b
-    is never null there: |b| < 1e-12 puts both entries ``_as_x_rotation``
-    tests below its 1e-12, so such a gate is an x-rotation, and no two
+    is never null there: |b| < 1e-12 puts both parts of the y that
+    ``_as_x_rotation`` tests below its 1e-12, so such a gate is an
+    x-rotation, and no two
     pulses or two drifts ever meet. Pulses are single-harmonic ``PinemPulse``
     objects; the beam sets only the schedule's ``quarter_length_m``.
-    ``global_phase`` makes ``qubit_matrix()`` equal the target.
+
+    The target is read once as four complex scalars and checked before any
+    branch: a non-finite angle or a matrix that is not unitary raises
+    ValueError. ``global_phase`` makes ``qubit_matrix()`` equal the target;
+    it is ``_phase_to`` of the closed-form entries of what the schedule
+    realizes, a null pulse taken as angle 0.
     """
-    u = gate.target_matrix()
+    if gate.angle is not None and not math.isfinite(gate.angle):
+        raise ValueError(f"{gate} has a non-finite angle")
+    u = gate.target_matrix().ravel().tolist()
+    _require_unitary(u, gate)
     z_quarters = _as_quarter_phase_gate(gate)
+    x, y = _hvh_row(u)
     if z_quarters is not None:  # pure phase gates on a quarter grid map to drifts
         elements = (FspPhase.quarter(z_quarters),) if z_quarters else ()
-    elif (theta_x := _as_x_rotation(u)) is not None:  # pure x-rotations: one pulse
+        realized = (1.0, 0.0, 0.0, _I_POW[z_quarters])
+    elif (theta_x := _as_x_rotation(x, y)) is not None:  # pure x-rotations: one pulse
+        theta_x = _kept(theta_x)
         elements = _pulses(theta_x)
+        realized = _xyx_entries(theta_x, 0.0, 0.0)
     else:
-        a, b, c = _xyx_angles(u)
+        a, b, c = (_kept(t) for t in _xyx_angles(x, y))
         elements = (*_pulses(c), FspPhase.quarter(3), *_pulses(b), FspPhase.quarter(1),
                     *_pulses(a))
-    return Schedule(elements, _phase_to(Schedule(elements).qubit_matrix(), u),
-                    beam.quarter_length_m)
+        realized = _xyx_entries(a, b, c)
+    return Schedule(elements, _phase_to(realized, u), beam.quarter_length_m)
 
 
 def _as_quarter_phase_gate(gate: Gate) -> int | None:
@@ -301,18 +358,17 @@ def _as_quarter_phase_gate(gate: Gate) -> int | None:
     return None
 
 
-def _as_x_rotation(u: np.ndarray) -> float | None:
-    """Rotation angle if u is Rx(theta) up to global phase, else None.
+def _as_x_rotation(x: complex, y: complex) -> float | None:
+    """Rotation angle if the unitary with ``_hvh_row`` (x, y) is Rx(theta) up
+    to global phase, i.e. y is null and x = e^{i theta}, else None.
 
     The representative is folded into (-pi/2, pi/2] (Rx is pi-periodic up to
     sign), which keeps the pulse coupling as weak as possible and makes the
     NOT gate come out as theta = +pi/2.
     """
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    v = u / np.sqrt(det)
-    if abs(v[0, 0].imag) > 1e-12 or abs(v[0, 1].real) > 1e-12:
+    if abs(y.real) > 1e-12 or abs(y.imag) > 1e-12:
         return None
-    theta = math.atan2(v[0, 1].imag, v[0, 0].real)
+    theta = math.atan2(x.imag, x.real)
     if theta <= -0.5 * math.pi:
         theta += math.pi
     elif theta > 0.5 * math.pi:
@@ -356,7 +412,5 @@ def gate_fidelity(achieved: np.ndarray, target: np.ndarray) -> float:
     achieved = np.asarray(achieved, dtype=np.complex128).reshape(2, 2)
     target = np.asarray(target, dtype=np.complex128).reshape(2, 2)
     for name, u in (("achieved", achieved), ("target", target)):
-        defect = _unitarity_defect(u)
-        if not defect <= UNITARY_TOL:
-            raise ValueError(f"{name} gate is not unitary (defect {defect:.2e})")
+        _require_unitary(u.ravel().tolist(), f"{name} gate")
     return float(abs(np.trace(target.conj().T @ achieved)) / 2.0)

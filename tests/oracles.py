@@ -135,3 +135,91 @@ def commutator_norm(p1, p2, dim: int, interior: int) -> float:
     c = u1 @ u2 - u2 @ u1
     block = c[interior:dim - interior, interior:dim - interior]
     return float(np.linalg.norm(block, 2))
+
+
+def _mp_gate_entries(kind: str, angle: float | None, entries) -> list:
+    """Row-major entries of a gate's matrix from its definition, as mpmath
+    numbers at the working precision; a float angle is taken exactly."""
+    if kind == "U":
+        return [mp.mpc(complex(z)) for z in entries]
+    if kind in ("RX", "RY", "RZ"):
+        c, s = mp.cos(mp.mpf(angle)), mp.sin(mp.mpf(angle))
+        return {"RX": [c, 1j * s, 1j * s, c], "RY": [c, s, -s, c],
+                "RZ": [1, 0, 0, mp.expj(mp.mpf(angle))]}[kind]
+    r = 1 / mp.sqrt(2)
+    return [mp.mpc(z) for z in {
+        "H": [r, r, r, -r], "X": [0, 1, 1, 0], "NOT": [0, 1, 1, 0], "Y": [0, -1j, 1j, 0],
+        "Z": [1, 0, 0, -1], "S": [1, 0, 0, 1j], "T": [1, 0, 0, mp.expj(mp.pi / 4)]}[kind]]
+
+
+def _mp_matmul(p: list, q: list) -> list:
+    return [p[0] * q[0] + p[1] * q[2], p[0] * q[1] + p[1] * q[3],
+            p[2] * q[0] + p[3] * q[2], p[2] * q[1] + p[3] * q[3]]
+
+
+def xyx_schedule_oracle(kind: str, angle: float | None = None, entries=None,
+                        dps: int = 40) -> tuple[list, complex]:
+    """The schedule the XYX compile rules give for a gate, in ``dps`` digits.
+
+    Returns ([("pulse", g) or ("drift", quarter_units), ...] first applied
+    first, unit global phase), with g = -i theta / 2 the coupling of a pulse
+    that rotates by Rx(theta). The rules are the compiler's documented
+    ones, worked without its arithmetic:
+    - Z, S and an RZ within 1e-12 rad of a quarter turn are one drift of
+      that many quarters mod 4, none for 0.
+    - With V = u / sqrt(det u) (principal root), |Im V00| and |Re V01| both
+      <= 1e-12 make an x-rotation: theta = atan2(Im V01, Re V00), folded
+      into (-pi/2, pi/2].
+    - Otherwise u = phase Rx(a) Ry(b) Rx(c). With H the Hadamard gate, H V H
+      = e^{iaZ} Ry(-b) e^{icZ}, whose first row is (cos b e^{i(a+c)},
+      -sin b e^{i(a-c)}); b <= 0 is read from it with the four-entry sums
+      (V00 + V01 + V10 + V11) / 2 and (V00 - V01 + V10 - V11) / 2, whose
+      cancellation the working precision absorbs. An argument is taken as 0
+      where the modulus is <= 1e-14, and angles lie in (-pi, pi]. The
+      schedule is pulse c, drift 3, pulse b, drift 1, pulse a.
+    - A pulse of |theta| < 1e-12 is left out.
+    The phase is tr(R^dag u) / |tr| for R the product of the kept elements'
+    2x2 matrices, multiplied out here.
+    """
+    with mp.workdps(dps):
+        u = _mp_gate_entries(kind, angle, entries)
+        tol, arg_tol = mp.mpf("1e-12"), mp.mpf("1e-14")
+
+        def wrap(t):
+            t = t - 2 * mp.pi * mp.nint(t / (2 * mp.pi))
+            return t + 2 * mp.pi if t <= -mp.pi else t
+
+        quarters = {"Z": 2, "S": 1}.get(kind)
+        if kind == "RZ":
+            q = mp.mpf(angle) / (mp.pi / 2)
+            if abs(q - mp.nint(q)) * mp.pi / 2 < tol:
+                quarters = int(mp.nint(q)) % 4
+        v = [z / mp.sqrt(u[0] * u[3] - u[1] * u[2]) for z in u]
+        if quarters is not None:
+            steps = [("drift", quarters)] if quarters else []
+        elif abs(mp.im(v[0])) <= tol and abs(mp.re(v[1])) <= tol:
+            theta = mp.atan2(mp.im(v[1]), mp.re(v[0]))
+            if theta <= -mp.pi / 2:
+                theta += mp.pi
+            elif theta > mp.pi / 2:
+                theta -= mp.pi
+            steps = [("pulse", theta)]
+        else:
+            x = (v[0] + v[1] + v[2] + v[3]) / 2
+            y = (v[0] - v[1] + v[2] - v[3]) / 2
+            s = mp.arg(x) if abs(x) > arg_tol else mp.mpf(0)
+            t = mp.arg(y) if abs(y) > arg_tol else mp.mpf(0)
+            a, b, c = wrap((s + t) / 2), -mp.atan2(abs(y), abs(x)), wrap((s - t) / 2)
+            steps = [("pulse", c), ("drift", 3), ("pulse", b), ("drift", 1), ("pulse", a)]
+        steps = [(what, v) for what, v in steps if what == "drift" or abs(v) >= tol]
+        realized = [mp.mpc(1), mp.mpc(0), mp.mpc(0), mp.mpc(1)]
+        for what, v in steps:
+            if what == "pulse":
+                c, s = mp.cos(v), mp.sin(v)
+                step = [c, 1j * s, 1j * s, c]
+            else:
+                step = [1, 0, 0, mp.mpc(0, 1) ** v]
+            realized = _mp_matmul(step, realized)
+        tr = sum(mp.conj(r) * z for r, z in zip(realized, u))
+        return ([(what, v if what == "drift" else mp.mpc(0, -v / 2)) for what, v in steps],
+                tr / abs(tr))

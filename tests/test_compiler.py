@@ -29,7 +29,7 @@ from fequbit.ladder import NORM_TOL, TruncationPolicy
 from fequbit.operators import CHEBYSHEV_TAIL_TOL
 from fequbit.qubit import pinem_rotation
 from helpers import schedule_from_json, state_distance
-from oracles import haar_unitary
+from oracles import haar_unitary, xyx_schedule_oracle
 
 BEAM = derive_beam(200e3, 800e-9)
 
@@ -262,6 +262,82 @@ def test_compile_budget_on_random_unitaries():
         for el in schedule.elements:
             if isinstance(el, FspPhase):
                 assert el.quarter_units in (1, 2, 3)
+
+
+@pytest.mark.parametrize("gate", [
+    Gate("U", entries=(math.nan, 0, 0, 1)),
+    Gate("RX", angle=math.nan),
+    Gate("U", entries=(2, 0, 0, 1)),
+    Gate("RZ", angle=math.inf),
+], ids=["u-nan", "rx-nan", "u-non-unitary", "rz-inf"])
+def test_compile_rejects_an_invalid_target(gate):
+    with pytest.raises(ValueError):
+        compile_gate(gate, BEAM)
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_a_nan_entry_is_not_unitary_wherever_it_sits(position):
+    entries = [1, 0, 0, 1]
+    entries[position] = math.nan
+    with pytest.raises(ValueError):
+        compile_gate(Gate("U", entries=tuple(entries)), BEAM)
+    with pytest.raises(ValueError):
+        euler_xyx(np.array(entries, dtype=complex))
+    with pytest.raises(CircuitParseError):
+        parse_circuit("U [[{},{}],[{},{}]]".format(*entries))
+
+
+# The largest deviation from the 40-digit oracle over the cases below,
+# couplings and global phase alike, measured at the numpy 2x2 compile this
+# package had before its scalar one: 5.3e-6, at RZ(2.1e-12). Its four-entry
+# sums for H u H lost the direction of a y of modulus ~t/2 to rounding.
+XYX_ORACLE_BOUND = 1e-5
+# The same deviation with the scalar compile: 5.0e-16 (Haar), 1.5e-16 (RZ).
+XYX_DIGITS_BOUND = 1e-15
+
+
+def xyx_oracle_cases() -> list[Gate]:
+    """200 Haar unitaries, every named gate, and RX/RY/RZ sweeps over [-pi, pi]
+    (both ends included, pi/2 not hit) and near the 1e-12 rad tests: the null
+    pulse, the quarter-turn test, and the x-rotation test, which RY(t) meets
+    at |t| = 1e-12 and RZ(t) at |t| = 2e-12."""
+    rng = np.random.default_rng(2207)
+    cases = [Gate("U", entries=tuple(map(complex, haar_unitary(rng).ravel())))
+             for _ in range(200)]
+    cases += [Gate(kind) for kind in ("H", "X", "NOT", "Y", "Z", "S", "T")]
+    near = [k * 1e-12 for k in (0.5, 0.9, 1.1, 1.5, 1.9, 2.1, 2.5, 10.0)]
+    angles = [*np.linspace(-math.pi, math.pi, 38).tolist(), 0.0, *near, *(-t for t in near)]
+    return cases + [Gate(kind, angle=t) for kind in ("RX", "RY", "RZ") for t in angles]
+
+
+def xyx_oracle_deviations():
+    """(gate label, largest deviation of its couplings and global phase from
+    the oracle) for each case; the pulse and drift sequence must match."""
+    for gate in xyx_oracle_cases():
+        steps, phase = xyx_schedule_oracle(gate.kind, gate.angle, gate.entries)
+        schedule = compile_gate(gate, BEAM)
+        got = [("pulse", el.g) if isinstance(el, PinemPulse) else ("drift", el.quarter_units)
+               for el in schedule.elements]
+        assert [what for what, _ in got] == [what for what, _ in steps], gate.label()
+        deviation = abs(schedule.global_phase - phase)
+        for (what, value), (_, want) in zip(got, steps):
+            if what == "drift":
+                assert value == want, gate.label()
+            else:
+                deviation = max(deviation, abs(value - want))
+        yield gate.label(), float(deviation)
+
+
+def test_compile_matches_the_xyx_oracle():
+    for label, deviation in xyx_oracle_deviations():
+        assert deviation <= XYX_ORACLE_BOUND, label
+
+
+def test_compile_keeps_the_digits_of_small_xyx_arguments():
+    # the read-off from V's first row has no cancellation, so every case,
+    # those next to the x-rotation test too, is within rounding of the oracle
+    for label, deviation in xyx_oracle_deviations():
+        assert deviation <= XYX_DIGITS_BOUND, label
 
 
 # ---------------------------------------------------------------- simulate
