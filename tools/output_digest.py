@@ -1,13 +1,13 @@
 """Record the numeric outputs of a checkout, and compare two records, so that a
 change can list every output it moves and by how much.
 
-    python3 tools/output_digest.py record OUT.npz [--seeds 101 9001 7]
+    python3 tools/output_digest.py record OUT.npz
     python3 tools/output_digest.py compare BEFORE.npz AFTER.npz
 
 ``record`` runs from the root of a checkout and imports its ``src/`` and
-``perfbench/``, with BLAS pinned to one thread. For each seed it builds the
-perfbench ``circuit`` items and compiles and simulates them as that workload
-does. It keeps per gate the pulse couplings, the schedule's element codes
+``perfbench/``, with BLAS pinned to one thread. For each seed in ``SEEDS`` it
+builds the perfbench ``circuit`` items and compiles and simulates them as that
+workload does. It keeps per gate the pulse couplings, the schedule's element codes
 (-1 for a pulse, the quarter units for a drift), the global phase and the
 projected qubit, and per item the final ``l_min`` and amplitudes. It then runs
 the CLI's ``simulate``, ``compile`` and ``tomography --circuit`` on ``H T H``
@@ -31,6 +31,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
+SEEDS = (101, 9001, 7)
 CLI_RUNS = {
     "simulate": ["simulate", "{hth}"],
     "compile": ["compile", "{hth}"],
@@ -128,7 +129,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="mode", required=True)
     record = sub.add_parser("record", help="write this checkout's outputs to an .npz file")
     record.add_argument("out")
-    record.add_argument("--seeds", type=int, nargs="+", default=[101, 9001, 7])
     diff = sub.add_parser("compare", help="per output, the entries two records differ in")
     diff.add_argument("before")
     diff.add_argument("after")
@@ -136,7 +136,7 @@ def main(argv=None) -> int:
     if args.mode == "record":
         sys.path[:0] = ["src", "perfbench"]
         arrays = cli_outputs()
-        for seed in args.seeds:
+        for seed in SEEDS:
             arrays.update(circuit_outputs(seed))
         np.savez(args.out, **arrays)
         return 0
