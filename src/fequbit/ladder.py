@@ -144,6 +144,17 @@ class LadderState:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
+    @classmethod
+    def _adopt(cls, l_min: int, amps: np.ndarray) -> "LadderState":
+        """A state that takes over ``amps``, a non-empty 1-d complex128 array
+        (or a view of one) that no one else holds: it is made read-only, not
+        checked or copied."""
+        amps.flags.writeable = False
+        state = object.__new__(cls)
+        object.__setattr__(state, "l_min", l_min)
+        object.__setattr__(state, "amplitudes", amps)
+        return state
+
     @property
     def dim(self) -> int:
         return self.amplitudes.size
@@ -325,6 +336,52 @@ def _miller(x: float, n: int) -> list[float]:
     return [v * scale for v in vals]
 
 
+def _start_order(x: float, budget: float) -> int:
+    """The order n at which ``_miller`` starts for J_k(x), x > 0.
+
+    n is the first order, or the one after it, where the bound
+    |J_n(x)| <= (x/2)^n / n! reaches sqrt(1e-6 * budget), and never above
+    the cap ceil(x) + 20 + 14 x^(1/3), an order past the turnover at k ~ x
+    beyond which J_k(x) falls ever faster. Where the bound at the cap, taken
+    in logarithms, still exceeds the threshold, n is the cap. Otherwise a
+    running product finds n: it starts at n = ceil(e x / 2) from
+    1 / sqrt(2 pi n), at least the bound there (n! >= sqrt(2 pi n) (n / e)^n),
+    and multiplies by (x/2) / n per order, so it never undercuts the bound.
+    Below e x / 2 the bound exceeds 1 / (e sqrt(n)), far above any threshold.
+    """
+    half = 0.5 * x
+    cap = math.ceil(x) + 20 + int(14.0 * x ** (1.0 / 3.0))
+    threshold = math.sqrt(1e-6 * budget)
+    if cap * math.log(half) - math.lgamma(cap + 1.0) > math.log(threshold):
+        return cap
+    n = math.ceil(math.e * half)
+    bound = 1.0 / math.sqrt(2.0 * math.pi * n)
+    while bound > threshold and n < cap:
+        n += 1
+        bound *= half / n
+    return n
+
+
+def _bessel_half(x: float, budget: float) -> list[float]:
+    """J_0(x) .. J_K(x) as Python floats, with K and ``budget`` as in ``bessel_row``."""
+    if not 1e-100 <= budget <= 1e-8:
+        raise ValueError(f"Bessel tail budget {budget!r} outside [1e-100, 1e-8]")
+    x = abs(float(x))
+    if 0.5 * x * x <= budget:
+        return [1.0 - 0.25 * x * x]
+    n = _start_order(x, budget)
+    j = _miller(x, n)
+    while j[n] * j[n] > 1e-6 * budget:
+        n += n - math.ceil(x)  # double the margin past the turnover
+        j = _miller(x, n)
+    tail = 0.0
+    for k in range(n, 0, -1):
+        tail += j[k] * j[k]
+        if 2.0 * tail > budget:
+            return j[:k + 1]
+    return j[:1]
+
+
 def bessel_row(x: float, budget: float) -> np.ndarray:
     """J_k(x) for k = -K..K, with K the smallest cut where 2 sum_{k>K} J_k(x)^2 <= budget.
 
@@ -332,37 +389,26 @@ def bessel_row(x: float, budget: float) -> np.ndarray:
     accumulated from the far end of the row, so no term near 1 is ever
     subtracted from it. When 2 (x/2)^2 <= budget, which bounds the sum for
     K = 0, the row is [J_0(x)] = [1 - x^2/4]. Otherwise ``_miller``
-    evaluates the row down from order n = ceil(x) + 20 + 14 x^(1/3), past the
-    turnover at k ~ x beyond which J_k(x) falls ever faster; n grows until
-    J_n(x)^2 <= 1e-6 * budget, so the terms beyond n are negligible. The
-    start J_{n+1} = 0 moves order k by about n J_n(x)^2 |Y_k(x)|, below
-    1e-16 for every k <= K, so the row errs by rounding alone: measured, by
-    at most 2e-16 against the mpmath series up to x = 50 and 3e-16 at
-    x = 500, three orders under the 1e-13 amplitude budget. The negative
-    orders are J_{-k} = (-1)^k J_k. ``budget`` must lie in [1e-100, 1e-8]:
-    there 1 - x^2/4 is J_0 to rounding, and no step of the recurrence
-    overflows between rescales. This is the one place a Bessel row is
-    evaluated and cut.
+    evaluates the row down from the order n where the bound
+    |J_n(x)| <= (x/2)^n / n! first reaches sqrt(1e-6 * budget), or the order
+    after it, and never from above ceil(x) + 20 + 14 x^(1/3)
+    (``_start_order``); n grows until J_n(x)^2 <= 1e-6 * budget, so the
+    terms beyond n are negligible. The start J_{n+1} = 0 moves order k by
+    about n J_n(x)^2 |Y_k(x)|, measured at most 7.4e-5 sqrt(budget) for
+    budgets 1e-22 to 1e-8 (a ten-thousandth of the dropped tail's l2 norm).
+    At the budgets in use, 1e-24 and ``operators.CHEBYSHEV_TAIL_TOL`` ^2 / 8,
+    the row errs by rounding alone: measured, by at most 2.5e-16 against the
+    mpmath series up to x = 50 and 3.1e-16 at x = 500, three orders under
+    the 1e-13 amplitude budget. The negative orders are J_{-k} = (-1)^k J_k.
+    ``budget`` must lie in [1e-100, 1e-8]: there 1 - x^2/4 is J_0 to
+    rounding, and no step of the recurrence overflows between rescales. This
+    is the one place a Bessel row is evaluated and cut; ``_bessel_half``
+    gives its orders 0..K.
     """
-    if not 1e-100 <= budget <= 1e-8:
-        raise ValueError(f"Bessel tail budget {budget!r} outside [1e-100, 1e-8]")
-    x = abs(float(x))
-    if 0.5 * x * x <= budget:
-        return np.array([1.0 - 0.25 * x * x])
-    n = math.ceil(x) + 20 + int(14.0 * x ** (1.0 / 3.0))
-    j = _miller(x, n)
-    while j[n] * j[n] > 1e-6 * budget:
-        n += n - math.ceil(x)  # double the margin past the turnover
-        j = _miller(x, n)
-    tail, cut = 0.0, 0
-    for k in range(n, 0, -1):
-        tail += j[k] * j[k]
-        if 2.0 * tail > budget:
-            cut = k
-            break
-    left = j[cut:0:-1]
+    j = _bessel_half(x, budget)
+    left = j[:0:-1]
     left[-1::-2] = [-v for v in left[-1::-2]]  # the odd orders -1, -3, ...
-    return np.array(left + j[:cut + 1])
+    return np.array(left + j)
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,16 @@ convolution per harmonic. Harmonic h has the Jacobi-Anger kernel
 
     f_k = exp(i k arg(-g_h)) J_k(2|g_h|)
 
-placed on every h-th level, evaluated and cut by ``ladder.bessel_row``.
-``apply_pinem`` is the one function that applies a pulse to a state; under
-an adaptive policy it places the support of the convolutions, with guard
-cells, on the result's window in one step. ``eigenphases`` works on the
-truncated generator, where the truncation is the point; its spectrum has a
-closed form (a tridiagonal Toeplitz matrix), so no eigensolver runs.
+placed on every h-th level, its orders cut by ``ladder.bessel_row``. For a
+purely imaginary g_h, the only kind the compiler emits, arg(-g_h) = +-pi/2
+and the factor is exactly (+-i)^k, so ``pinem_kernel`` writes that kernel
+with no floating-point phase; any other coupling takes exp(i k arg(-g_h))
+in floating point. ``apply_pinem`` is the one function that applies a pulse
+to a state; under an adaptive policy it places the support of the
+convolutions, with guard cells, on the result's window in one step.
+``eigenphases`` works on the truncated generator, where the truncation is
+the point; its spectrum has a closed form (a tridiagonal Toeplitz matrix),
+so no eigensolver runs.
 
 Free-space propagation is diagonal: level l picks up
 exp(+i 2 pi (z / z_D) l^2). The + sign is a package-wide convention chosen
@@ -27,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ladder import (DEFAULT_POLICY, LadderState, TruncationPolicy, _aligned, bessel_row,
-                     check_edge_leakage)
+from .ladder import (DEFAULT_POLICY, LadderState, TruncationPolicy, _aligned, _bessel_half,
+                     bessel_row, check_edge_leakage)
 
 MATEXP_DENSE_MAX_DIM = 1024
 """Selects nothing; kept only because perfbench/layers.py reads it to label its
@@ -126,8 +130,28 @@ def pinem_kernel(g: complex) -> np.ndarray:
     norm of the dropped tail, tol / sqrt(8), in any one amplitude. The phase
     factor scales with k; the tests against the dense exponential of the
     generator pin this convention.
+
+    A purely imaginary g, the only kind the compiler emits, has arg(-g) =
+    +-pi/2, so the factor is exactly s^k with s = -i sign(Im g), and
+    f_{-k} = s^{-k} (-1)^k J_k = f_k. That kernel is built from the orders
+    0..K of ``ladder._bessel_half``: +-J_k as the real part at even k and as
+    the imaginary part at odd k, every other part exactly 0.0. Any other g
+    takes the factor exp(i k arg(-g)) in floating point.
     """
     g = complex(g)
+    if g.real == 0.0:
+        j = _bessel_half(2.0 * abs(g), _KERNEL_BUDGET)
+        cut = len(j) - 1
+        # s^k is (-1)^(k/2) at even k and s (-1)^((k-1)/2) at odd k
+        even, odd = j[::2], j[1::2]
+        even[1::2] = [-v for v in even[1::2]]
+        first = int(g.imag < 0.0)  # s = i leaves J_1 positive, s = -i negates it
+        odd[first::2] = [-v for v in odd[first::2]]
+        parts = [0.0] * (4 * cut + 2)  # (re, im) of f_-K .. f_K
+        parts[2 * cut::4] = parts[2 * cut::-4] = even
+        if cut:  # at cut 0 the slice below would wrap round to the last part
+            parts[2 * cut + 3::4] = parts[2 * cut - 1::-4] = odd
+        return np.array(parts, dtype=np.float64).view(np.complex128)
     row = bessel_row(2.0 * abs(g), _KERNEL_BUDGET)
     k = np.arange(row.size) - row.size // 2
     return np.exp(1j * np.angle(-g) * k) * row
@@ -171,7 +195,8 @@ def apply_pinem(state: LadderState, pulse: PinemPulse,
         amps = np.convolve(amps, kernel)
         amps_l_min -= h * k_half
     if policy.mode == "fixed":
-        result = LadderState(state.l_min, _aligned(amps, amps_l_min, state.l_min, state.dim))
+        result = LadderState._adopt(state.l_min,
+                                    _aligned(amps, amps_l_min, state.l_min, state.dim))
         check_edge_leakage(result, policy.edge_margin, policy.leakage_tol)
         return result
     half_tol = CHEBYSHEV_TAIL_TOL / 2.0
@@ -181,7 +206,7 @@ def apply_pinem(state: LadderState, pulse: PinemPulse,
         lo = hi = 0
     l_min = amps_l_min + lo - policy.edge_margin
     dim = amps.size - lo - hi + 2 * policy.edge_margin
-    return LadderState(l_min, _aligned(amps, amps_l_min, l_min, dim))
+    return LadderState._adopt(l_min, _aligned(amps, amps_l_min, l_min, dim))
 
 
 def _tail_run(amps: np.ndarray, limit: float, from_end: bool) -> int:
@@ -224,10 +249,10 @@ def apply_fsp(state: LadderState, phase: FspPhase) -> LadderState:
         # l^2 mod 4 is the parity of l; the first odd level is at index (l_min + 1) % 2
         amps = state.amplitudes.copy()
         amps[(state.l_min + 1) % 2::2] *= _I_POW[phase.quarter_units % 4]
-        return LadderState(state.l_min, amps)
+        return LadderState._adopt(state.l_min, amps)
     l = state.indices
     factors = np.exp(2j * np.pi * np.mod(phase.fraction * l.astype(np.float64) ** 2, 1.0))
-    return LadderState(state.l_min, state.amplitudes * factors)
+    return LadderState._adopt(state.l_min, state.amplitudes * factors)
 
 
 def eigenphases(pulse: PinemPulse, dim: int) -> np.ndarray:

@@ -245,6 +245,28 @@ def test_bessel_row_is_jv_on_its_cut(x, budget):
     assert k == int(np.argmax(tail[1:] <= budget))
 
 
+def jv_tail_cut(x: float, budget: float) -> int:
+    """The smallest K whose tail 2 sum_{j>K} J_j(x)^2, summed from the far end
+    of a jv row that runs well past it, meets ``budget``."""
+    p = jv(np.arange(math.ceil(x) + 300), x) ** 2
+    tail = 2.0 * np.cumsum(p[::-1])[::-1]  # tail[j] = 2 sum_{i>=j} p_i
+    return int(np.argmax(tail[1:] <= budget))
+
+
+@pytest.mark.parametrize("budget", [1e-24, CHEBYSHEV_TAIL_TOL ** 2 / 8])
+def test_bessel_row_sweep_keeps_the_jv_cut_and_values(budget):
+    # the recurrence's start moves with x; the cut and the values must not
+    xs = np.geomspace(1e-8, 500.0, 240)
+    for i, x in enumerate(xs):
+        row = bessel_row(x, budget)
+        k = row.size // 2
+        assert k == jv_tail_cut(x, budget), x
+        assert np.max(np.abs(row - jv(np.arange(-k, k + 1), x))) <= 5e-14, x
+        if x <= 50 and i % 8 == 0:
+            for order in range(0, k + 1, max(1, k // 6)):
+                assert abs(row[k + order] - bessel_series(order, x)) <= 1e-15, (x, order)
+
+
 def test_bessel_row_keeps_the_first_orders_of_a_tiny_argument():
     # 2 J_1(1e-8)^2 = 5e-17 is far above the budget, so the cut is K = 1
     assert bessel_row(1e-8, 1e-24).size == 3

@@ -20,6 +20,7 @@ from fequbit import (
     eigenphases,
     pinem_kernel,
 )
+from fequbit.ladder import bessel_row
 from fequbit.operators import CHEBYSHEV_TAIL_TOL
 from helpers import aligned_pair, bessel_tail_half_width, random_interior_state, state_distance
 from oracles import bessel_series, commutator_norm, pinem_amplitudes_oracle, pinem_generator
@@ -491,3 +492,47 @@ def test_adaptive_pulse_crops_nothing_its_kernels_keep(pulse):
     state = basis_state(0, 8)
     out = apply_pinem(state, pulse, TruncationPolicy.adaptive())
     assert state_distance(out, jacobi_anger_reference(state, pulse)) <= 1e-13
+
+
+# theta in [-pi, pi], with its ends, +-pi/2 and values near 0
+KERNEL_THETAS = sorted({*np.linspace(-math.pi, math.pi, 61).tolist(), math.pi / 2, -math.pi / 2,
+                        1e-12, -1e-12, 3e-7, -3e-7})
+
+
+@pytest.mark.parametrize("theta", KERNEL_THETAS)
+def test_compiled_pulse_kernel_is_the_exact_quarter_turn_phase(theta):
+    # g = -i theta / 2 has arg(-g) = +-pi/2, so f_k = s^k J_k with s = i sign(theta):
+    # each part is +-J_|k| or exactly 0.0, and f_-k = f_k
+    kernel = pinem_kernel(-0.5j * theta)
+    row = bessel_row(abs(theta), CHEBYSHEV_TAIL_TOL ** 2 / 8)
+    assert kernel.shape == row.shape
+    k_half = row.size // 2
+    s = 1j if theta > 0 else -1j
+    quarter_turns = [1, s, -1, -s]  # s^k for k mod 4, exact
+    expected = np.array([quarter_turns[k % 4] * row[k_half + k]
+                         for k in range(-k_half, k_half + 1)])
+    assert np.array_equal(kernel, expected)
+    assert np.array_equal(kernel, kernel[::-1])
+    odd = np.arange(-k_half, k_half + 1) % 2 == 1
+    assert np.all(kernel.real[odd] == 0.0) and np.all(kernel.imag[~odd] == 0.0)
+
+
+@pytest.mark.parametrize("apply, change", [
+    (apply_pinem, PinemPulse.single(-0.9j)),
+    (apply_pinem, PinemPulse.single(0.4 * np.exp(1.2j))),
+    (apply_pinem, PinemPulse.multi({1: 0.3j, 2: 0.5})),
+    (apply_fsp, FspPhase.quarter(1)),
+    (apply_fsp, FspPhase.quarter(0)),
+    (apply_fsp, FspPhase.of_fraction(0.3)),
+], ids=["compiled", "complex", "multi", "quarter", "zero-drift", "fraction"])
+@pytest.mark.parametrize("policy", [TruncationPolicy.adaptive(), TruncationPolicy.fixed(40)],
+                         ids=["adaptive", "fixed"])
+def test_operator_results_are_read_only_and_share_no_memory(apply, change, policy):
+    state = random_interior_state(np.random.default_rng(5), 3, 40)
+    out = apply(state, change, policy) if apply is apply_pinem else apply(state, change)
+    assert out.amplitudes.dtype == np.complex128 and out.amplitudes.ndim == 1
+    assert not out.amplitudes.flags.writeable
+    with pytest.raises(ValueError):
+        out.amplitudes[0] = 1.0
+    assert not np.shares_memory(out.amplitudes, state.amplitudes)
+    assert state.norm() == pytest.approx(1.0, abs=1e-14)  # the input is untouched

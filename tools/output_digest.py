@@ -9,9 +9,14 @@ change can list every output it moves and by how much.
 builds the perfbench ``circuit`` items and compiles and simulates them as that
 workload does. It keeps per gate the pulse couplings, the schedule's element codes
 (-1 for a pulse, the quarter units for a drift), the global phase and the
-projected qubit, and per item the final ``l_min`` and amplitudes. It then runs
-the CLI's ``simulate``, ``compile`` and ``tomography --circuit`` on ``H T H``
-and keeps every number of each JSON and CSV file they write, in file order.
+projected qubit, and per item the final ``l_min`` and amplitudes. It runs the
+perfbench ``pulses`` items as that workload does and keeps each ``apply_pinem``
+result (``l_min`` and amplitudes), closure defect and eigenphases. It keeps
+``bessel_row`` on ``BESSEL_XS`` at the probe's budget 1e-24 and at the pulse
+kernels' CHEBYSHEV_TAIL_TOL^2 / 8: the cut K per x, and the rows end to end.
+It then runs the CLI's ``simulate``, ``compile`` and ``tomography --circuit``
+on ``H T H`` and keeps every number of each JSON and CSV file they write, in
+file order.
 
 ``compare`` prints, per output, how many entries changed and the largest
 absolute change; a changed shape is reported as such.
@@ -32,6 +37,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 SEEDS = (101, 9001, 7)
+BESSEL_XS = np.geomspace(1e-8, 500.0, 240)
 CLI_RUNS = {
     "simulate": ["simulate", "{hth}"],
     "compile": ["compile", "{hth}"],
@@ -63,6 +69,36 @@ def circuit_outputs(seed: int) -> dict:
         out[f"{key}/qubit_per_gate"] = np.array(qubits)
         out[f"{key}/final_l_min"] = np.array([state.l_min])
         out[f"{key}/final_amplitudes"] = state.amplitudes.copy()
+    return out
+
+
+def pulse_outputs(seed: int) -> dict:
+    import workloads
+
+    out = {}
+    workload = workloads.Pulses(seed)
+    for item in workload.items:
+        key = f"pulses{seed}/{item.name}"
+        result = workload.run(item, "")
+        if result.phases is not None:
+            out[f"{key}/eigenphases"] = result.phases
+            continue
+        out[f"{key}/l_min"] = np.array([result.state.l_min])
+        out[f"{key}/amplitudes"] = result.state.amplitudes
+        if item.kind == "multi":
+            out[f"{key}/closure"] = np.array([result.closure])
+    return out
+
+
+def bessel_outputs() -> dict:
+    from fequbit.ladder import bessel_row
+    from fequbit.operators import CHEBYSHEV_TAIL_TOL
+
+    out = {}
+    for name, budget in (("probe", 1e-24), ("kernel", CHEBYSHEV_TAIL_TOL ** 2 / 8)):
+        rows = [bessel_row(x, budget) for x in BESSEL_XS]
+        out[f"bessel_row/{name}/cuts"] = np.array([row.size // 2 for row in rows])
+        out[f"bessel_row/{name}/values"] = np.concatenate(rows)
     return out
 
 
@@ -136,8 +172,10 @@ def main(argv=None) -> int:
     if args.mode == "record":
         sys.path[:0] = ["src", "perfbench"]
         arrays = cli_outputs()
+        arrays.update(bessel_outputs())
         for seed in SEEDS:
             arrays.update(circuit_outputs(seed))
+            arrays.update(pulse_outputs(seed))
         np.savez(args.out, **arrays)
         return 0
     with np.load(args.before) as before, np.load(args.after) as after:
