@@ -223,3 +223,50 @@ def xyx_schedule_oracle(kind: str, angle: float | None = None, entries=None,
         tr = sum(mp.conj(r) * z for r, z in zip(realized, u))
         return ([(what, v if what == "drift" else mp.mpc(0, -v / 2)) for what, v in steps],
                 tr / abs(tr))
+
+
+def spectrogram_per_phase_oracle(amplitudes: np.ndarray, row: np.ndarray,
+                                 n_phases: int) -> np.ndarray:
+    """Spectrogram data (levels, phases) with one gauge and one convolution per
+    scan phase chi_j = 2 pi j / n_phases: |row * (e^{-i(chi + pi) m} psi_m)|^2.
+
+    ``row`` is the probe's real Bessel row J_k(2 m_p), k = -K..K.
+    """
+    phases = 2.0 * np.pi * np.arange(n_phases) / n_phases
+    m = np.arange(amplitudes.size)
+    data = np.empty((amplitudes.size + row.size - 1, n_phases))
+    for j, chi in enumerate(phases):
+        gauge = np.exp(-1j * np.multiply.outer(np.add(chi, np.pi), m))
+        data[:, j] = np.abs(np.convolve(gauge * amplitudes, row)) ** 2
+    return data
+
+
+def spectrogram_csv_oracle(scan_phases, probe_magnitude: float, l_min: int,
+                           data: np.ndarray) -> str:
+    """Spectrogram CSV text with each value written as repr(float(v)): a row
+    ``l`` of scan phases, a row ``probe`` of the magnitude once per phase,
+    then one row per level."""
+    lines = ["l," + ",".join(repr(float(p)) for p in scan_phases),
+             "probe," + ",".join([repr(float(probe_magnitude))] * len(scan_phases))]
+    for row, values in enumerate(data):
+        lines.append(f"{l_min + row}," + ",".join(repr(float(v)) for v in values))
+    return "\n".join(lines) + "\n"
+
+
+def fit_jacobian_oracle(scan_phases, bess: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Jacobian of the spectrogram fit's residuals at x = (re psi, im psi).
+
+    ``bess`` is J_{l-m}(2 m_p), data rows by fit levels. With mixed_{j,l} =
+    sum_m e^{-i(chi_j + pi) m} psi_m J_{l-m} and weighted = conj(mixed)
+    e^{-i(chi_j + pi) m}, the derivative of |mixed_{j,l}|^2 by re psi_m is
+    2 J_{l-m} Re(weighted) and by im psi_m is -2 J_{l-m} Im(weighted); rows
+    are (phase, data row), columns re psi then im psi.
+    """
+    n_par = bess.shape[1]
+    gauge = np.exp(-1j * np.multiply.outer(np.add(scan_phases, np.pi), np.arange(n_par)))
+    mixed = (gauge * (x[:n_par] + 1j * x[n_par:])) @ bess.T
+    weighted = np.conj(mixed)[:, :, None] * gauge[:, None, :]
+    jac = np.empty(weighted.shape[:2] + (2, n_par))
+    jac[:, :, 0] = weighted.real * (2.0 * bess)
+    jac[:, :, 1] = weighted.imag * (-2.0 * bess)
+    return jac.reshape(-1, 2 * n_par)

@@ -50,3 +50,29 @@ def test_compare_reports_a_key_on_one_side_only(digest):
         "new: only in after",
         "old: only in before",
     ]
+
+
+def test_record_keeps_each_readout_item(digest, monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(_PATH.parent.parent / "perfbench"))
+    import workloads
+    from fequbit import Spectrogram
+
+    items = workloads.Readout(101).items
+    out = digest.readout_outputs(101)
+    per_item = {"noiseless_l_min", "noiseless_data", "csv_bytes", "l_min", "amplitudes", "fit"}
+    assert {key.rsplit("/", 1)[0] for key in out} == {f"readout101/{i.name}" for i in items}
+    for item in items:
+        key = f"readout101/{item.name}"
+        got = {k.rsplit("/", 1)[1] for k in out if k.rsplit("/", 1)[0] == key}
+        assert got == (per_item | {"noisy_l_min", "noisy_data"} if item.counts else per_item)
+        kept = "noisy" if item.counts else "noiseless"
+        path = tmp_path / "sg.csv"
+        path.write_bytes(out[f"{key}/csv_bytes"].tobytes())
+        sg = Spectrogram.from_csv(path)
+        assert sg.l_min == out[f"{key}/{kept}_l_min"][0]
+        assert sg.data.tobytes() == out[f"{key}/{kept}_data"].tobytes()
+        residual, ok, restarts, best_restart = out[f"{key}/fit"]
+        assert ok and residual <= 0.05 and 0 <= best_restart < restarts
+        assert out[f"{key}/amplitudes"].size > 0 and out[f"{key}/l_min"].shape == (1,)
+    again = digest.readout_outputs(101)
+    assert all(" 0 of " in line for line in digest.compare(out, again))

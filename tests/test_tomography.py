@@ -215,6 +215,46 @@ def test_spectrogram_csv_rejects_non_finite_values(tmp_path, text):
         Spectrogram.from_csv(path)
 
 
+def _written_csv_lines(tmp_path) -> list[str]:
+    path = tmp_path / "sg.csv"
+    spectrogram(normalized_random_state(5), probe_magnitude=0.8, n_phases=8).to_csv(path)
+    return path.read_text().splitlines()
+
+
+def test_spectrogram_csv_without_its_probe_row_is_rejected(tmp_path):
+    lines = _written_csv_lines(tmp_path)
+    path = tmp_path / "no_probe.csv"
+    path.write_text("\n".join([lines[0], *lines[2:]]) + "\n")
+    with pytest.raises(ConfigurationError, match="no_probe.csv"):
+        Spectrogram.from_csv(path)
+
+
+@pytest.mark.parametrize("header, probe_label", [("phase", "probe"), ("l", "Probe"),
+                                                 ("l", "-2"), ("", "probe")])
+def test_spectrogram_csv_with_other_row_labels_is_rejected(tmp_path, header, probe_label):
+    lines = _written_csv_lines(tmp_path)
+    first, second = lines[0].split(",", 1), lines[1].split(",", 1)
+    path = tmp_path / "relabeled.csv"
+    path.write_text("\n".join([f"{header},{first[1]}", f"{probe_label},{second[1]}",
+                               *lines[2:]]) + "\n")
+    with pytest.raises(ConfigurationError, match="relabeled.csv"):
+        Spectrogram.from_csv(path)
+
+
+@pytest.mark.parametrize("probe_row", ["probe,0.8,0.8,0.8,0.8,0.8,0.8,0.8,0.9",
+                                       "probe,0.8,0.8,0.8,0.8,0.8,0.8,0.8",
+                                       "probe,0.8,0.8,0.8,0.8,0.8,0.8,0.8,0.8,0.8",
+                                       "probe,0.8"])
+def test_spectrogram_csv_probe_row_needs_one_magnitude_per_phase(tmp_path, probe_row):
+    lines = _written_csv_lines(tmp_path)
+    path = tmp_path / "probes.csv"
+    path.write_text("\n".join([lines[0], probe_row, *lines[2:]]) + "\n")
+    with pytest.raises(ConfigurationError, match="probes.csv"):
+        Spectrogram.from_csv(path)
+    path.write_text("\n".join([lines[0], "probe," + ",".join(["0.8"] * 8), *lines[2:]]) + "\n")
+    assert Spectrogram.from_csv(path).probe_magnitude == 0.8
+
+
 @pytest.mark.parametrize("x", [2.0, 10.0, 100.0, 200.0, 500.0])
 def test_probe_window_is_smallest_within_tail_budget(x):
     # K is the smallest half-width whose dropped tail 2 sum_{k>K} J_k(x)^2 is <= 1e-24

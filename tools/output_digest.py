@@ -11,7 +11,12 @@ workload does. It keeps per gate the pulse couplings, the schedule's element cod
 (-1 for a pulse, the quarter units for a drift), the global phase and the
 projected qubit, and per item the final ``l_min`` and amplitudes. It runs the
 perfbench ``pulses`` items as that workload does and keeps each ``apply_pinem``
-result (``l_min`` and amplitudes), closure defect and eigenphases. It keeps
+result (``l_min`` and amplitudes), closure defect and eigenphases. It runs the
+perfbench ``readout`` items as that workload does and keeps per item the
+noiseless spectrogram, the noisy one where the item has counts (each as
+``l_min`` and data), the bytes of the CSV the item writes, the reconstructed
+``l_min`` and amplitudes, and the fit's residual, ok, restarts and best
+restart. It keeps
 ``bessel_row`` on ``BESSEL_XS`` at the probe's budget 1e-24 and at the pulse
 kernels' CHEBYSHEV_TAIL_TOL^2 / 8: the cut K per x, and the rows end to end.
 It then runs the CLI's ``simulate``, ``compile`` and ``tomography --circuit``
@@ -87,6 +92,33 @@ def pulse_outputs(seed: int) -> dict:
         out[f"{key}/amplitudes"] = result.state.amplitudes
         if item.kind == "multi":
             out[f"{key}/closure"] = np.array([result.closure])
+    return out
+
+
+def readout_outputs(seed: int) -> dict:
+    import workloads
+    from fequbit import tomography
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spectrogram.csv")
+        for item in workloads.Readout(seed).items:
+            key = f"readout{seed}/{item.name}"
+            state = item.state.trimmed() if item.expected_qubit is not None else item.state
+            sg = tomography.spectrogram(state)
+            out[f"{key}/noiseless_l_min"] = np.array([sg.l_min])
+            out[f"{key}/noiseless_data"] = sg.data
+            if item.counts:
+                sg = tomography.add_shot_noise(sg, item.counts, seed=item.noise_seed)
+                out[f"{key}/noisy_l_min"] = np.array([sg.l_min])
+                out[f"{key}/noisy_data"] = sg.data
+            sg.to_csv(path)
+            out[f"{key}/csv_bytes"] = np.frombuffer(Path(path).read_bytes(), dtype=np.uint8)
+            result = tomography.reconstruct_state(sg, seed=item.fit_seed)
+            out[f"{key}/l_min"] = np.array([result.state.l_min])
+            out[f"{key}/amplitudes"] = result.state.amplitudes
+            out[f"{key}/fit"] = np.array([result.residual, result.ok, result.restarts,
+                                          result.best_restart])
     return out
 
 
@@ -176,6 +208,7 @@ def main(argv=None) -> int:
         for seed in SEEDS:
             arrays.update(circuit_outputs(seed))
             arrays.update(pulse_outputs(seed))
+            arrays.update(readout_outputs(seed))
         np.savez(args.out, **arrays)
         return 0
     with np.load(args.before) as before, np.load(args.after) as after:
