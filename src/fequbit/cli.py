@@ -1,4 +1,4 @@
-"""Command-line interface: simulate, compile, spectrum, eigenphases, tomography, bench.
+"""Command-line interface: simulate, compile, spectrum, eigenphases, tomography.
 
 Each setting is one ``RunConfig`` field, which holds its default, flag help,
 range check, and whether only ``tomography`` takes it; the flags, the
@@ -24,7 +24,6 @@ import math
 import os
 import re
 import sys
-import time
 from dataclasses import dataclass, field, fields
 
 from .compiler import compile_circuit, parse_circuit, simulate_schedule
@@ -36,12 +35,11 @@ from .ladder import (
     TruncationPolicy,
     basis_state,
     derive_beam,
-    occupied_levels,
     read_json,
     read_text,
     write_text,
 )
-from .operators import PinemPulse, apply_pinem, eigenphases, pinem_kernel
+from .operators import PinemPulse, eigenphases
 from .qubit import project_qubit
 from .tomography import (
     DEFAULT_N_PHASES,
@@ -100,10 +98,6 @@ MAX_EIGENPHASES_DIM = 4097
 """Largest ``eigenphases --dim``: the closed-form phases take O(dim) time and
 memory, so the cost is the CSV the command writes, one line per phase (about
 79 kB, written in ~2 ms on one x86 server core, at the bound)."""
-
-MAX_BENCH_DIM = 2**24 + 1
-"""Largest ``bench --dim``: the bench state then has at most 2**24 + 1 levels,
-about 256 MiB as a complex array; the pulse's arrays add its kernel width."""
 
 MAX_WINDOW = 2**23
 """Largest fixed ``--window`` half-width: a state on the window then has
@@ -205,9 +199,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "g", None) is not None and not 0 <= 2.0 * args.g < math.inf:
         problems.append("coupling magnitude must be >= 0 with 2|g| finite")
     if getattr(args, "dim", None) is not None:
-        cap = MAX_EIGENPHASES_DIM if args.command == "eigenphases" else MAX_BENCH_DIM
-        if not 3 <= args.dim <= cap or args.dim % 2 == 0:
-            problems.append(f"{args.command} needs an odd dim in [3, {cap}]")
+        if not 3 <= args.dim <= MAX_EIGENPHASES_DIM or args.dim % 2 == 0:
+            problems.append(f"{args.command} needs an odd dim in [3, {MAX_EIGENPHASES_DIM}]")
     if problems:
         raise ConfigurationError("invalid configuration:\n  - " + "\n  - ".join(problems))
     return config
@@ -362,40 +355,6 @@ def cmd_tomography(args, config: RunConfig) -> int:
     return EXIT_OK if result.ok else EXIT_RECONSTRUCTION
 
 
-def cmd_bench(args, config: RunConfig) -> int:
-    half = args.dim // 2
-    # the kernel runs at least to |k| = floor(2|g|): a window short of that is
-    # rejected before the kernel is built
-    needed = math.floor(2.0 * args.g)
-    if half >= needed:
-        needed = pinem_kernel(args.g).size // 2
-    if half < needed:
-        raise ConfigurationError(
-            f"dim {args.dim} too small for |g| = {args.g}; need at least {2 * needed + 1}")
-    policy = TruncationPolicy.fixed(half)
-    pulse = PinemPulse.single(args.g)
-    state = basis_state(0, half)
-
-    t0 = time.perf_counter()
-    result = apply_pinem(state, pulse, policy)
-    seconds = time.perf_counter() - t0
-
-    report = {
-        "g_magnitude": args.g,
-        "dim": result.dim,
-        "occupied_levels": occupied_levels(result),
-        "bessel_seconds": seconds,
-        "norm_error": abs(result.norm() - 1.0),
-    }
-    out = _outdir(config)
-    path = os.path.join(out, "bench.json")
-    _write_json(path, report)
-    print(f"|g|={args.g}: {report['occupied_levels']} occupied levels on {result.dim}, "
-          f"convolution {seconds * 1e3:.2f} ms")
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
 _NEGATIVE_NUMBER = re.compile(
     r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 """What each parser reads as a negative number, not an option name. argparse's
@@ -411,7 +370,6 @@ _COMMANDS = {
     "spectrum": (cmd_spectrum, "energy spectrum of a state or circuit output", "--circuit"),
     "eigenphases": (cmd_eigenphases, "eigenphases of one laser interaction", "--g"),
     "tomography": (cmd_tomography, "spectrogram plus state reconstruction", "--circuit"),
-    "bench": (cmd_bench, "time one laser interaction from |0>", "--g"),
 }
 
 

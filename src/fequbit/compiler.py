@@ -38,30 +38,21 @@ import numpy as np
 from .errors import CircuitParseError
 from .ladder import DEFAULT_POLICY, BeamParameters, LadderState, TruncationPolicy, basis_state
 from .operators import _I_POW, FspPhase, PinemPulse, apply_fsp, apply_pinem
-from .qubit import pinem_rotation, project_qubit, qubit_gate
+from .qubit import project_qubit, qubit_gate
 
 ZERO_ANGLE_TOL = 1e-12
 UNITARY_TOL = 1e-9
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
-_NAMED_MATRICES = {
-    "H": _HADAMARD,
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "NOT": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.diag([1.0 + 0.0j, -1.0 + 0.0j]),
-    "S": np.diag([1.0 + 0.0j, 1.0j]),
-    "T": np.diag([1.0 + 0.0j, np.exp(0.25j * np.pi)]),
+_INV_SQRT2 = 1 / math.sqrt(2.0)
+_NAMED_ENTRIES = {  # each named gate's matrix, row-major
+    "H": (complex(_INV_SQRT2), complex(_INV_SQRT2), complex(_INV_SQRT2), complex(-_INV_SQRT2)),
+    "X": (0j, 1 + 0j, 1 + 0j, 0j),
+    "NOT": (0j, 1 + 0j, 1 + 0j, 0j),
+    "Y": (0j, -1j, 1j, 0j),
+    "Z": (1 + 0j, 0j, 0j, -1 + 0j),
+    "S": (1 + 0j, 0j, 0j, 1j),
+    "T": (1 + 0j, 0j, 0j, cmath.exp(0.25j * math.pi)),
 }
-
-
-def _ry(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [-s, c]], dtype=np.complex128)
-
-
-def _rz_phase(theta: float) -> np.ndarray:
-    return np.diag([1.0 + 0.0j, np.exp(1j * theta)])
 
 
 def _unitarity_defect(u: list) -> float:
@@ -89,18 +80,25 @@ class Gate:
     angle: float | None = None
     entries: tuple | None = None  # row-major 2x2 for kind "U"
 
-    def target_matrix(self) -> np.ndarray:
-        if self.kind in _NAMED_MATRICES:
-            return _NAMED_MATRICES[self.kind].copy()
-        if self.kind == "RX":
-            return pinem_rotation(self.angle)
-        if self.kind == "RY":
-            return _ry(self.angle)
+    def _row_major(self) -> tuple:
+        """The gate's matrix as four row-major Python complex scalars. The sign
+        of a zero part counts, as ``_hvh_row``'s square root branches on it:
+        ``1j * s`` has the real part -0.0 where s < 0."""
+        if self.kind in _NAMED_ENTRIES:
+            return _NAMED_ENTRIES[self.kind]
+        if self.kind in ("RX", "RY"):
+            c, s = math.cos(self.angle), math.sin(self.angle)
+            if self.kind == "RX":
+                return complex(c), 1j * s, 1j * s, complex(c)
+            return complex(c), complex(s), complex(-s), complex(c)
         if self.kind == "RZ":
-            return _rz_phase(self.angle)
+            return 1 + 0j, 0j, 0j, cmath.exp(1j * self.angle)
         if self.kind == "U":
-            return np.array(self.entries, dtype=np.complex128).reshape(2, 2)
+            return tuple(map(complex, self.entries))
         raise ValueError(f"unknown gate kind {self.kind!r}")
+
+    def target_matrix(self) -> np.ndarray:
+        return np.array(self._row_major(), dtype=np.complex128).reshape(2, 2)
 
     def label(self) -> str:
         if self.kind in ("RX", "RY", "RZ"):
@@ -151,7 +149,7 @@ def _parse_matrix(text: str, line_no: int) -> Gate:
     except ValueError:
         raise CircuitParseError("malformed matrix entry", line_no) from None
     gate = Gate("U", entries=entries)
-    defect = _unitarity_defect(gate.target_matrix().ravel().tolist())
+    defect = _unitarity_defect(gate._row_major())
     if not defect <= UNITARY_TOL:
         raise CircuitParseError(f"non-unitary matrix (defect {defect:.2e})", line_no)
     return gate
@@ -159,7 +157,7 @@ def _parse_matrix(text: str, line_no: int) -> Gate:
 
 def _parse_gate(text: str, line_no: int) -> Gate:
     upper = text.upper()
-    if upper in _NAMED_MATRICES:
+    if upper in _NAMED_ENTRIES:
         return Gate(upper)
     m = _ROTATION_RE.match(text)
     if m:
@@ -326,7 +324,7 @@ def compile_gate(gate: Gate, beam: BeamParameters) -> Schedule:
     """
     if gate.angle is not None and not math.isfinite(gate.angle):
         raise ValueError(f"{gate} has a non-finite angle")
-    u = gate.target_matrix().ravel().tolist()
+    u = gate._row_major()
     _require_unitary(u, gate)
     z_quarters = _as_quarter_phase_gate(gate)
     x, y = _hvh_row(u)

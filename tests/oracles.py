@@ -270,3 +270,30 @@ def fit_jacobian_oracle(scan_phases, bess: np.ndarray, x: np.ndarray) -> np.ndar
     jac[:, :, 0] = weighted.real * (2.0 * bess)
     jac[:, :, 1] = weighted.imag * (-2.0 * bess)
     return jac.reshape(-1, 2 * n_par)
+
+
+def gate_matrix_oracle(kind: str, angle: float | None = None, entries=None) -> np.ndarray:
+    """A gate's 2x2 complex128 matrix built as numpy arrays: the named gates
+    as literal arrays (H divided by sqrt 2), RX from ``np.cos``/``np.sin``
+    with ``1j * s`` off the diagonal, RY from ``math.cos``/``math.sin``, RZ
+    as ``np.diag`` of 1 and ``np.exp(1j * angle)``, U from its entries."""
+    named = {
+        "H": np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0),
+        "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+        "NOT": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+        "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+        "Z": np.diag([1.0 + 0.0j, -1.0 + 0.0j]),
+        "S": np.diag([1.0 + 0.0j, 1.0j]),
+        "T": np.diag([1.0 + 0.0j, np.exp(0.25j * np.pi)]),
+    }
+    if kind in named:
+        return named[kind]
+    if kind == "RX":
+        c, s = np.cos(angle), np.sin(angle)
+        return np.array([[c, 1j * s], [1j * s, c]], dtype=np.complex128)
+    if kind == "RY":
+        c, s = math.cos(angle), math.sin(angle)
+        return np.array([[c, s], [-s, c]], dtype=np.complex128)
+    if kind == "RZ":
+        return np.diag([1.0 + 0.0j, np.exp(1j * angle)])
+    return np.array(entries, dtype=np.complex128).reshape(2, 2)

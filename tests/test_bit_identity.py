@@ -3,8 +3,9 @@
 ``apply_pinem`` scans only the ends of a convolution for its trim, convolves
 a fundamental without dilating its kernel and slices a window that lies
 inside the convolution; ``project_period_p`` takes running sums per residue
-class; ``compile_gate`` reads its XYX angles without the global phase. Each
-is compared here with the computation it replaced, bit for bit.
+class; ``compile_gate`` reads its XYX angles without the global phase;
+``Gate.target_matrix`` is built from Python scalars. Each is compared here
+with the computation it replaced, bit for bit.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ from fequbit import (
 from fequbit.compiler import ZERO_ANGLE_TOL
 from fequbit.ladder import DEFAULT_EDGE_MARGIN
 from fequbit.operators import CHEBYSHEV_TAIL_TOL
-from oracles import adaptive_trim_oracle, haar_unitary, residue_sums_add_at
+from oracles import adaptive_trim_oracle, gate_matrix_oracle, haar_unitary, residue_sums_add_at
 
 ADAPTIVE = TruncationPolicy.adaptive()
 BEAM = derive_beam(200e3, 800e-9)
@@ -170,3 +171,17 @@ def test_compiled_couplings_are_the_euler_angles():
                for el in schedule.elements]
         assert got == want
         assert np.array([v for _, v in got]).tobytes() == np.array([v for _, v in want]).tobytes()
+
+
+def test_gate_matrices_are_the_numpy_construction():
+    # the signed zeros count: _hvh_row's square root branches on them
+    rng = np.random.default_rng(2510)
+    angles = [0.0, -0.0, np.pi, -np.pi, 0.5 * np.pi, -0.5 * np.pi, 1e-300, -1e-300,
+              *rng.uniform(-10.0, 10.0, 200).tolist()]
+    gates = [Gate(kind) for kind in ("H", "X", "NOT", "Y", "Z", "S", "T")]
+    gates += [Gate(kind, angle=t) for kind in ("RX", "RY", "RZ") for t in angles]
+    gates += [Gate("U", entries=tuple(haar_unitary(rng).ravel())) for _ in range(50)]
+    gates += [Gate("U", entries=(0, 1, 1, 0)), Gate("U", entries=(-0.0, -1j, 1j, -0.0))]
+    for gate in gates:
+        want = gate_matrix_oracle(gate.kind, gate.angle, gate.entries)
+        assert gate.target_matrix().tobytes() == want.tobytes(), gate.label()

@@ -18,7 +18,6 @@ from fequbit.cli import (
     EXIT_PARSE,
     EXIT_RECONSTRUCTION,
     EXIT_TRUNCATION,
-    MAX_BENCH_DIM,
     MAX_EIGENPHASES_DIM,
     MAX_RESTARTS,
     RunConfig,
@@ -308,35 +307,6 @@ def test_tomography_fit_window_missing_the_data_is_truncation_error(tmp_path, ca
     assert "does not overlap" in capsys.readouterr().err
 
 
-def test_bench_report(tmp_path):
-    assert main(["bench", "--g", "2.0", "--dim", "201", *out_args(tmp_path)]) == EXIT_OK
-    report = json.loads((tmp_path / "out" / "bench.json").read_text())
-    assert report["dim"] == 201
-    assert report["occupied_levels"] >= 1
-    assert report["bessel_seconds"] > 0
-    assert report["norm_error"] < 1e-10
-
-
-def test_bench_rejects_undersized_window(tmp_path):
-    assert main(["bench", "--g", "50", "--dim", "51", *out_args(tmp_path)]) == EXIT_CONFIG
-
-
-def test_bench_window_must_hold_the_whole_kernel(tmp_path):
-    # at |g| = 250 the kernel runs to |k| = 576; a half-width of 565 would cut it
-    assert main(["bench", "--g", "250", "--dim", "1131", *out_args(tmp_path)]) == EXIT_CONFIG
-
-
-def test_bench_rejects_a_short_window_before_building_the_kernel(tmp_path, monkeypatch):
-    # a kernel for |g| = 1e8 would take gigabytes; dim 201 is rejected first
-    monkeypatch.setattr("fequbit.cli.pinem_kernel", _allocates)
-    assert main(["bench", "--g", "1e8", "--dim", "201", *out_args(tmp_path)]) == EXIT_CONFIG
-
-
-@pytest.mark.parametrize("g", ["nan", "inf", "1e308"])
-def test_bench_non_finite_coupling_is_config_error(tmp_path, g):
-    assert main(["bench", "--g", g, "--dim", "201", *out_args(tmp_path)]) == EXIT_CONFIG
-
-
 def _allocates(*args, **kwargs):
     raise AssertionError("an oversized flag reached an allocating call")
 
@@ -344,19 +314,19 @@ def _allocates(*args, **kwargs):
 @pytest.mark.parametrize("argv", [
     # 4098 is even and rejected as such; 4099 is the first odd dim beyond the cap
     ["eigenphases", "--g", "0.25", "--dim", str(MAX_EIGENPHASES_DIM + 2)],
-    ["bench", "--g", "2.0", "--dim", str(MAX_BENCH_DIM + 2)],
 ])
 def test_dim_beyond_its_cap_is_config_error(tmp_path, monkeypatch, argv):
-    for name in ("eigenphases", "basis_state", "apply_pinem"):
+    for name in ("eigenphases", "basis_state"):
         monkeypatch.setattr(f"fequbit.cli.{name}", _allocates)
     assert main([*argv, *out_args(tmp_path)]) == EXIT_CONFIG
 
 
 def test_bench_even_dim_is_config_error(tmp_path, monkeypatch):
     # an even dim has no symmetric window [-half, half]: nothing is built or written
-    for name in ("pinem_kernel", "basis_state", "apply_pinem"):
+    for name in ("eigenphases", "basis_state"):
         monkeypatch.setattr(f"fequbit.cli.{name}", _allocates)
-    assert main(["bench", "--g", "2.0", "--dim", "50", *out_args(tmp_path)]) == EXIT_CONFIG
+    assert main(["eigenphases", "--g", "2.0", "--dim", "50",
+                 *out_args(tmp_path)]) == EXIT_CONFIG
     assert not (tmp_path / "out").exists()
 
 
@@ -615,7 +585,7 @@ def test_help_lists_every_exit_code(capsys):
     assert listed == {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
 
 
-HELP_COMMANDS = ["", "simulate", "compile", "spectrum", "eigenphases", "tomography", "bench"]
+HELP_COMMANDS = ["", *cli._COMMANDS]
 
 
 def _expected_help() -> dict:
