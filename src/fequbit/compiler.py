@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import CircuitParseError
 from .ladder import DEFAULT_POLICY, BeamParameters, LadderState, TruncationPolicy, basis_state
-from .operators import _I_POW, FspPhase, PinemPulse, apply_fsp, apply_pinem
+from .operators import _I_POW, FspPhase, PinemPulse, apply_fsp, apply_pinem, pinem_kernels
 from .qubit import project_qubit, qubit_gate
 
 ZERO_ANGLE_TOL = 1e-12
@@ -375,7 +375,22 @@ def _as_x_rotation(x: complex, y: complex) -> float | None:
 
 
 def compile_circuit(circuit: Circuit, beam: BeamParameters) -> list[Schedule]:
-    return [compile_gate(gate, beam) for gate in circuit.gates]
+    """``compile_gate`` per gate, with every pulse's kernel built up front.
+
+    One ``pinem_kernels`` call builds the kernels of all the circuit's
+    pulses, equal couplings once, and each pulse keeps its own as a private
+    attribute that ``apply_pinem`` reads in place of ``pinem_kernel``. The
+    kernel is a read-only array with the bits ``pinem_kernel`` gives; it is
+    no dataclass field, so ``==``, ``hash``, ``repr`` and ``to_json`` do not
+    see it. A schedule from ``compile_gate`` alone carries none.
+    """
+    schedules = [compile_gate(gate, beam) for gate in circuit.gates]
+    pulses = [el for schedule in schedules for el in schedule.elements
+              if isinstance(el, PinemPulse)]
+    kernels = pinem_kernels([pulse.couplings[0][1] for pulse in pulses])
+    for pulse, kernel in zip(pulses, kernels):
+        object.__setattr__(pulse, "_kernel", kernel)
+    return schedules
 
 
 def simulate_schedule(schedule: Schedule, state: LadderState,

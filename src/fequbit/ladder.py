@@ -363,10 +363,13 @@ def _start_order(x: float, budget: float) -> int:
 
 
 def _bessel_half(x: float, budget: float) -> list[float]:
-    """J_0(x) .. J_K(x) as Python floats, with K and ``budget`` as in ``bessel_row``."""
+    """J_0(x) .. J_K(x) as Python floats, with K and ``budget`` as in ``bessel_row``.
+    An x that is not finite raises ValueError."""
     if not 1e-100 <= budget <= 1e-8:
         raise ValueError(f"Bessel tail budget {budget!r} outside [1e-100, 1e-8]")
     x = abs(float(x))
+    if not math.isfinite(x):
+        raise ValueError(f"Bessel argument {x!r} is not finite")
     if 0.5 * x * x <= budget:
         return [1.0 - 0.25 * x * x]
     n = _start_order(x, budget)
@@ -380,6 +383,40 @@ def _bessel_half(x: float, budget: float) -> list[float]:
         if 2.0 * tail > budget:
             return j[:k + 1]
     return j[:1]
+
+
+def _bessel_half_block(x: np.ndarray, n: np.ndarray, budget: float
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_bessel_half`` for many arguments at once, bit for bit: (j, cut, ok).
+
+    ``x`` holds finite arguments with 0.5 x^2 > budget, ``n`` their
+    ``_start_order``. ``_miller``'s recurrence runs on all of them together,
+    one order per step, each argument from its own n: until then it holds
+    J = 0, which every step keeps at exactly 0.0. Each step is the scalar
+    one, k * t * j - j_up, on arrays. Each argument's even orders up to its
+    n are summed by Python's ``sum``, as ``_miller`` sums them, and its tail
+    by a running sum from the top order down, as ``_bessel_half`` adds it,
+    through zeros above n that leave it as it is. j[k, i] is J_k(x[i]),
+    cut[i] the K that ``_bessel_half`` gives x[i], and ok[i] is False where
+    ``_bessel_half`` would rescale by 1e-250 or restart from a higher order:
+    those arguments need ``_bessel_half`` itself.
+    """
+    t, top, cols = 2.0 / x, int(n.max()), np.arange(x.size)
+    vals = np.zeros((top + 1, x.size))
+    j, j_up = np.zeros(x.size), np.zeros(x.size)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # such rows are not ok
+        for k in range(top, 0, -1):
+            j[n == k] = 1.0
+            j, j_up = k * t * j - j_up, j
+            vals[k - 1] = j
+        vals[n, cols] = 1.0  # the starts, which the steps above stored as 0.0
+        ok = (np.abs(vals) <= 1e250).all(axis=0)
+        evens = [sum(row[:m // 2]) for row, m in zip(vals[2::2].T.tolist(), n.tolist())]
+        vals *= 1.0 / (j + 2.0 * np.array(evens))
+        j_n = vals[n, cols]
+        ok &= ~(j_n * j_n > 1e-6 * budget)
+        tail = np.add.accumulate(vals[:0:-1] * vals[:0:-1], axis=0)  # orders top, top - 1, .., 1
+    return vals, np.count_nonzero(2.0 * tail > budget, axis=0), ok
 
 
 def bessel_row(x: float, budget: float) -> np.ndarray:
@@ -403,7 +440,8 @@ def bessel_row(x: float, budget: float) -> np.ndarray:
     ``budget`` must lie in [1e-100, 1e-8]: there 1 - x^2/4 is J_0 to
     rounding, and no step of the recurrence overflows between rescales. This
     is the one place a Bessel row is evaluated and cut; ``_bessel_half``
-    gives its orders 0..K.
+    gives its orders 0..K, and ``_bessel_half_block`` reproduces their bits
+    for many arguments at once. An x that is not finite raises ValueError.
     """
     j = _bessel_half(x, budget)
     left = j[:0:-1]

@@ -12,9 +12,13 @@ placed on every h-th level, its orders cut by ``ladder.bessel_row``. For a
 purely imaginary g_h, the only kind the compiler emits, arg(-g_h) = +-pi/2
 and the factor is exactly (+-i)^k, so ``pinem_kernel`` writes that kernel
 with no floating-point phase; any other coupling takes exp(i k arg(-g_h))
-in floating point. ``apply_pinem`` is the one function that applies a pulse
-to a state; under an adaptive policy it places the support of the
-convolutions, with guard cells, on the result's window in one step.
+in floating point. ``pinem_kernels`` gives the same bits for many couplings
+at once, the Bessel rows of the purely imaginary ones built together;
+``compiler.compile_circuit`` builds its pulses' kernels that way and hands
+each pulse its own. ``apply_pinem`` is the one function that applies a
+pulse to a state, with the pulse's kernel where it carries one and
+``pinem_kernel`` otherwise; under an adaptive policy it places the support
+of the convolutions, with guard cells, on the result's window in one step.
 ``eigenphases`` works on the truncated generator, where the truncation is
 the point; its spectrum has a closed form (a tridiagonal Toeplitz matrix),
 so no eigensolver runs.
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ladder import (DEFAULT_POLICY, LadderState, TruncationPolicy, _aligned, _bessel_half,
-                     bessel_row, check_edge_leakage)
+                     _bessel_half_block, _start_order, bessel_row, check_edge_leakage)
 
 MATEXP_DENSE_MAX_DIM = 1024
 """Selects nothing; kept only because perfbench/layers.py reads it to label its
@@ -42,6 +46,11 @@ CHEBYSHEV_TAIL_TOL = 1e-13
 """Amplitude error bound of every Bessel series the operators truncate."""
 
 _KERNEL_BUDGET = CHEBYSHEV_TAIL_TOL ** 2 / 8.0
+
+KERNEL_BLOCK_CELLS = 1 << 14
+"""Most cells of Bessel recurrence that ``pinem_kernels`` holds at once: a
+block of couplings whose highest start order is n has at most this // (n + 1)
+of them, so its scratch memory does not grow with the number of couplings."""
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -56,6 +65,7 @@ class PinemPulse:
     """
 
     couplings: tuple[tuple[int, complex], ...]
+    _kernel = None  # not a field: compile_circuit sets a read-only kernel of the h = 1 entry
 
     def __post_init__(self):
         items = tuple(sorted(((int(h), complex(g)) for h, g in self.couplings),
@@ -96,7 +106,7 @@ class FspPhase:
 
     Only integer quarter-units keep the comb qubit encoding closed; the
     free-form fraction exists for dispersion studies outside the qubit
-    algebra.
+    algebra. A fraction that is not finite raises ValueError.
     """
 
     quarter_units: int | None = None
@@ -107,6 +117,8 @@ class FspPhase:
             raise ValueError("set exactly one of quarter_units / fraction")
         if self.quarter_units is not None and self.quarter_units < 0:
             raise ValueError("quarter_units must be >= 0")
+        if self.fraction is not None and not np.isfinite(self.fraction):
+            raise ValueError(f"fraction {self.fraction!r} is not finite")
 
     @classmethod
     def quarter(cls, k: int) -> "FspPhase":
@@ -157,15 +169,72 @@ def pinem_kernel(g: complex) -> np.ndarray:
     return np.exp(1j * np.angle(-g) * k) * row
 
 
+def pinem_kernels(gs) -> list[np.ndarray]:
+    """``[pinem_kernel(g) for g in gs]``, bit for bit, as read-only arrays;
+    equal couplings share one array.
+
+    The distinct purely imaginary couplings are built together: their start
+    orders come from ``ladder._start_order``, one call each, and their Bessel
+    rows from ``ladder._bessel_half_block``, in blocks of at most
+    ``KERNEL_BLOCK_CELLS`` recurrence cells, highest start orders first. Each
+    block lays out its kernels as ``pinem_kernel`` does, -+J_k on the real
+    part at even k and on the imaginary part at odd k, on one array whose
+    rows the kernels are slices of. The other couplings, those whose row is
+    the one value 1 - x^2/4, and those ``_bessel_half_block`` does not mark
+    ok go through ``pinem_kernel``; a coupling whose 2|g| is not finite
+    raises ValueError there.
+    """
+    distinct = list(dict.fromkeys(map(complex, gs)))
+    couplings = np.array(distinct, dtype=np.complex128)
+    with np.errstate(over="ignore"):  # pinem_kernel rejects an infinite 2|g|
+        x = 2.0 * np.abs(couplings.imag)  # 2|g| where the real part is 0
+        batch = (couplings.real == 0.0) & np.isfinite(x) & (0.5 * x * x > _KERNEL_BUDGET)
+    kernels, scalar = {}, [g for g, b in zip(distinct, batch.tolist()) if not b]
+    rows = np.flatnonzero(batch)
+    n = np.array([_start_order(v, _KERNEL_BUDGET) for v in x[rows].tolist()], dtype=np.intp)
+    order = np.argsort(-n, kind="stable")
+    rows, n = rows[order], n[order]
+    start = 0
+    while start < rows.size:
+        stop = start + max(1, KERNEL_BLOCK_CELLS // (int(n[start]) + 1))
+        block = rows[start:stop]
+        j, cut, ok = _bessel_half_block(x[block], n[start:stop], _KERNEL_BUDGET)
+        top = int(cut[ok].max(initial=0))
+        j = j[:top + 1]
+        j[2::4] *= -1.0  # s^k = (-1)^(k/2) at even k
+        s = np.where(couplings.imag[block] < 0.0, 1.0, -1.0)  # s^1 = -i sign(Im g) = i s
+        j[1::4] *= s
+        j[3::4] *= -s
+        f = np.zeros((block.size, 2 * top + 1), dtype=np.complex128)
+        parts = f.view(np.float64).reshape(block.size, 2 * top + 1, 2)
+        half = j.T  # row i: f_k = f_-k of coupling block[i], k = 0 .. top
+        parts[:, top::2, 0] = parts[:, top::-2, 0] = half[:, ::2]
+        if top:  # at top 0 the slices below would wrap round to the last part
+            parts[:, top + 1::2, 1] = parts[:, top - 1::-2, 1] = half[:, 1::2]
+        f.flags.writeable = False
+        for i, (index, k, good) in enumerate(zip(block.tolist(), cut.tolist(), ok.tolist())):
+            if good:
+                kernels[distinct[index]] = f[i, top - k:top + k + 1]
+            else:
+                scalar.append(distinct[index])
+        start = stop
+    for g in scalar:
+        kernels[g] = kernel = pinem_kernel(g)
+        kernel.flags.writeable = False
+    return [kernels[g] for g in map(complex, gs)]
+
+
 def apply_pinem(state: LadderState, pulse: PinemPulse,
                 policy: TruncationPolicy = DEFAULT_POLICY) -> LadderState:
     """Apply a laser interaction as one Bessel-kernel convolution per harmonic.
 
     Harmonic h convolves with ``pinem_kernel(g_h)`` placed on every h-th
-    level. Cutting that kernel at K moves the state by at most
-    2 sum_{k>K} |J_k(2|g_h|)| in l2 norm, the l1 norm of the dropped tail, so
-    a multi-harmonic pulse moves it by at most the sum of those over its
-    harmonics (up to products of tails).
+    level; a pulse from ``compiler.compile_circuit`` carries that kernel
+    already, and no kernel is ever stored on a pulse here. Cutting that
+    kernel at K moves the state by at most 2 sum_{k>K} |J_k(2|g_h|)| in l2
+    norm, the l1 norm of the dropped tail, so a multi-harmonic pulse moves
+    it by at most the sum of those over its harmonics (up to products of
+    tails).
 
     Adaptive policies put the result on its support plus ``policy.edge_margin``
     guard cells per side. The support drops, from each end of the
@@ -186,7 +255,7 @@ def apply_pinem(state: LadderState, pulse: PinemPulse,
         return state
     amps, amps_l_min = state.amplitudes, state.l_min
     for h, g in harmonics:
-        kernel = pinem_kernel(g)
+        kernel = pinem_kernel(g) if pulse._kernel is None else pulse._kernel
         k_half = (kernel.size - 1) // 2
         if h > 1:  # the kernel steps over every h-th level
             dilated = np.zeros(2 * h * k_half + 1, dtype=np.complex128)

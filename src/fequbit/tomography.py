@@ -368,10 +368,11 @@ def _levenberg_marquardt(residuals, jacobian, x0: np.ndarray) -> tuple[np.ndarra
     for _ in range(299):
         if taken:
             jac = jacobian(x)
-            a, g = jac.T @ jac, jac.T @ r
-            del jac  # not held while the next one is built
+            g = jac.T @ r
             if np.max(np.abs(g)) < _FIT_TOL:
                 break
+            a = jac.T @ jac  # formed only for a step
+            del jac  # not held while the next one is built
             diagonal = a.diagonal().copy()
             scale = np.maximum(diagonal, np.finfo(float).eps * diagonal.max())
         a.flat[::len(a) + 1] = diagonal + lam * scale  # damped in place, no square temporary

@@ -4,9 +4,12 @@
 a fundamental without dilating its kernel and slices a window that lies
 inside the convolution; ``project_period_p`` takes running sums per residue
 class; ``compile_gate`` reads its XYX angles without the global phase;
-``Gate.target_matrix`` is built from Python scalars. Each is compared here
-with the computation it replaced, bit for bit.
+``Gate.target_matrix`` is built from Python scalars; ``pinem_kernels``
+builds many kernels at once, and ``compile_circuit`` hands them to its
+pulses. Each is compared here with the computation it replaced, bit for bit.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -17,15 +20,20 @@ from fequbit import (
     PinemPulse,
     TruncationPolicy,
     apply_pinem,
+    basis_state,
+    compile_circuit,
     compile_gate,
     derive_beam,
     euler_xyx,
+    parse_circuit,
     pinem_kernel,
     project_period_p,
+    simulate_schedule,
 )
+from fequbit import ladder, operators
 from fequbit.compiler import ZERO_ANGLE_TOL
 from fequbit.ladder import DEFAULT_EDGE_MARGIN
-from fequbit.operators import CHEBYSHEV_TAIL_TOL
+from fequbit.operators import _KERNEL_BUDGET, CHEBYSHEV_TAIL_TOL, KERNEL_BLOCK_CELLS, pinem_kernels
 from oracles import adaptive_trim_oracle, gate_matrix_oracle, haar_unitary, residue_sums_add_at
 
 ADAPTIVE = TruncationPolicy.adaptive()
@@ -185,3 +193,98 @@ def test_gate_matrices_are_the_numpy_construction():
     for gate in gates:
         want = gate_matrix_oracle(gate.kind, gate.angle, gate.entries)
         assert gate.target_matrix().tobytes() == want.tobytes(), gate.label()
+
+
+def assert_kernels_are_the_scalar_kernels(gs: list) -> list:
+    got = pinem_kernels(gs)
+    assert len(got) == len(gs)
+    for g, kernel in zip(gs, got):
+        want = pinem_kernel(g)
+        assert kernel.dtype == want.dtype and kernel.shape == want.shape, g
+        assert kernel.tobytes() == want.tobytes(), g
+        assert not kernel.flags.writeable
+    return got
+
+
+def test_kernel_batch_is_the_scalar_kernel_on_compiled_angles():
+    rng = np.random.default_rng(26)
+    thetas = [math.pi, -math.pi, 0.5 * math.pi, -0.5 * math.pi,
+              *(-rng.uniform(-math.pi, math.pi, 10_000)).tolist()]  # -uniform: (-pi, pi]
+    thetas += thetas[::7]  # repeated angles
+    gs = [-0.5j * theta for theta in thetas]  # the coupling compile_gate emits
+    cells = sum(ladder._start_order(2.0 * abs(g), _KERNEL_BUDGET) + 1 for g in set(gs))
+    assert cells > 10 * KERNEL_BLOCK_CELLS  # many blocks, the last one partial
+    got = assert_kernels_are_the_scalar_kernels(gs)
+    by_coupling = dict(zip(gs, got))
+    assert all(kernel is by_coupling[g] for g, kernel in zip(gs, got))  # built once
+
+
+def test_kernel_batch_at_the_one_term_boundary():
+    # K = 0 with no recurrence where x^2 / 2 <= budget, one step of x above it the recurrence
+    x = math.sqrt(2.0 * _KERNEL_BUDGET)
+    below, above = [x], [x]
+    for _ in range(40):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], 1.0))
+    xs = sorted(set(below + above))
+    assert any(0.5 * v * v <= _KERNEL_BUDGET for v in xs)
+    assert any(0.5 * v * v > _KERNEL_BUDGET for v in xs)
+    gs = [sign * 0.5j * v for v in xs for sign in (1.0, -1.0)]
+    got = assert_kernels_are_the_scalar_kernels(gs)
+    assert {kernel.size for kernel in got} == {1, 3}
+
+
+def test_kernel_batch_sends_other_couplings_to_the_scalar_kernel():
+    gs = [0j, -0j, complex(-0.0, 1.5), complex(0.0, -1.5), 0.3 + 0.4j, 1e-3 + 0j, 2.0 - 0j,
+          125j, -250j, 4.0 * np.exp(0.3j), 1e-300j, 0.7j, 0.7j, complex(-0.0, 0.7)]
+    assert_kernels_are_the_scalar_kernels(gs)
+    for g in (125j, -250j):  # a block of one coupling with many even orders to sum
+        assert_kernels_are_the_scalar_kernels([g])
+    assert pinem_kernels([]) == []
+
+
+def test_kernel_batch_leaves_restarted_and_rescaled_rows_to_the_scalar_code(monkeypatch):
+    # the kernel budget's own start orders never need either, so some are forced
+    start_order = ladder._start_order
+    low = {3.0: 5, 7.5: 10}  # J_n too large: the scalar code restarts from a higher n
+    high = {0.01: 400, 0.02: 300}  # 1 / J_n past 1e250: the scalar code rescales
+
+    def forced(x, budget):
+        return low.get(x) or high.get(x) or start_order(x, budget)
+
+    monkeypatch.setattr(ladder, "_start_order", forced)
+    monkeypatch.setattr(operators, "_start_order", forced)
+    xs = [3.0, 7.5, 0.01, 0.02, 0.5, 2.0, 6.0]
+    n = np.array([forced(x, _KERNEL_BUDGET) for x in xs])
+    _, _, ok = ladder._bessel_half_block(np.array(xs), n, _KERNEL_BUDGET)
+    assert ok.tolist() == [False, False, False, False, True, True, True]
+    assert_kernels_are_the_scalar_kernels([0.5j * x for x in xs] + [-0.5j * x for x in xs])
+
+
+def random_circuit_source(rng: np.random.Generator, n_gates: int) -> str:
+    lines = []
+    for _ in range(n_gates):
+        kind = int(rng.integers(4))
+        if kind == 0:
+            lines.append(("H", "X", "Y", "Z", "S", "T", "NOT")[int(rng.integers(7))])
+        elif kind == 3:
+            a, b, c, d = (complex(v) for v in haar_unitary(rng).ravel())
+            lines.append(f"U [[{a!r},{b!r}],[{c!r},{d!r}]]")
+        else:
+            lines.append(f"{('RX', 'RY')[kind - 1]}({rng.uniform(-math.pi, math.pi)!r})")
+    return "\n".join(lines) + "\n"
+
+
+def test_compiled_circuit_runs_the_bits_of_gate_by_gate_schedules():
+    circuit = parse_circuit(random_circuit_source(np.random.default_rng(200), 200))
+    batched = compile_circuit(circuit, BEAM)
+    assert all(vars(el).get("_kernel") is not None for schedule in batched
+               for el in schedule.elements if isinstance(el, PinemPulse))
+    states = []
+    for schedules in (batched, [compile_gate(gate, BEAM) for gate in circuit.gates]):
+        state = basis_state(0, ADAPTIVE)
+        for schedule in schedules:
+            state = simulate_schedule(schedule, state, ADAPTIVE)
+        states.append(state)
+    assert states[0].l_min == states[1].l_min
+    assert states[0].amplitudes.tobytes() == states[1].amplitudes.tobytes()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fequbit import LadderState, Schedule, basis_state, cli
+from fequbit import LadderState, Schedule, basis_state, cli, compile_gate
 from fequbit.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -700,3 +700,14 @@ def test_fuzzed_config_file_ends_in_a_documented_exit_code(tmp_path_factory, con
     _assert_documented_exit(
         ["compile", str(work / "h.txt"), "--config", str(work / "cfg.json")],
         work / out)
+
+
+def test_compile_file_is_unchanged_by_the_pulse_kernels(tmp_path, monkeypatch):
+    circ = tmp_path / "circ.txt"
+    circ.write_text("H\nRX(0.3)\nT\nRY(-1.2)\nU [[0,1],[1j,0]]\n")
+    assert main(["compile", str(circ), *out_args(tmp_path, "batched")]) == EXIT_OK
+    monkeypatch.setattr(cli, "compile_circuit",
+                        lambda circuit, beam: [compile_gate(g, beam) for g in circuit.gates])
+    assert main(["compile", str(circ), *out_args(tmp_path, "plain")]) == EXIT_OK
+    batched = (tmp_path / "batched" / "schedule.json").read_bytes()
+    assert batched == (tmp_path / "plain" / "schedule.json").read_bytes()

@@ -13,6 +13,7 @@ from fequbit import (
     Gate,
     PinemPulse,
     Schedule,
+    apply_pinem,
     basis_state,
     compile_circuit,
     compile_gate,
@@ -21,10 +22,12 @@ from fequbit import (
     euler_xyx,
     gate_fidelity,
     parse_circuit,
+    pinem_kernel,
     project_qubit,
     simulate_schedule,
     unparse,
 )
+from fequbit import operators
 from fequbit.ladder import NORM_TOL, TruncationPolicy
 from fequbit.operators import CHEBYSHEV_TAIL_TOL
 from fequbit.qubit import pinem_rotation
@@ -450,3 +453,46 @@ def test_schedule_counts():
     schedule = compile_gate(Gate("T"), BEAM)
     assert schedule.n_pulses == 3
     assert schedule.n_drifts == 2
+
+
+def test_a_compiled_pulse_kernel_changes_nothing_visible():
+    circuit = parse_circuit("H\nRX(0.3)\nRY(-1.2)\nT\nU [[0,1],[1j,0]]\nRX(0.3)\n")
+    batched = compile_circuit(circuit, BEAM)
+    plain = [compile_gate(gate, BEAM) for gate in circuit.gates]
+    pulses = [el for schedule in batched for el in schedule.elements
+              if isinstance(el, PinemPulse)]
+    assert pulses
+    for pulse in pulses:
+        kernel = vars(pulse)["_kernel"]
+        assert not kernel.flags.writeable
+        assert kernel.tobytes() == pinem_kernel(pulse.g).tobytes()
+    for a, b in zip(batched, plain):
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b)
+        assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+    for pulse in pulses:
+        bare = PinemPulse.single(pulse.g)
+        assert bare == pulse and hash(bare) == hash(pulse) and repr(bare) == repr(pulse)
+
+
+def test_apply_pinem_stores_no_kernel_on_a_pulse():
+    pulse = PinemPulse.single(-0.25j)
+    apply_pinem(basis_state(0, 8), pulse)
+    assert "_kernel" not in vars(pulse)
+    (schedule,) = [compile_gate(Gate("RX", angle=0.5), BEAM)]
+    simulate_schedule(schedule, basis_state(0, 8))
+    assert all("_kernel" not in vars(el) for el in schedule.elements)
+
+
+def test_a_compiled_circuit_runs_without_the_scalar_kernel(monkeypatch):
+    schedules = compile_circuit(parse_circuit("H\nRX(0.3)\nT\nRY(2.5)\n"), BEAM)
+
+    def unexpected(g):
+        raise AssertionError(f"pinem_kernel({g!r}) called for a compiled pulse")
+
+    monkeypatch.setattr(operators, "pinem_kernel", unexpected)
+    state = basis_state(0, 8)
+    for schedule in schedules:
+        state = simulate_schedule(schedule, state)
+    assert abs(state.norm() - 1.0) <= NORM_TOL

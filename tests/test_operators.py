@@ -21,7 +21,7 @@ from fequbit import (
     pinem_kernel,
 )
 from fequbit.ladder import bessel_row
-from fequbit.operators import CHEBYSHEV_TAIL_TOL
+from fequbit.operators import CHEBYSHEV_TAIL_TOL, pinem_kernels
 from helpers import aligned_pair, bessel_tail_half_width, random_interior_state, state_distance
 from oracles import bessel_series, commutator_norm, pinem_amplitudes_oracle, pinem_generator
 
@@ -536,3 +536,29 @@ def test_operator_results_are_read_only_and_share_no_memory(apply, change, polic
         out.amplitudes[0] = 1.0
     assert not np.shares_memory(out.amplitudes, state.amplitudes)
     assert state.norm() == pytest.approx(1.0, abs=1e-14)  # the input is untouched
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_drift_fraction_that_is_not_finite_is_rejected(r):
+    with pytest.raises(ValueError, match="not finite"):
+        FspPhase.of_fraction(r)
+    with pytest.raises(ValueError, match="not finite"):
+        FspPhase(fraction=r)
+
+
+@pytest.mark.parametrize("g", [complex(0.0, math.inf), complex(0.0, -math.inf),
+                               complex(0.0, math.nan), complex(math.inf, 1.0),
+                               complex(math.nan, 0.0), complex(1e308, 1e308)])
+def test_pulse_coupling_whose_2g_is_not_finite_is_rejected(g):
+    with pytest.raises(ValueError, match="not finite"):
+        pinem_kernel(g)
+    with pytest.raises(ValueError, match="not finite"):
+        pinem_kernels([0.5j, g, -0.5j])
+    with pytest.raises(ValueError, match="not finite"):
+        apply_pinem(basis_state(0, 8), PinemPulse.single(g))
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_bessel_row_of_a_non_finite_argument_is_rejected(x):
+    with pytest.raises(ValueError, match="not finite"):
+        bessel_row(x, 1e-24)
