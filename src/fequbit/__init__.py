@@ -59,7 +59,6 @@ from .tomography import (
     Spectrum,
     add_shot_noise,
     eels_spectrum,
-    readout_qubit,
     reconstruct_state,
     spectrogram,
 )

@@ -109,13 +109,11 @@ def _setting(default, text: str, check=None, problem: str = "", *, tomography=Fa
     """A ``RunConfig`` field that carries its flag, its range ``check`` with the
     ``problem`` listed when the check fails, and whether only ``tomography``
     takes it. The flag's help ``text`` ends with the default, unless the flag
-    is a switch or the text places ``{default}`` itself. A value whose type
+    is a switch or the text names ``(default`` itself. A value whose type
     is not in ``types`` fails; they default to the default's own, and an int
     also fits a float (bool is an int subclass but not an int here)."""
     kind = type(default)
-    if "{default" in text:
-        text = text.format(default=default)
-    elif kind is not bool:
+    if kind is not bool and "(default" not in text:
         text += f" (default {default!r})" if kind is str else f" (default {default:g})"
     flag = {"help": text, **({"action": "store_true"} if kind is bool else {"type": kind})}
     return field(default=default, metadata={
@@ -134,7 +132,7 @@ class RunConfig:
                                     "wavelength must be > 0 nm")
     delta_e_ev: float = _setting(0.0, "beam energy spread in eV, metadata only",
                                  lambda v: v >= 0, "energy spread must be >= 0 eV")
-    window: str = _setting("adaptive", "{default!r} (default) or a fixed half-width integer",
+    window: str = _setting("adaptive", "'adaptive' (default) or a fixed half-width integer",
                            types=(str, int))
     seed: int = _setting(0, "RNG seed", lambda v: v >= 0, "seed must be >= 0")
     out: str = _setting(".", "output directory", lambda v: v and "\0" not in v,

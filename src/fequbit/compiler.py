@@ -98,6 +98,8 @@ class Gate:
         raise ValueError(f"unknown gate kind {self.kind!r}")
 
     def target_matrix(self) -> np.ndarray:
+        """The gate's 2x2 matrix. Public because a user scoring a compiled
+        schedule (``gate_fidelity``) needs the matrix it should realize."""
         return np.array(self._row_major(), dtype=np.complex128).reshape(2, 2)
 
     def label(self) -> str:
@@ -181,7 +183,8 @@ def parse_circuit(source: str, name: str | None = None) -> Circuit:
 
 
 def unparse(circuit: Circuit) -> str:
-    """DSL text that reparses to an identical circuit."""
+    """DSL text that reparses to an identical circuit. Public because it is
+    the one writer of the gate DSL that ``parse_circuit`` reads."""
     return "\n".join(gate.label() for gate in circuit.gates) + "\n"
 
 
@@ -196,7 +199,8 @@ def euler_xyx(u: np.ndarray) -> tuple[float, float, float, complex]:
 
     The angles are the ones ``compile_gate`` emits for u, in the same scalar
     arithmetic; the phase is ``_phase_to`` of the closed-form Rx(a) Ry(b)
-    Rx(c). A matrix that is not unitary raises ValueError.
+    Rx(c). A matrix that is not unitary raises ValueError. Public because it
+    gives the XYX angles of any target without building a schedule.
     """
     u = np.asarray(u, dtype=np.complex128).reshape(4).tolist()
     _require_unitary(u, "input")
@@ -326,7 +330,7 @@ def compile_gate(gate: Gate, beam: BeamParameters) -> Schedule:
         raise ValueError(f"{gate} has a non-finite angle")
     u = gate._row_major()
     _require_unitary(u, gate)
-    z_quarters = _as_quarter_phase_gate(gate)
+    z_quarters = _as_quarter_phase_gate(gate.kind, u[3])
     x, y = _hvh_row(u)
     if z_quarters is not None:  # pure phase gates on a quarter grid map to drifts
         elements = (FspPhase.quarter(z_quarters),) if z_quarters else ()
@@ -343,16 +347,18 @@ def compile_gate(gate: Gate, beam: BeamParameters) -> Schedule:
     return Schedule(elements, _phase_to(realized, u), beam.quarter_length_m)
 
 
-def _as_quarter_phase_gate(gate: Gate) -> int | None:
-    if gate.kind == "Z":
-        return 2
-    if gate.kind == "S":
-        return 1
-    if gate.kind == "RZ":
-        quarters = gate.angle / (0.5 * math.pi)
-        nearest = round(quarters)
-        if abs(quarters - nearest) * 0.5 * math.pi < ZERO_ANGLE_TOL:
-            return nearest % 4
+def _as_quarter_phase_gate(kind: str, u11: complex) -> int | None:
+    """k in 0..3 if a Z, S or RZ gate, diag(1, u11), is diag(1, i^k), that is
+    |u11 - i^k| < ZERO_ANGLE_TOL; else None.
+
+    The test reads u11 = e^{i theta}, not theta / (pi / 2): at large |theta|
+    that quotient rounds to an integer theta is no multiple of (it is one for
+    every |theta| above ~7e15), which would make such an RZ a wrong drift.
+    """
+    if kind in ("Z", "S", "RZ"):
+        for k, phase in enumerate(_I_POW):
+            if abs(u11 - phase) < ZERO_ANGLE_TOL:
+                return k
     return None
 
 
@@ -421,7 +427,9 @@ def effective_qubit_gate(schedule: Schedule,
 
 
 def gate_fidelity(achieved: np.ndarray, target: np.ndarray) -> float:
-    """Global-phase-invariant gate overlap |tr(target^dag achieved)| / 2."""
+    """Global-phase-invariant gate overlap |tr(target^dag achieved)| / 2.
+    Public because it is the score a user compares a compiled or simulated
+    gate (``effective_qubit_gate``) with its target by."""
     achieved = np.asarray(achieved, dtype=np.complex128).reshape(2, 2)
     target = np.asarray(target, dtype=np.complex128).reshape(2, 2)
     for name, u in (("achieved", achieved), ("target", target)):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -37,6 +38,15 @@ DEFAULT_EDGE_MARGIN = 4
 
 ADAPTIVE_START_HALF_WIDTH = 8
 """Half-width of the window a state starts on under an adaptive policy."""
+
+
+def _as_index(value, what: str) -> int:
+    """``value`` as a Python int, by ``operator.index``; anything that is no
+    integer, such as 1.5 or 2.0, raises ValueError naming ``what``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def write_text(path, text: str) -> None:
@@ -98,7 +108,10 @@ class TruncationPolicy:
     fit is not ok.
 
     ``edge_margin`` and ``leakage_tol`` are class attributes, not fields:
-    every policy carries ``DEFAULT_EDGE_MARGIN`` and ``LEAKAGE_TOL``.
+    every policy carries ``DEFAULT_EDGE_MARGIN`` and ``LEAKAGE_TOL``. The
+    package reads those constants themselves; only perfbench and tests read
+    the attributes, and ROADMAP item 5 deletes them. A ``half_width`` that
+    is no integer raises ValueError.
     """
 
     mode: str = "adaptive"
@@ -109,6 +122,8 @@ class TruncationPolicy:
     def __post_init__(self):
         if self.mode not in ("fixed", "adaptive"):
             raise ValueError(f"unknown truncation mode {self.mode!r}")
+        if self.half_width is not None:
+            object.__setattr__(self, "half_width", _as_index(self.half_width, "half_width"))
         if self.mode == "fixed" and (self.half_width is None or self.half_width < 1):
             raise ValueError("fixed mode needs a positive half_width")
 
@@ -160,10 +175,6 @@ class LadderState:
         return self.amplitudes.size
 
     @property
-    def l_max(self) -> int:
-        return self.l_min + self.dim - 1
-
-    @property
     def indices(self) -> np.ndarray:
         return np.arange(self.l_min, self.l_min + self.dim)
 
@@ -172,17 +183,6 @@ class LadderState:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def amplitude(self, l: int) -> complex:
-        if not self.l_min <= l <= self.l_max:
-            raise WindowError(f"level {l} outside window [{self.l_min}, {self.l_max}]")
-        return complex(self.amplitudes[l - self.l_min])
-
-    def padded(self, l_min: int, l_max: int) -> "LadderState":
-        """Zero-pad onto the window [l_min, l_max] (must contain the current one)."""
-        if l_min > self.l_min or l_max < self.l_max:
-            raise WindowError("padded window must contain the current window")
-        return LadderState(l_min, _aligned(self.amplitudes, self.l_min, l_min, l_max - l_min + 1))
 
     def trimmed(self) -> "LadderState":
         """Drop probability-free window edges: cells of probability <= 1e-18.
@@ -197,9 +197,10 @@ class LadderState:
                            self.amplitudes[keep[0]:keep[-1] + 1])
 
     def to_json(self) -> dict:
+        """``l_min`` and one [re, im] pair of Python floats per amplitude."""
         return {
             "l_min": self.l_min,
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
+            "amplitudes": self.amplitudes.view(np.float64).reshape(-1, 2).tolist(),
         }
 
     @classmethod
@@ -259,12 +260,13 @@ def basis_state(l: int, window: TruncationPolicy | int = DEFAULT_POLICY) -> Ladd
 
     ``window`` is either a half-width or a policy: ``half_width`` for a fixed
     policy, ``ADAPTIVE_START_HALF_WIDTH`` for an adaptive one. The window must
-    contain ``l``.
+    contain ``l``; a level or half-width that is no integer raises ValueError.
     """
     if isinstance(window, TruncationPolicy):
         half = window.half_width if window.mode == "fixed" else ADAPTIVE_START_HALF_WIDTH
     else:
-        half = int(window)
+        half = _as_index(window, "window half-width")
+    l = _as_index(l, "level")
     if half < 1:
         raise ValueError("window half-width must be >= 1")
     if abs(l) > half:
@@ -278,7 +280,9 @@ def occupied_levels(state: LadderState, coverage: float = 1.0 - 1e-6) -> int:
     """Size of the smallest symmetric window [-K, K] holding ``coverage``.
 
     Counts 2K + 1 levels even when part of that window lies outside the
-    state's own (then probability-free) storage window.
+    state's own (then probability-free) storage window. Nothing in the
+    package calls it, only tests and perfbench's ``ladder.window_bloat``
+    metric; ROADMAP item 5 deletes it with that metric.
     """
     p = state.probabilities()
     if p.sum() < coverage:

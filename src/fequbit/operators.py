@@ -35,12 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ladder import (DEFAULT_POLICY, LadderState, TruncationPolicy, _aligned, _bessel_half,
-                     _bessel_half_block, _start_order, bessel_row, check_edge_leakage)
+from .ladder import (DEFAULT_EDGE_MARGIN, DEFAULT_POLICY, LEAKAGE_TOL, LadderState,
+                     TruncationPolicy, _aligned, _as_index, _bessel_half, _bessel_half_block,
+                     _start_order, bessel_row, check_edge_leakage)
 
 MATEXP_DENSE_MAX_DIM = 1024
 """Selects nothing; kept only because perfbench/layers.py reads it to label its
-apply_pinem_matexp timings."""
+apply_pinem_matexp timings. ROADMAP item 5 deletes it with that reader."""
 
 CHEBYSHEV_TAIL_TOL = 1e-13
 """Amplitude error bound of every Bessel series the operators truncate."""
@@ -61,14 +62,16 @@ class PinemPulse:
 
     ``couplings`` maps harmonic index h >= 1 to the complex coupling on the
     +-h diagonals; the h = 1 entry is the fundamental g. Single-harmonic
-    pulses are the default and the only kind the qubit compiler emits.
+    pulses are the default and the only kind the qubit compiler emits. A
+    harmonic index that is no integer, such as 1.5, raises ValueError.
     """
 
     couplings: tuple[tuple[int, complex], ...]
     _kernel = None  # not a field: compile_circuit sets a read-only kernel of the h = 1 entry
 
     def __post_init__(self):
-        items = tuple(sorted(((int(h), complex(g)) for h, g in self.couplings),
+        items = tuple(sorted(((_as_index(h, "harmonic index"), complex(g))
+                              for h, g in self.couplings),
                              key=lambda item: item[0]))
         if not items:
             raise ValueError("pulse needs at least one harmonic entry")
@@ -106,7 +109,8 @@ class FspPhase:
 
     Only integer quarter-units keep the comb qubit encoding closed; the
     free-form fraction exists for dispersion studies outside the qubit
-    algebra. A fraction that is not finite raises ValueError.
+    algebra. A fraction that is not finite, or ``quarter_units`` that are no
+    integer, such as 1.5, raise ValueError.
     """
 
     quarter_units: int | None = None
@@ -115,18 +119,17 @@ class FspPhase:
     def __post_init__(self):
         if (self.quarter_units is None) == (self.fraction is None):
             raise ValueError("set exactly one of quarter_units / fraction")
-        if self.quarter_units is not None and self.quarter_units < 0:
-            raise ValueError("quarter_units must be >= 0")
+        if self.quarter_units is not None:
+            units = _as_index(self.quarter_units, "quarter_units")
+            if units < 0:
+                raise ValueError("quarter_units must be >= 0")
+            object.__setattr__(self, "quarter_units", units)
         if self.fraction is not None and not np.isfinite(self.fraction):
             raise ValueError(f"fraction {self.fraction!r} is not finite")
 
     @classmethod
     def quarter(cls, k: int) -> "FspPhase":
-        return cls(quarter_units=int(k))
-
-    @classmethod
-    def of_fraction(cls, r: float) -> "FspPhase":
-        return cls(fraction=float(r))
+        return cls(quarter_units=k)
 
     @property
     def is_quarter(self) -> bool:
@@ -236,7 +239,7 @@ def apply_pinem(state: LadderState, pulse: PinemPulse,
     it by at most the sum of those over its harmonics (up to products of
     tails).
 
-    Adaptive policies put the result on its support plus ``policy.edge_margin``
+    Adaptive policies put the result on its support plus ``DEFAULT_EDGE_MARGIN``
     guard cells per side. The support drops, from each end of the
     convolution, the longest run of cells whose summed |amplitude| is at most
     CHEBYSHEV_TAIL_TOL / 2; ``_tail_run`` scans only the ends for it and
@@ -266,15 +269,15 @@ def apply_pinem(state: LadderState, pulse: PinemPulse,
     if policy.mode == "fixed":
         result = LadderState._adopt(state.l_min,
                                     _aligned(amps, amps_l_min, state.l_min, state.dim))
-        check_edge_leakage(result, policy.edge_margin, policy.leakage_tol)
+        check_edge_leakage(result, DEFAULT_EDGE_MARGIN, LEAKAGE_TOL)
         return result
     half_tol = CHEBYSHEV_TAIL_TOL / 2.0
     lo = _tail_run(amps, half_tol, from_end=False)
     hi = _tail_run(amps, half_tol, from_end=True)
     if lo + hi >= amps.size:  # l1 norm <= tol, e.g. an all-zero state: no support
         lo = hi = 0
-    l_min = amps_l_min + lo - policy.edge_margin
-    dim = amps.size - lo - hi + 2 * policy.edge_margin
+    l_min = amps_l_min + lo - DEFAULT_EDGE_MARGIN
+    dim = amps.size - lo - hi + 2 * DEFAULT_EDGE_MARGIN
     return LadderState._adopt(l_min, _aligned(amps, amps_l_min, l_min, dim))
 
 
@@ -297,13 +300,15 @@ def _tail_run(amps: np.ndarray, limit: float, from_end: bool) -> int:
 
 def apply_pinem_bessel(state: LadderState, pulse: PinemPulse,
                        policy: TruncationPolicy = DEFAULT_POLICY) -> LadderState:
-    """Former name of ``apply_pinem``, kept for existing callers."""
+    """Former name of ``apply_pinem``. Nothing in the package calls it, only
+    perfbench and tests; ROADMAP item 5 deletes it and renames those calls."""
     return apply_pinem(state, pulse, policy)
 
 
 def apply_pinem_matexp(state: LadderState, pulse: PinemPulse,
                        policy: TruncationPolicy = DEFAULT_POLICY) -> LadderState:
-    """Former name of ``apply_pinem``, kept for existing callers."""
+    """Former name of ``apply_pinem``. Nothing in the package calls it, only
+    perfbench and tests; ROADMAP item 5 deletes it and renames those calls."""
     return apply_pinem(state, pulse, policy)
 
 

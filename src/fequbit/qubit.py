@@ -39,6 +39,8 @@ class QubitState:
         return abs(self.alpha) ** 2 + abs(self.beta) ** 2
 
     def as_vector(self) -> np.ndarray:
+        """(alpha, beta) as a complex array. Public because it is the form a
+        user applies a 2x2 gate (``compiler.Gate.target_matrix``) to."""
         return np.array([self.alpha, self.beta], dtype=np.complex128)
 
     def bloch_vector(self) -> tuple[float, float, float]:

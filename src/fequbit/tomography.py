@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import ConfigurationError, WindowError
 from .ladder import LadderState, TruncationPolicy, bessel_row, read_text, write_text
-from .qubit import QubitState, project_qubit
 
 DEFAULT_PROBE_MAGNITUDE = 1.0
 DEFAULT_N_PHASES = 32
@@ -95,7 +94,7 @@ class Spectrum:
         return np.arange(self.l_min, self.l_min + self.probabilities.size)
 
     def to_json(self) -> dict:
-        return {"l_min": self.l_min, "probabilities": list(map(float, self.probabilities))}
+        return {"l_min": self.l_min, "probabilities": self.probabilities.tolist()}
 
 
 def eels_spectrum(state: LadderState) -> Spectrum:
@@ -150,9 +149,6 @@ class Spectrogram:
     def indices(self) -> np.ndarray:
         return np.arange(self.l_min, self.l_min + self.n_levels)
 
-    def column(self, j: int) -> Spectrum:
-        return Spectrum(self.l_min, self.data[:, j])
-
     def to_csv(self, path) -> None:
         """Header row: scan phases, then a probe row; data rows labeled by l.
 
@@ -170,7 +166,8 @@ class Spectrogram:
     def from_csv(cls, path) -> "Spectrogram":
         """Inverse of ``to_csv``; a malformed file raises ConfigurationError
         naming ``path``. The header must be labeled ``l`` and the next row
-        ``probe``, with one equal magnitude per scan phase."""
+        ``probe``, with one equal magnitude per scan phase. Public because it
+        reads back the ``spectrogram.csv`` that ``fequbit tomography`` writes."""
         lines = [ln.strip().split(",") for ln in read_text(path).splitlines() if ln.strip()]
         try:
             if lines[0][0] != "l" or lines[1][0] != "probe":
@@ -508,18 +505,3 @@ def _fit(sg: Spectrogram, fit_l_min: int, n_par: int, n_restarts: int,
         seed=seed,
     )
 
-
-def readout_qubit(sg: Spectrogram, window: TruncationPolicy | None = None,
-                  n_restarts: int = DEFAULT_RESTARTS, seed: int = 0
-                  ) -> tuple[QubitState, float]:
-    """Reconstruct, then project: the comb qubit as a measurement result.
-
-    The overall phase of (alpha, beta) inherits the reconstruction's fixed
-    gauge and is not physical. ``window`` sets the fit window as in
-    ``reconstruct_state``: the levels the data window fully images, or every
-    data row when that fit is not ok, unless it is fixed(h). The
-    residual is returned whether or not it is within ``FAIL_THRESHOLD``.
-    """
-    result = reconstruct_state(sg, window, n_restarts, seed)
-    # fit-window edges bound the support; the interior-leakage check is moot here
-    return project_qubit(result.state, edge_margin=0), result.residual

@@ -10,11 +10,18 @@ from fequbit import FspPhase, LadderState, PinemPulse, QubitState, Schedule, Spe
 from fequbit.ladder import bessel_row
 
 
+def padded(state: LadderState, l_min: int, l_max: int) -> LadderState:
+    """``state`` zero-padded onto the window [l_min, l_max], which must contain its own."""
+    below, above = state.l_min - l_min, l_max - (state.l_min + state.dim - 1)
+    assert below >= 0 and above >= 0, "the padded window must contain the state's"
+    return LadderState(l_min, np.pad(state.amplitudes, (below, above)))
+
+
 def aligned_pair(s1: LadderState, s2: LadderState) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude arrays of both states zero-padded onto their joint window."""
     lo = min(s1.l_min, s2.l_min)
-    hi = max(s1.l_max, s2.l_max)
-    return s1.padded(lo, hi).amplitudes, s2.padded(lo, hi).amplitudes
+    hi = max(s1.l_min + s1.dim, s2.l_min + s2.dim) - 1
+    return padded(s1, lo, hi).amplitudes, padded(s2, lo, hi).amplitudes
 
 
 def state_distance(s1: LadderState, s2: LadderState) -> float:

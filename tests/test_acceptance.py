@@ -31,7 +31,6 @@ from fequbit import (
     project_period_p,
     project_qubit,
     qubit_gate,
-    readout_qubit,
     reconstruct_state,
     simulate_schedule,
     spectrogram,
@@ -70,7 +69,7 @@ def test_criterion_01_bessel_closed_form_equivalence():
         via_bessel = apply_pinem_bessel(state, PinemPulse.single(g))
         worst_paths = max(worst_paths, state_distance(via_matexp, via_bessel))
         # closed-form amplitudes from the power-series oracle, mirrored by parity
-        k_pos = np.arange(0, via_bessel.l_max + 1)
+        k_pos = np.arange(0, via_bessel.l_min + via_bessel.dim)
         j_pos = np.array([bessel_series(int(k), 2 * abs(g)) for k in k_pos])
         j_all = np.concatenate([j_pos[:0:-1] * (-1.0) ** k_pos[:0:-1], j_pos])
         chi = math.atan2((-g).imag, (-g).real)
@@ -113,7 +112,7 @@ def test_criterion_02_unitarity_thousand_cases():
         if rng.random() < 0.5:
             check(apply_fsp(state, FspPhase.quarter(int(rng.integers(0, 9)))))
         else:
-            check(apply_fsp(state, FspPhase.of_fraction(float(rng.uniform(0, 1)))))
+            check(apply_fsp(state, FspPhase(fraction=float(rng.uniform(0, 1)))))
     assert cases == 1000
     assert worst <= 1e-10
     _report(2, f"1000 applications, worst norm drift {worst:.2e}")
@@ -182,7 +181,7 @@ def test_criterion_06_quarter_drift_gate_exact():
         lhs = project_qubit(evolved).as_vector()
         rhs = np.diag([1.0, 1.0j]) @ project_qubit(state).as_vector()
         worst_gate = max(worst_gate, float(np.linalg.norm(lhs - rhs)))
-        for full in (FspPhase.quarter(4), FspPhase.of_fraction(1.0)):
+        for full in (FspPhase.quarter(4), FspPhase(fraction=1.0)):
             revived = apply_fsp(state, full)
             worst_revival = max(worst_revival, state_distance(revived, state))
     assert worst_gate <= 1e-12
@@ -267,7 +266,7 @@ def test_criterion_10_tomography_round_trip():
 
     schedule = compile_gate(Gate("H"), BEAM)
     prepared = simulate_schedule(schedule, basis_state(0, 8)).trimmed()
-    qubit, residual = readout_qubit(spectrogram(prepared), seed=0)
+    qubit = project_qubit(reconstruct_state(spectrogram(prepared), seed=0).state, edge_margin=0)
     assert abs(abs(qubit.alpha) - abs(qubit.beta)) <= 1e-3
     _report(10, f"noiseless 9-level fits: worst fidelity 1-{1 - worst:.2e}; "
                 f"H pipeline ||alpha|-|beta|| = "

@@ -6,9 +6,12 @@ inside the convolution; ``project_period_p`` takes running sums per residue
 class; ``compile_gate`` reads its XYX angles without the global phase;
 ``Gate.target_matrix`` is built from Python scalars; ``pinem_kernels``
 builds many kernels at once, and ``compile_circuit`` hands them to its
-pulses. Each is compared here with the computation it replaced, bit for bit.
+pulses; ``LadderState.to_json`` and ``Spectrum.to_json`` read their floats
+with one ``tolist``. Each is compared here with the computation it replaced,
+bit for bit.
 """
 
+import json
 import math
 
 import numpy as np
@@ -18,12 +21,14 @@ from fequbit import (
     Gate,
     LadderState,
     PinemPulse,
+    Spectrum,
     TruncationPolicy,
     apply_pinem,
     basis_state,
     compile_circuit,
     compile_gate,
     derive_beam,
+    eels_spectrum,
     euler_xyx,
     parse_circuit,
     pinem_kernel,
@@ -288,3 +293,26 @@ def test_compiled_circuit_runs_the_bits_of_gate_by_gate_schedules():
         states.append(state)
     assert states[0].l_min == states[1].l_min
     assert states[0].amplitudes.tobytes() == states[1].amplitudes.tobytes()
+
+
+def test_state_and_spectrum_json_are_the_float_per_part_text():
+    # signed zeros, subnormals and the extremes of the float range, and the
+    # compiled seed-201 circuit's final state
+    parts = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -2.2250738585072014e-308,
+             0.1, -1.0 / 3.0]
+    rng = np.random.default_rng(201)
+    amps = np.array([complex(re, im) for re in parts for im in parts])
+    state = LadderState(-3, amps[rng.permutation(amps.size)])
+    circuit = parse_circuit(random_circuit_source(rng, 50))
+    final = basis_state(0, ADAPTIVE)
+    for schedule in compile_circuit(circuit, BEAM):
+        final = simulate_schedule(schedule, final, ADAPTIVE)
+    for s in (state, final):
+        doc = {"l_min": s.l_min,
+               "amplitudes": [[float(a.real), float(a.imag)] for a in s.amplitudes]}
+        assert json.dumps(s.to_json()) == json.dumps(doc)
+    spectrum = eels_spectrum(final)
+    doc = {"l_min": spectrum.l_min, "probabilities": list(map(float, spectrum.probabilities))}
+    assert json.dumps(spectrum.to_json()) == json.dumps(doc)
+    zeros = Spectrum(0, np.array([-0.0, 0.5, 0.0, 0.5]))
+    assert json.dumps(zeros.to_json()) == '{"l_min": 0, "probabilities": [-0.0, 0.5, 0.0, 0.5]}'

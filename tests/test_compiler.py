@@ -197,6 +197,16 @@ def test_compile_rz_quarter_is_single_drift():
     assert schedule.elements == (FspPhase.quarter(1),)
 
 
+@pytest.mark.parametrize("theta", [1e300, 1e20, 2.0 ** 53, 1e16, 0.5 * math.pi * 1e15,
+                                   -1e300, 1e16 + 2.0, 2.0 * math.pi * 1e15])
+def test_compile_rz_at_a_large_angle_realizes_its_target(theta):
+    # theta / (pi / 2) is a float integer above ~7e15 whatever theta's phase;
+    # the quarter-turn test reads e^{i theta} instead
+    gate = Gate("RZ", angle=theta)
+    schedule = compile_gate(gate, BEAM)
+    assert np.max(np.abs(schedule.qubit_matrix() - gate.target_matrix())) < 1e-12
+
+
 def test_compile_z_and_s():
     z = compile_gate(Gate("Z"), BEAM)
     assert z.elements == (FspPhase.quarter(2),)
@@ -442,7 +452,7 @@ def test_schedule_json_roundtrip(tmp_path):
 
 def test_schedule_json_writes_only_what_it_can_read_back():
     # a pulse is written by its fundamental g, a drift by whole quarter units
-    for el in (PinemPulse.multi({1: 0.3j, 2: 0.1j}), FspPhase.of_fraction(0.3)):
+    for el in (PinemPulse.multi({1: 0.3j, 2: 0.1j}), FspPhase(fraction=0.3)):
         with pytest.raises(ValueError):
             Schedule((el,)).to_json()
     # without a beam a drift has no length in metres

@@ -25,6 +25,7 @@ from fequbit import (
 )
 from fequbit.ladder import bessel_row, write_text
 from fequbit.operators import CHEBYSHEV_TAIL_TOL
+from helpers import padded
 from oracles import bessel_series
 
 # frozen at first derivation from the CODATA 2018 constants; see
@@ -35,13 +36,13 @@ Z_D_200KEV_800NM = 0.07602815124982064
 def test_basis_state_center():
     s = basis_state(0, 8)
     assert s.dim == 17
-    assert s.amplitude(0) == 1.0
+    assert s.amplitudes[-s.l_min] == 1.0
     assert s.norm() == 1.0
 
 
 def test_basis_state_offset():
     s = basis_state(3, 8)
-    assert s.amplitude(3) == 1.0
+    assert s.amplitudes[3 - s.l_min] == 1.0
     assert s.norm() == 1.0
     assert np.count_nonzero(s.amplitudes) == 1
 
@@ -141,8 +142,7 @@ def test_support_leakage_monotone_in_window():
     state = LadderState(-4, amps)
     leaks = []
     for half in range(5, 12):
-        padded = state.padded(-half, half)
-        leaks.append(support_leakage(padded, 4))
+        leaks.append(support_leakage(padded(state, -half, half), 4))
     assert all(b <= a for a, b in zip(leaks, leaks[1:]))
 
 
@@ -185,6 +185,24 @@ def test_policy_validation():
         TruncationPolicy.adaptive(edge_margin=1)
 
 
+def test_policy_half_width_must_be_an_integer():
+    for half_width in (2.5, 3.0, "4"):
+        with pytest.raises(ValueError, match="half_width must be an integer"):
+            TruncationPolicy.fixed(half_width)
+    policy = TruncationPolicy.fixed(np.int64(5))
+    assert type(policy.half_width) is int
+    assert basis_state(0, policy).dim == 11
+
+
+def test_basis_state_level_and_half_width_must_be_integers():
+    for bad in (2.5, 3.0, "4"):
+        with pytest.raises(ValueError, match="window half-width must be an integer"):
+            basis_state(0, bad)
+        with pytest.raises(ValueError, match="level must be an integer"):
+            basis_state(bad, 8)
+    assert basis_state(np.int64(1), np.int64(2)).amplitudes[3] == 1.0
+
+
 def test_state_json_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     amps = rng.normal(size=7) + 1j * rng.normal(size=7)
@@ -205,18 +223,13 @@ def test_state_is_immutable():
 
 def test_state_window_accessors():
     state = LadderState(3, np.ones(4))
-    assert state.l_max == 6
     assert list(state.indices) == [3, 4, 5, 6]
-    with pytest.raises(WindowError):
-        state.amplitude(7)
-    with pytest.raises(WindowError):
-        state.padded(4, 10)
 
 
 @pytest.mark.parametrize("l_min, dim, kept", [(-3, 7, 0), (2, 4, 2), (-9, 4, -6)])
 def test_trimming_an_empty_state_keeps_the_cell_nearest_level_0(l_min, dim, kept):
     trimmed = LadderState(l_min, np.zeros(dim)).trimmed()
-    assert (trimmed.l_min, trimmed.dim, trimmed.amplitude(kept)) == (kept, 1, 0)
+    assert (trimmed.l_min, trimmed.dim, trimmed.amplitudes[0]) == (kept, 1, 0)
 
 
 def test_occupied_levels():

@@ -66,17 +66,27 @@ def test_pulse_validation():
     assert not pulse.is_single_harmonic
 
 
+def test_pulse_harmonic_index_must_be_an_integer():
+    for h in (1.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="harmonic index must be an integer"):
+            PinemPulse.multi({h: 0.3j})
+        with pytest.raises(ValueError, match="harmonic index must be an integer"):
+            PinemPulse(((1, 0.1j), (h, 0.3j)))
+    assert PinemPulse.multi({np.int64(2): 0.3j}).couplings == ((2, 0.3j),)
+
+
 def test_matexp_zero_coupling_is_identity():
     state = basis_state(0, 8)
     out = apply_pinem_matexp(state, PinemPulse.single(0.0))
-    assert out.amplitude(0) == pytest.approx(1.0, abs=1e-14)
+    assert out.amplitudes[-out.l_min] == pytest.approx(1.0, abs=1e-14)
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_matexp_center_amplitude_is_bessel():
     # 2|g| = 2 with arg(-g) = 0, i.e. g = -1
     out = apply_pinem_matexp(basis_state(0, 8), PinemPulse.single(-1.0))
-    assert abs(out.amplitude(0)) == pytest.approx(abs(bessel_series(0, 2.0)), abs=1e-12)
+    assert abs(out.amplitudes[-out.l_min]) == pytest.approx(abs(bessel_series(0, 2.0)),
+                                                             abs=1e-12)
 
 
 def test_matexp_population_symmetry():
@@ -101,7 +111,7 @@ def test_weak_pulse_keeps_its_first_sidebands():
     g = 5e-9
     out = apply_pinem(basis_state(0, 8), PinemPulse.single(g))
     expected = np.exp(1j * np.angle(-g)) * jv(1, 2.0 * abs(g))  # -J_1(1e-8)
-    assert abs(out.amplitude(1) - expected) <= 1e-13
+    assert abs(out.amplitudes[1 - out.l_min] - expected) <= 1e-13
 
 
 def test_kernel_norm_is_one():
@@ -260,7 +270,7 @@ def test_fsp_zero_distance_is_identity():
     state = random_interior_state(np.random.default_rng(6), 4, 8)
     out = apply_fsp(state, FspPhase.quarter(0))
     assert np.array_equal(out.amplitudes, state.amplitudes)
-    out = apply_fsp(state, FspPhase.of_fraction(0.0))
+    out = apply_fsp(state, FspPhase(fraction=0.0))
     assert np.array_equal(out.amplitudes, state.amplitudes)
 
 
@@ -268,14 +278,14 @@ def test_fsp_full_revival():
     state = random_interior_state(np.random.default_rng(7), 6, 9)
     assert np.array_equal(apply_fsp(state, FspPhase.quarter(4)).amplitudes,
                           state.amplitudes)
-    assert np.array_equal(apply_fsp(state, FspPhase.of_fraction(1.0)).amplitudes,
+    assert np.array_equal(apply_fsp(state, FspPhase(fraction=1.0)).amplitudes,
                           state.amplitudes)
 
 
 def test_fsp_quarter_on_even_level_is_trivial():
     state = basis_state(2, 8)
     out = apply_fsp(state, FspPhase.quarter(1))
-    assert out.amplitude(2) == 1.0
+    assert out.amplitudes[2 - out.l_min] == 1.0
 
 
 def test_fsp_quarter_composition_exact():
@@ -301,22 +311,22 @@ def test_fsp_quarter_is_the_unit_root_table(l_min):
 def test_fsp_sign_convention_odd_levels_gain_plus_i():
     # the global sign choice everything downstream relies on
     out = apply_fsp(basis_state(1, 4), FspPhase.quarter(1))
-    assert out.amplitude(1) == 1j
+    assert out.amplitudes[1 - out.l_min] == 1j
     out = apply_fsp(basis_state(-3, 4), FspPhase.quarter(1))
-    assert out.amplitude(-3) == 1j
+    assert out.amplitudes[-3 - out.l_min] == 1j
 
 
 def test_fsp_fraction_matches_quarter_grid():
     state = random_interior_state(np.random.default_rng(9), 5, 9)
     for k in range(1, 5):
         a = apply_fsp(state, FspPhase.quarter(k))
-        b = apply_fsp(state, FspPhase.of_fraction(k / 4.0))
+        b = apply_fsp(state, FspPhase(fraction=k / 4.0))
         assert state_distance(a, b) < 1e-12
 
 
 def test_fsp_norm_exact():
     state = random_interior_state(np.random.default_rng(10), 5, 9)
-    out = apply_fsp(state, FspPhase.of_fraction(0.1937))
+    out = apply_fsp(state, FspPhase(fraction=0.1937))
     assert out.norm() == pytest.approx(state.norm(), abs=1e-15)
 
 
@@ -327,6 +337,16 @@ def test_fsp_phase_validation():
         FspPhase()
     with pytest.raises(ValueError):
         FspPhase.quarter(-1)
+
+
+@pytest.mark.parametrize("make", [lambda k: FspPhase(quarter_units=k), FspPhase.quarter],
+                         ids=["constructor", "quarter"])
+def test_drift_quarter_units_must_be_an_integer(make):
+    for k in (1.5, 2.0, "1"):
+        with pytest.raises(ValueError, match="quarter_units must be an integer"):
+            make(k)
+    drift = make(np.int64(3))  # an integer of any type is held as a Python int
+    assert type(drift.quarter_units) is int and drift == FspPhase.quarter(3)
 
 
 def test_eigenphases_zero_coupling():
@@ -404,7 +424,7 @@ def test_unitarity_randomized():
         for op in (apply_pinem_matexp, apply_pinem_bessel):
             out = op(state, PinemPulse.single(g))
             assert abs(out.norm() - 1.0) < 1e-10
-        out = apply_fsp(state, FspPhase.of_fraction(rng.uniform(0, 1)))
+        out = apply_fsp(state, FspPhase(fraction=rng.uniform(0, 1)))
         assert abs(out.norm() - 1.0) < 1e-10
 
 
@@ -523,7 +543,7 @@ def test_compiled_pulse_kernel_is_the_exact_quarter_turn_phase(theta):
     (apply_pinem, PinemPulse.multi({1: 0.3j, 2: 0.5})),
     (apply_fsp, FspPhase.quarter(1)),
     (apply_fsp, FspPhase.quarter(0)),
-    (apply_fsp, FspPhase.of_fraction(0.3)),
+    (apply_fsp, FspPhase(fraction=0.3)),
 ], ids=["compiled", "complex", "multi", "quarter", "zero-drift", "fraction"])
 @pytest.mark.parametrize("policy", [TruncationPolicy.adaptive(), TruncationPolicy.fixed(40)],
                          ids=["adaptive", "fixed"])
@@ -540,8 +560,6 @@ def test_operator_results_are_read_only_and_share_no_memory(apply, change, polic
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
 def test_drift_fraction_that_is_not_finite_is_rejected(r):
-    with pytest.raises(ValueError, match="not finite"):
-        FspPhase.of_fraction(r)
     with pytest.raises(ValueError, match="not finite"):
         FspPhase(fraction=r)
 

@@ -18,7 +18,7 @@ from fequbit import (
     project_qubit,
     qubit_gate,
 )
-from helpers import random_interior_state
+from helpers import padded, random_interior_state
 from oracles import even_odd_sums_oracle, residue_sums_oracle
 
 
@@ -157,7 +157,7 @@ def test_closure_quarter_drifts():
 def test_closure_rejects_fractional_drift():
     state = random_interior_state(np.random.default_rng(39), 4, 10)
     with pytest.raises(ValueError):
-        closure_check(state, FspPhase.of_fraction(0.3))
+        closure_check(state, FspPhase(fraction=0.3))
 
 
 def test_intertwining_identity_explicit():
@@ -181,8 +181,8 @@ def test_real_coupling_fixes_projection_but_moves_ladder():
     assert abs(after.alpha - before.alpha) < 1e-8
     assert abs(after.beta - before.beta) < 1e-8
     # the ladder state itself did change
-    padded = state.padded(evolved.l_min, evolved.l_max)
-    assert np.linalg.norm(padded.amplitudes - evolved.amplitudes) > 0.1
+    widened = padded(state, evolved.l_min, evolved.l_min + evolved.dim - 1)
+    assert np.linalg.norm(widened.amplitudes - evolved.amplitudes) > 0.1
 
 
 def test_weight_invariance_under_gate_sequences():

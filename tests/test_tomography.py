@@ -21,14 +21,14 @@ from fequbit import (
     compile_gate,
     derive_beam,
     eels_spectrum,
-    readout_qubit,
+    project_qubit,
     reconstruct_state,
     simulate_schedule,
     spectrogram,
 )
 from fequbit.tomography import _fit_window, _fourier_seed, _levenberg_marquardt, _probe_matrix
 from fequbit.tomography import DEFAULT_PROBE_MAGNITUDE, _probe_row
-from helpers import random_interior_state, state_fidelity
+from helpers import padded, random_interior_state, state_fidelity
 from oracles import bessel_series
 
 BEAM = derive_beam(200e3, 800e-9)
@@ -88,7 +88,7 @@ def test_spectrum_json_roundtrip():
 def test_spectrogram_columns_sum_to_one():
     sg = spectrogram(normalized_random_state(2), probe_magnitude=1.0, n_phases=16)
     assert np.allclose(sg.data.sum(axis=0), 1.0, atol=1e-12)
-    col = sg.column(3)
+    col = Spectrum(sg.l_min, sg.data[:, 3])
     assert col.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -136,7 +136,7 @@ def test_spectrogram_column_is_a_probe_pulse_then_eels(amps, l_min, probe, n_pha
     sg = spectrogram(state, probe_magnitude=probe, n_phases=n_phases)
     j = data.draw(st.integers(0, n_phases - 1))
     half = max(abs(sg.l_min), abs(sg.l_min + sg.n_levels - 1)) + 8
-    probed = apply_pinem(state.padded(-half, half),
+    probed = apply_pinem(padded(state, -half, half),
                          PinemPulse.single(probe * np.exp(1j * sg.scan_phases[j])),
                          TruncationPolicy.fixed(half))
     spec = eels_spectrum(probed)
@@ -526,16 +526,17 @@ def test_reconstruct_validation():
 # ---------------------------------------------------------------- readout
 
 def test_readout_prepared_zero():
-    qubit, residual = readout_qubit(spectrogram(basis_state(0, 4)), seed=0)
+    result = reconstruct_state(spectrogram(basis_state(0, 4)), seed=0)
+    qubit = project_qubit(result.state, edge_margin=0)
     assert abs(abs(qubit.alpha) - 1.0) < 1e-6
     assert abs(qubit.beta) < 1e-6
-    assert residual < 1e-8
+    assert result.residual < 1e-8
 
 
 def test_readout_after_not_gate():
     schedule = compile_gate(Gate("NOT"), BEAM)
     state = simulate_schedule(schedule, basis_state(0, 8))
-    qubit, _ = readout_qubit(spectrogram(state), seed=0)
+    qubit = project_qubit(reconstruct_state(spectrogram(state), seed=0).state, edge_margin=0)
     assert abs(qubit.alpha) < 1e-3
     assert abs(abs(qubit.beta) - 1.0) < 1e-3
 
@@ -543,7 +544,7 @@ def test_readout_after_not_gate():
 def test_readout_after_hadamard():
     schedule = compile_gate(Gate("H"), BEAM)
     state = simulate_schedule(schedule, basis_state(0, 8))
-    qubit, _ = readout_qubit(spectrogram(state), seed=0)
+    qubit = project_qubit(reconstruct_state(spectrogram(state), seed=0).state, edge_margin=0)
     assert abs(abs(qubit.alpha) - abs(qubit.beta)) < 1e-3
 
 
@@ -552,7 +553,8 @@ def test_adaptive_policy_fits_the_same_window_as_none():
     # data fully images, as None does
     sg = spectrogram(gate_prepared("H"))
     assert _fit_window(sg, TruncationPolicy.adaptive()) == _fit_window(sg, None)
-    qubit, _ = readout_qubit(sg, window=TruncationPolicy.adaptive())
+    result = reconstruct_state(sg, window=TruncationPolicy.adaptive())
+    qubit = project_qubit(result.state, edge_margin=0)
     # 1 + 2.6e-10 on the state's own [-12, 12] window; a [-8, 8] fit gave 1 - 7e-6
     assert qubit.weight == pytest.approx(1.0, abs=1e-6)
 
@@ -596,12 +598,12 @@ def test_cropped_side_keeps_its_data_edge(rows, side):
     sg = cropped(spectrogram(true), *((rows, 0) if side == "low" else (0, rows)))
     data_edges = (sg.l_min, sg.l_min + sg.n_levels - 1)
     if side == "low":
-        assert fit_edges(sg) == (data_edges[0], true.l_max)
+        assert fit_edges(sg) == (data_edges[0], true.l_min + true.dim - 1)
     else:
         assert fit_edges(sg) == (true.l_min, data_edges[1])
     result = reconstruct_state(sg, seed=0)
     assert result.ok
-    assert (result.state.l_min, result.state.l_max) == fit_edges(sg)
+    assert (result.state.l_min, result.state.l_min + result.state.dim - 1) == fit_edges(sg)
     assert state_fidelity(result.state, true) >= 1 - 1e-9
 
 
@@ -611,7 +613,7 @@ def test_each_side_is_checked_on_its_own(low, high):
     true = normalized_random_state(52)
     sg = cropped(spectrogram(true), low, high)
     expected = (sg.l_min if low else true.l_min,
-                sg.l_min + sg.n_levels - 1 if high else true.l_max)
+                sg.l_min + sg.n_levels - 1 if high else true.l_min + true.dim - 1)
     assert fit_edges(sg) == expected
 
 
