@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -74,11 +75,28 @@ def _require_unitary(u: list, what: object) -> None:
 
 @dataclass(frozen=True)
 class Gate:
-    """One abstract gate: a named mnemonic, a rotation, or a raw matrix."""
+    """One abstract gate: a named mnemonic, a rotation, or a raw matrix.
+
+    A kind the DSL does not know, an RX, RY or RZ without a real angle, or a
+    U without four entries raises ValueError here. A non-finite angle or a
+    non-unitary matrix is ``compile_gate``'s to reject.
+    """
 
     kind: str
     angle: float | None = None
     entries: tuple | None = None  # row-major 2x2 for kind "U"
+
+    def __post_init__(self):
+        if self.kind in _NAMED_ENTRIES:
+            return
+        if self.kind in ("RX", "RY", "RZ"):
+            if not isinstance(self.angle, (float, int, numbers.Real)):  # the ABC alone is slow
+                raise ValueError(f"{self} needs a real angle")
+        elif self.kind == "U":
+            if not (isinstance(self.entries, tuple) and len(self.entries) == 4):
+                raise ValueError(f"{self} needs four row-major entries")
+        else:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
 
     def _row_major(self) -> tuple:
         """The gate's matrix as four row-major Python complex scalars. The sign
@@ -93,9 +111,7 @@ class Gate:
             return complex(c), complex(s), complex(-s), complex(c)
         if self.kind == "RZ":
             return 1 + 0j, 0j, 0j, cmath.exp(1j * self.angle)
-        if self.kind == "U":
-            return tuple(map(complex, self.entries))
-        raise ValueError(f"unknown gate kind {self.kind!r}")
+        return tuple(map(complex, self.entries))  # kind "U"
 
     def target_matrix(self) -> np.ndarray:
         """The gate's 2x2 matrix. Public because a user scoring a compiled

@@ -13,7 +13,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -109,9 +109,9 @@ class TruncationPolicy:
 
     ``edge_margin`` and ``leakage_tol`` are class attributes, not fields:
     every policy carries ``DEFAULT_EDGE_MARGIN`` and ``LEAKAGE_TOL``. The
-    package reads those constants themselves; only perfbench and tests read
-    the attributes, and ROADMAP item 5 deletes them. A ``half_width`` that
-    is no integer raises ValueError.
+    package and its tests read those constants themselves; only perfbench
+    reads the attributes, and ROADMAP item 5 deletes them. A ``half_width``
+    that is no integer raises ValueError.
     """
 
     mode: str = "adaptive"
@@ -478,10 +478,6 @@ class BeamParameters:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BeamParameters":
-        return cls(**{f.name: float(obj[f.name]) for f in fields(cls)})
 
 
 def derive_beam(kinetic_energy_ev: float, laser_wavelength_m: float,

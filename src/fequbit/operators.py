@@ -300,15 +300,15 @@ def _tail_run(amps: np.ndarray, limit: float, from_end: bool) -> int:
 
 def apply_pinem_bessel(state: LadderState, pulse: PinemPulse,
                        policy: TruncationPolicy = DEFAULT_POLICY) -> LadderState:
-    """Former name of ``apply_pinem``. Nothing in the package calls it, only
-    perfbench and tests; ROADMAP item 5 deletes it and renames those calls."""
+    """Former name of ``apply_pinem``. Only perfbench reads it; ROADMAP item 5
+    deletes it and renames perfbench's calls."""
     return apply_pinem(state, pulse, policy)
 
 
 def apply_pinem_matexp(state: LadderState, pulse: PinemPulse,
                        policy: TruncationPolicy = DEFAULT_POLICY) -> LadderState:
-    """Former name of ``apply_pinem``. Nothing in the package calls it, only
-    perfbench and tests; ROADMAP item 5 deletes it and renames those calls."""
+    """Former name of ``apply_pinem``. Only perfbench reads it; ROADMAP item 5
+    deletes it and renames perfbench's calls."""
     return apply_pinem(state, pulse, policy)
 
 

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.special import jv
 
 from fequbit import (
@@ -19,8 +20,7 @@ from fequbit import (
     PinemPulse,
     TruncationPolicy,
     apply_fsp,
-    apply_pinem_bessel,
-    apply_pinem_matexp,
+    apply_pinem,
     basis_state,
     compile_gate,
     derive_beam,
@@ -35,12 +35,13 @@ from fequbit import (
     simulate_schedule,
     spectrogram,
 )
-from helpers import random_interior_state, state_distance, state_fidelity
+from helpers import padded, random_interior_state, state_distance, state_fidelity
 from oracles import (
     bessel_series,
     commutator_norm,
     haar_unitary,
     pinem_amplitudes_oracle,
+    pinem_generator,
     residue_sums_oracle,
 )
 
@@ -60,28 +61,33 @@ def _report(number: int, text: str) -> None:
 def test_criterion_01_bessel_closed_form_equivalence():
     rng = np.random.default_rng(101)
     t_start = time.perf_counter()
-    worst_paths = 0.0
+    worst_dense = 0.0
     worst_oracle = 0.0
-    for _ in range(200):
+    dense_g = []
+    for case in range(200):
         g = rng.uniform(1e-3, 20.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        state = basis_state(0, 8)
-        via_matexp = apply_pinem_matexp(state, PinemPulse.single(g))
-        via_bessel = apply_pinem_bessel(state, PinemPulse.single(g))
-        worst_paths = max(worst_paths, state_distance(via_matexp, via_bessel))
+        state, pulse = basis_state(0, 8), PinemPulse.single(g)
+        out = apply_pinem(state, pulse)
+        if case % 5 == 0:  # the dense exponential on the result's window and 4 cells a side
+            wide = padded(state, out.l_min - 4, out.l_min + out.dim + 3)
+            dense = expm(pinem_generator(pulse, wide.dim)) @ wide.amplitudes
+            worst_dense = max(worst_dense, state_distance(out, LadderState(wide.l_min, dense)))
+            dense_g.append(abs(g))
         # closed-form amplitudes from the power-series oracle, mirrored by parity
-        k_pos = np.arange(0, via_bessel.l_min + via_bessel.dim)
+        k_pos = np.arange(0, out.l_min + out.dim)
         j_pos = np.array([bessel_series(int(k), 2 * abs(g)) for k in k_pos])
         j_all = np.concatenate([j_pos[:0:-1] * (-1.0) ** k_pos[:0:-1], j_pos])
         chi = math.atan2((-g).imag, (-g).real)
-        expected = np.exp(1j * chi * via_bessel.indices) * j_all
-        worst_oracle = max(worst_oracle,
-                           float(np.max(np.abs(via_bessel.amplitudes - expected))))
+        expected = np.exp(1j * chi * out.indices) * j_all
+        worst_oracle = max(worst_oracle, float(np.max(np.abs(out.amplitudes - expected))))
     elapsed = time.perf_counter() - t_start
-    assert worst_paths <= 1e-9
+    assert worst_dense <= 1e-9
+    assert max(dense_g) >= 19.0  # the dense check reaches the strongest pulses drawn
     assert worst_oracle <= 1e-9
     assert elapsed < 30.0
-    _report(1, f"200 pulses: paths agree to {worst_paths:.2e}, oracle to "
-               f"{worst_oracle:.2e}, {elapsed:.1f}s")
+    _report(1, f"200 pulses: oracle to {worst_oracle:.2e}; {len(dense_g)} of them, "
+               f"|g| up to {max(dense_g):.1f}, dense exponential to {worst_dense:.2e}; "
+               f"{elapsed:.1f}s")
 
 
 def test_criterion_02_unitarity_thousand_cases():
@@ -94,19 +100,15 @@ def test_criterion_02_unitarity_thousand_cases():
         worst = max(worst, abs(state.norm() - 1.0))
         cases += 1
 
-    for _ in range(300):
+    for _ in range(550):
         state = random_interior_state(rng, 3, 8)
         g = rng.uniform(0, 3) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        check(apply_pinem_bessel(state, PinemPulse.single(g)))
-    for _ in range(250):
-        state = random_interior_state(rng, 3, 8)
-        g = rng.uniform(0, 3) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        check(apply_pinem_matexp(state, PinemPulse.single(g)))
+        check(apply_pinem(state, PinemPulse.single(g)))
     for _ in range(100):
         state = random_interior_state(rng, 3, 10)
         pulse = PinemPulse.multi({1: complex(*rng.normal(size=2)) * 0.6,
                                   2: complex(*rng.normal(size=2)) * 0.4})
-        check(apply_pinem_matexp(state, pulse))
+        check(apply_pinem(state, pulse))
     for _ in range(350):
         state = random_interior_state(rng, 4, 9)
         if rng.random() < 0.5:
@@ -156,9 +158,7 @@ def test_criterion_05_qubit_intertwining_and_weight():
             gate = qubit_gate(FspPhase.quarter(k))
         else:
             g = rng.uniform(0, 3) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            pulse = PinemPulse.single(g)
-            apply = apply_pinem_matexp if case % 3 else apply_pinem_bessel
-            evolved = apply(state, pulse)
+            evolved = apply_pinem(state, PinemPulse.single(g))
             gate = qubit_gate(PinemPulse.single(g))
         after = project_qubit(evolved).as_vector()
         worst_defect = max(worst_defect,
@@ -239,14 +239,13 @@ def test_criterion_09_thousand_level_occupancy_and_speed():
     state = basis_state(0, 2048)  # 4097-level window
     policy = TruncationPolicy.fixed(2048)
     t_start = time.perf_counter()
-    out = apply_pinem_bessel(state, PinemPulse.single(250.0), policy)
+    out = apply_pinem(state, PinemPulse.single(250.0), policy)
     elapsed = time.perf_counter() - t_start
     count = occupied_levels(out, 1 - 1e-6)
     assert count == OCCUPIED_LEVELS_G250
     assert 900 <= count <= 1300
     assert elapsed < 1.0
-    single = occupied_levels(apply_pinem_bessel(basis_state(0, 8),
-                                                PinemPulse.single(0.0)))
+    single = occupied_levels(apply_pinem(basis_state(0, 8), PinemPulse.single(0.0)))
     assert single == 1
     _report(9, f"|g|=250 occupies {count} levels (oracle check passed); "
                f"{out.dim}-level convolution in {elapsed * 1e3:.1f} ms")

@@ -288,6 +288,14 @@ def test_compile_rejects_an_invalid_target(gate):
         compile_gate(gate, BEAM)
 
 
+def test_a_malformed_gate_is_rejected_at_construction():
+    for kind, fields, what in [("RZ", {}, "needs a real angle"),
+                               ("U", {"entries": (1, 0, 0)}, "needs four row-major entries"),
+                               ("Q", {}, "unknown gate kind 'Q'")]:
+        with pytest.raises(ValueError, match=what):
+            Gate(kind, **fields)
+
+
 @pytest.mark.parametrize("position", range(4))
 def test_a_nan_entry_is_not_unitary_wherever_it_sits(position):
     entries = [1, 0, 0, 1]

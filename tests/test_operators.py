@@ -14,15 +14,14 @@ from fequbit import (
     TruncationError,
     apply_fsp,
     apply_pinem,
-    apply_pinem_bessel,
-    apply_pinem_matexp,
     basis_state,
     eigenphases,
     pinem_kernel,
 )
-from fequbit.ladder import bessel_row
+from fequbit.ladder import DEFAULT_EDGE_MARGIN, bessel_row
 from fequbit.operators import CHEBYSHEV_TAIL_TOL, pinem_kernels
-from helpers import aligned_pair, bessel_tail_half_width, random_interior_state, state_distance
+from helpers import (aligned_pair, bessel_tail_half_width, padded, random_interior_state,
+                     state_distance)
 from oracles import bessel_series, commutator_norm, pinem_amplitudes_oracle, pinem_generator
 
 
@@ -75,32 +74,32 @@ def test_pulse_harmonic_index_must_be_an_integer():
     assert PinemPulse.multi({np.int64(2): 0.3j}).couplings == ((2, 0.3j),)
 
 
-def test_matexp_zero_coupling_is_identity():
+def test_zero_coupling_is_identity():
     state = basis_state(0, 8)
-    out = apply_pinem_matexp(state, PinemPulse.single(0.0))
+    out = apply_pinem(state, PinemPulse.single(0.0))
     assert out.amplitudes[-out.l_min] == pytest.approx(1.0, abs=1e-14)
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_matexp_center_amplitude_is_bessel():
+def test_center_amplitude_is_j0():
     # 2|g| = 2 with arg(-g) = 0, i.e. g = -1
-    out = apply_pinem_matexp(basis_state(0, 8), PinemPulse.single(-1.0))
+    out = apply_pinem(basis_state(0, 8), PinemPulse.single(-1.0))
     assert abs(out.amplitudes[-out.l_min]) == pytest.approx(abs(bessel_series(0, 2.0)),
                                                              abs=1e-12)
 
 
-def test_matexp_population_symmetry():
+def test_population_of_a_pulsed_basis_state_is_symmetric():
     rng = np.random.default_rng(11)
     for _ in range(5):
         g = complex(*rng.normal(size=2))
-        out = apply_pinem_matexp(basis_state(0, 8), PinemPulse.single(g))
+        out = apply_pinem(basis_state(0, 8), PinemPulse.single(g))
         p = out.probabilities()
         assert np.max(np.abs(p - p[::-1])) < 1e-14
 
 
 def test_bessel_on_basis_reproduces_closed_form():
     g = 0.8 * np.exp(0.7j)
-    out = apply_pinem_bessel(basis_state(0, 8), PinemPulse.single(g))
+    out = apply_pinem(basis_state(0, 8), PinemPulse.single(g))
     expected = pinem_amplitudes_oracle(g, out.indices)
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
 
@@ -125,24 +124,18 @@ def test_bessel_vs_matexp_on_random_states():
     for _ in range(20):
         g = rng.uniform(0.1, 6.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         state = random_interior_state(rng, 4, 10)
-        a = apply_pinem_matexp(state, PinemPulse.single(g))
-        b = apply_pinem_bessel(state, PinemPulse.single(g))
-        assert state_distance(a, b) < 1e-9
+        out = apply_pinem(state, PinemPulse.single(g))
+        # the dense exponential on the result's window and 4 cells a side
+        wide = padded(state, out.l_min - 4, out.l_min + out.dim + 3)
+        dense = expm(pinem_generator(PinemPulse.single(g), wide.dim)) @ wide.amplitudes
+        assert state_distance(out, LadderState(wide.l_min, dense)) < 1e-9
 
 
-def test_multi_harmonic_bessel_falls_back_to_matexp():
-    pulse = PinemPulse.multi({1: 0.4, 2: 0.3j})
-    state = basis_state(0, 8)
-    a = apply_pinem_bessel(state, pulse)
-    b = apply_pinem_matexp(state, pulse)
-    assert state_distance(a, b) == 0.0
-
-
-def test_matexp_agrees_with_spectral_exponential():
+def test_multi_harmonic_agrees_with_spectral_exponential():
     # independent route: diagonalize i*A and exponentiate eigenvalues
     pulse = PinemPulse.multi({1: 0.6 - 0.2j, 2: 0.3j, 3: -0.1})
     state = random_interior_state(np.random.default_rng(2), 3, 30)
-    out = apply_pinem_matexp(state, pulse, TruncationPolicy.fixed(30))
+    out = apply_pinem(state, pulse, TruncationPolicy.fixed(30))
     h = 1j * pinem_generator(pulse, state.dim)
     lam, vec = eigh(h)
     u = (vec * np.exp(-1j * lam)) @ vec.conj().T
@@ -157,79 +150,48 @@ def test_composition_of_parallel_pulses():
         phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
         g1, g2 = mag1 * phase, mag2 * phase
         state = random_interior_state(rng, 3, 8)
-        two_step = apply_pinem_bessel(
-            apply_pinem_bessel(state, PinemPulse.single(g1)), PinemPulse.single(g2))
-        one_step = apply_pinem_bessel(state, PinemPulse.single(g1 + g2))
+        two_step = apply_pinem(apply_pinem(state, PinemPulse.single(g1)), PinemPulse.single(g2))
+        one_step = apply_pinem(state, PinemPulse.single(g1 + g2))
         assert state_distance(two_step, one_step) < 1e-9
 
 
 def test_truncation_error_on_fixed_window():
     policy = TruncationPolicy.fixed(6)
     with pytest.raises(TruncationError):
-        apply_pinem_bessel(basis_state(0, 6), PinemPulse.single(3.0), policy)
-    with pytest.raises(TruncationError):
-        apply_pinem_matexp(basis_state(0, 6), PinemPulse.single(3.0), policy)
+        apply_pinem(basis_state(0, 6), PinemPulse.single(3.0), policy)
 
 
-@pytest.mark.parametrize("apply, pulse", [
-    (apply_pinem_bessel, PinemPulse.single(1.3j)),
-    (apply_pinem_matexp, PinemPulse.multi({1: 1.3j, 2: 0.4})),
-])
-def test_adaptive_result_is_trimmed_and_fixed_window_kept(apply, pulse):
-    fixed = apply(basis_state(0, 60), pulse, TruncationPolicy.fixed(60))
+@pytest.mark.parametrize("pulse", [PinemPulse.single(1.3j), PinemPulse.multi({1: 1.3j, 2: 0.4})],
+                         ids=["single", "multi"])
+def test_adaptive_result_is_trimmed_and_fixed_window_kept(pulse):
+    fixed = apply_pinem(basis_state(0, 60), pulse, TruncationPolicy.fixed(60))
     assert (fixed.l_min, fixed.dim) == (-60, 121)
-    policy = TruncationPolicy.adaptive()
-    trimmed = apply(basis_state(0, 8), pulse, policy)
+    trimmed = apply_pinem(basis_state(0, 8), pulse, TruncationPolicy.adaptive())
     x = 2.0 * sum(h * abs(g) for h, g in pulse.couplings)
     assert trimmed.dim < 17 + 2 * (math.ceil(x) + 8 + math.ceil(7.0 * x ** (1 / 3)))
     a, b = aligned_pair(trimmed, fixed)
     assert np.sum(np.abs(a - b)) <= CHEBYSHEV_TAIL_TOL
-    guard = policy.edge_margin
-    for edge in (trimmed.amplitudes[:guard], trimmed.amplitudes[-guard:]):
+    for edge in (trimmed.amplitudes[:DEFAULT_EDGE_MARGIN],
+                 trimmed.amplitudes[-DEFAULT_EDGE_MARGIN:]):
         assert np.sum(np.abs(edge)) <= CHEBYSHEV_TAIL_TOL / 2
 
 
-@pytest.mark.parametrize("apply", [apply_pinem_bessel, apply_pinem_matexp])
-def test_adaptive_trim_keeps_window_of_zero_state(apply):
+def test_adaptive_trim_keeps_window_of_zero_state():
     zero = LadderState(-8, np.zeros(17))
-    out = apply(zero, PinemPulse.single(1.3j))
+    out = apply_pinem(zero, PinemPulse.single(1.3j))
     assert out.dim > zero.dim
     assert not np.any(out.amplitudes)
 
 
-def test_chebyshev_path_matches_bessel_above_dense_cutoff():
-    # dim 1201 > 1024 forces the polynomial path inside apply_pinem_matexp
-    state = basis_state(0, 600)
-    policy = TruncationPolicy.fixed(600)
-    pulse = PinemPulse.single(2.0 - 1.5j)
-    a = apply_pinem_matexp(state, pulse, policy)
-    b = apply_pinem_bessel(state, pulse, policy)
-    assert a.dim == 1201
-    assert state_distance(a, b) < 1e-10
-    assert a.norm() == pytest.approx(1.0, abs=1e-10)
-
-
-def test_chebyshev_path_multi_harmonic_against_dense():
+def test_multi_harmonic_on_a_wide_fixed_window_against_dense():
     state = basis_state(0, 550)
     policy = TruncationPolicy.fixed(550)
     pulse = PinemPulse.multi({1: 1.1j, 2: 0.7})
-    out = apply_pinem_matexp(state, pulse, policy)
+    out = apply_pinem(state, pulse, policy)
     h = 1j * pinem_generator(pulse, state.dim)
     lam, vec = eigh(h)
     expected = (vec * np.exp(-1j * lam)) @ (vec.conj().T @ state.amplitudes)
     assert np.linalg.norm(out.amplitudes - expected) < 1e-10
-
-
-def test_chebyshev_path_at_large_spectral_radius():
-    # 1001 levels at |g| = 50: a size the dense expm branch used to take
-    state = basis_state(0, 500)
-    policy = TruncationPolicy.fixed(500)
-    pulse = PinemPulse.single(50.0 * np.exp(0.3j))
-    a = apply_pinem_matexp(state, pulse, policy)
-    b = apply_pinem_bessel(state, pulse, policy)
-    assert a.dim == 1001
-    assert state_distance(a, b) <= 1e-10
-    assert abs(a.norm() - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("h", [2, 3])
@@ -259,8 +221,9 @@ def test_multi_harmonic_strong_coupling_against_dense():
 
 
 @pytest.mark.parametrize("r", [1000.0, 2000.0, 5000.0])
-def test_chebyshev_term_count_meets_its_amplitude_bound(r):
-    # the expansion cut after J_K errs by at most 2 sum_{j>K} |J_j(R)|
+def test_bessel_row_cut_meets_its_amplitude_bound(r):
+    # cut at the squared budget tol^2 / 32, a Bessel row's l1 tail 2 sum_{j>K} |J_j(R)|
+    # stays within tol
     k = bessel_tail_half_width(r, CHEBYSHEV_TAIL_TOL ** 2 / 32)
     tail = 2.0 * np.sum(np.abs(jv(np.arange(k + 1, k + 400), r)))
     assert tail <= CHEBYSHEV_TAIL_TOL
@@ -406,24 +369,13 @@ def test_commutator_margin_validation():
         commutator_norm(PinemPulse.single(1.0), PinemPulse.single(2.0), 11, 6)
 
 
-def test_apply_pinem_dispatch():
-    state = basis_state(0, 8)
-    single = PinemPulse.single(0.5j)
-    assert state_distance(apply_pinem(state, single),
-                          apply_pinem_bessel(state, single)) == 0.0
-    multi = PinemPulse.multi({1: 0.2, 2: 0.1})
-    assert state_distance(apply_pinem(state, multi),
-                          apply_pinem_matexp(state, multi)) == 0.0
-
-
 def test_unitarity_randomized():
     rng = np.random.default_rng(12)
     for _ in range(25):
         state = random_interior_state(rng, 3, 8)
         g = rng.uniform(0, 4) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        for op in (apply_pinem_matexp, apply_pinem_bessel):
-            out = op(state, PinemPulse.single(g))
-            assert abs(out.norm() - 1.0) < 1e-10
+        out = apply_pinem(state, PinemPulse.single(g))
+        assert abs(out.norm() - 1.0) < 1e-10
         out = apply_fsp(state, FspPhase(fraction=rng.uniform(0, 1)))
         assert abs(out.norm() - 1.0) < 1e-10
 

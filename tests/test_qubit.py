@@ -10,7 +10,7 @@ from fequbit import (
     QubitState,
     TruncationError,
     apply_fsp,
-    apply_pinem_bessel,
+    apply_pinem,
     basis_state,
     closure_check,
     pinem_rotation,
@@ -166,7 +166,7 @@ def test_intertwining_identity_explicit():
     for _ in range(10):
         state = random_interior_state(rng, 4, 10)
         g = complex(*rng.normal(size=2))
-        evolved = apply_pinem_bessel(state, PinemPulse.single(g))
+        evolved = apply_pinem(state, PinemPulse.single(g))
         lhs = project_qubit(evolved).as_vector()
         rhs = qubit_gate(PinemPulse.single(g)) @ project_qubit(state).as_vector()
         assert np.linalg.norm(lhs - rhs) < 1e-8
@@ -175,7 +175,7 @@ def test_intertwining_identity_explicit():
 def test_real_coupling_fixes_projection_but_moves_ladder():
     rng = np.random.default_rng(41)
     state = random_interior_state(rng, 3, 9)
-    evolved = apply_pinem_bessel(state, PinemPulse.single(1.3))
+    evolved = apply_pinem(state, PinemPulse.single(1.3))
     before = project_qubit(state)
     after = project_qubit(evolved)
     assert abs(after.alpha - before.alpha) < 1e-8
@@ -192,7 +192,7 @@ def test_weight_invariance_under_gate_sequences():
         w0 = project_qubit(state).weight
         for _ in range(3):
             g = rng.uniform(0, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            state = apply_pinem_bessel(state, PinemPulse.single(g))
+            state = apply_pinem(state, PinemPulse.single(g))
             state = apply_fsp(state, FspPhase.quarter(int(rng.integers(0, 4))))
         w1 = project_qubit(state).weight
         assert abs(w1 - w0) < 1e-8

@@ -16,7 +16,6 @@ from fequbit import (
     TruncationPolicy,
     add_shot_noise,
     apply_pinem,
-    apply_pinem_bessel,
     basis_state,
     compile_gate,
     derive_beam,
@@ -53,8 +52,7 @@ def test_eels_post_pulse_is_squared_bessel_and_phase_blind():
     mag = 1.3
     spectra = []
     for arg in (0.0, 2.1):
-        out = apply_pinem_bessel(basis_state(0, 8),
-                                 PinemPulse.single(mag * np.exp(1j * arg)))
+        out = apply_pinem(basis_state(0, 8), PinemPulse.single(mag * np.exp(1j * arg)))
         spectra.append(eels_spectrum(out))
     a, b = spectra
     assert a.l_min == b.l_min
@@ -110,7 +108,7 @@ def test_spectrogram_matches_pulse_plus_eels():
     state = normalized_random_state(4)
     sg = spectrogram(state, probe_magnitude=0.9, n_phases=8)
     chi = sg.scan_phases[5]
-    probed = apply_pinem_bessel(state, PinemPulse.single(0.9 * np.exp(1j * chi)))
+    probed = apply_pinem(state, PinemPulse.single(0.9 * np.exp(1j * chi)))
     spec = eels_spectrum(probed)
     # the pulse path pads more generously; align on the spectrogram window
     expected = np.array([
