@@ -7,11 +7,14 @@ command's other inputs come from the ``_COMMANDS`` table. Configuration
 precedence is CLI flags over config-file values over the defaults; validation
 problems are collected and reported in one message.
 
-Each failure class has its own exit code so scripts can branch on outcomes;
-the table of codes is the epilog of ``fequbit --help``, and ``main`` is the
-one place that maps an error to its code. Every file a command reads goes
-through ``ladder.read_text``, and the reader of each format raises the
-package error whose code the table gives for a malformed file of it.
+Scripts can branch on the exit code. ``_EXITS`` is the one table of codes:
+each row holds a code's meaning, which the epilog of ``fequbit --help``
+lists, the error classes that end with it, and the prefix of their stderr
+line. ``main`` maps an error to its code and prefix through that table
+alone, save ``MemoryError``, whose message is fixed text. Every file a
+command reads goes through ``ladder.read_text``, and the reader of each
+format raises the package error whose code the table gives for a malformed
+file of it.
 """
 
 from __future__ import annotations
@@ -57,13 +60,16 @@ EXIT_CONFIG = 3
 EXIT_TRUNCATION = 4
 EXIT_RECONSTRUCTION = 5
 EXIT_IO = 6
-_EXIT_MEANINGS = {
-    EXIT_OK: "ok",
-    EXIT_PARSE: "circuit or command-line parse",
-    EXIT_CONFIG: "config or input file, size or out of memory",
-    EXIT_TRUNCATION: "truncation or window",
-    EXIT_RECONSTRUCTION: "reconstruction failed",
-    EXIT_IO: "I/O",
+_EXITS = {
+    # code: (its meaning in --help, the errors that end with it, their stderr prefix)
+    EXIT_OK: ("ok", (), ""),
+    EXIT_PARSE: ("circuit or command-line parse", (CircuitParseError,), "parse error"),
+    EXIT_CONFIG: ("config or input file, size or out of memory", (ConfigurationError,),
+                  "configuration error"),
+    EXIT_TRUNCATION: ("truncation or window", (TruncationError, WindowError),
+                      "truncation error"),
+    EXIT_RECONSTRUCTION: ("reconstruction failed", (), ""),
+    EXIT_IO: ("I/O", (OSError,), "i/o error"),
 }
 
 BLOCH_WEIGHT_FLOOR = 1e-9
@@ -376,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fequbit",
         description="Free-electron qubit simulator and pulse-schedule compiler",
         epilog="exit codes:\n" + "".join(
-            f"  {code}  {meaning}\n" for code, meaning in _EXIT_MEANINGS.items()),
+            f"  {code}  {meaning}\n" for code, (meaning, _, _) in _EXITS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
@@ -407,18 +413,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args, build_config(args))
-    except CircuitParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (TruncationError, WindowError) as exc:
-        print(f"truncation error: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATION
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except tuple(e for _, errors, _ in _EXITS.values() for e in errors) as exc:
+        code = next(c for c, (_, errors, _) in _EXITS.items() if isinstance(exc, errors))
+        print(f"{_EXITS[code][2]}: {exc}", file=sys.stderr)
+        return code
     except MemoryError:
         print("configuration error: out of memory; reduce the sizing flags "
               "(--dim, --phases, --probe, a fixed --window)", file=sys.stderr)

@@ -120,10 +120,9 @@ class Gate:
 
     def label(self) -> str:
         if self.kind in ("RX", "RY", "RZ"):
-            return f"{self.kind}({self.angle!r})"
+            return f"{self.kind}({float(self.angle)!r})"
         if self.kind == "U":
-            a, b, c, d = self.entries
-            return f"U [[{a!r},{b!r}],[{c!r},{d!r}]]"
+            return "U [[{!r},{!r}],[{!r},{!r}]]".format(*self._row_major())
         return self.kind
 
 

@@ -1,8 +1,9 @@
 """Exception classes shared across the package.
 
-The CLI maps each class to a distinct exit code, so library code should
-raise the most specific one that applies. ``fequbit --help`` lists the
-codes.
+The CLI's exit table (``cli._EXITS``, listed by ``fequbit --help``) gives
+the exit code each class ends a command with; ``TruncationError`` and
+``WindowError`` share one. Library code should raise the most specific
+class that applies.
 """
 
 

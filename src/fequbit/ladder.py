@@ -111,7 +111,8 @@ class TruncationPolicy:
     every policy carries ``DEFAULT_EDGE_MARGIN`` and ``LEAKAGE_TOL``. The
     package and its tests read those constants themselves; only perfbench
     reads the attributes, and ROADMAP item 5 deletes them. A ``half_width``
-    that is no integer raises ValueError.
+    that is no integer raises ValueError, and so does any ``half_width`` given
+    to an adaptive policy, which would otherwise ignore it.
     """
 
     mode: str = "adaptive"
@@ -122,6 +123,8 @@ class TruncationPolicy:
     def __post_init__(self):
         if self.mode not in ("fixed", "adaptive"):
             raise ValueError(f"unknown truncation mode {self.mode!r}")
+        if self.mode == "adaptive" and self.half_width is not None:
+            raise ValueError("adaptive mode takes no half_width")
         if self.half_width is not None:
             object.__setattr__(self, "half_width", _as_index(self.half_width, "half_width"))
         if self.mode == "fixed" and (self.half_width is None or self.half_width < 1):

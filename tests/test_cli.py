@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import re
@@ -10,7 +11,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fequbit import LadderState, Schedule, basis_state, cli, compile_gate
+from fequbit import (
+    CircuitParseError,
+    ConfigurationError,
+    LadderState,
+    Schedule,
+    TruncationError,
+    WindowError,
+    basis_state,
+    cli,
+    compile_gate,
+)
 from fequbit.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -242,6 +253,26 @@ def test_out_of_memory_is_config_error(tmp_path, monkeypatch, capsys):
     assert main(["eigenphases", "--g", "0.25", "--dim", "21",
                  *out_args(tmp_path)]) == EXIT_CONFIG
     assert "--dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code, line", [
+    (CircuitParseError("bad gate", line=3), EXIT_PARSE, "parse error: line 3: bad gate"),
+    (ConfigurationError("bad value"), EXIT_CONFIG, "configuration error: bad value"),
+    (TruncationError("edge weight"), EXIT_TRUNCATION, "truncation error: edge weight"),
+    (WindowError("off the window"), EXIT_TRUNCATION, "truncation error: off the window"),
+    (OSError("disk full"), EXIT_IO, "i/o error: disk full"),
+    (MemoryError(), EXIT_CONFIG, "configuration error: out of memory; reduce the sizing "
+                                 "flags (--dim, --phases, --probe, a fixed --window)"),
+], ids=["CircuitParseError", "ConfigurationError", "TruncationError", "WindowError",
+        "OSError", "MemoryError"])
+def test_each_error_class_ends_with_its_code_and_stderr_line(tmp_path, monkeypatch, capsys,
+                                                             error, code, line):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("fequbit.cli.eigenphases", fail)
+    assert main(["eigenphases", "--g", "0.25", "--dim", "21", *out_args(tmp_path)]) == code
+    assert capsys.readouterr().err == line + "\n"
 
 
 @pytest.mark.parametrize("flags", [["--counts", "nan"], ["--counts", "inf"],
@@ -711,3 +742,61 @@ def test_compile_file_is_unchanged_by_the_pulse_kernels(tmp_path, monkeypatch):
     assert main(["compile", str(circ), *out_args(tmp_path, "plain")]) == EXIT_OK
     batched = (tmp_path / "batched" / "schedule.json").read_bytes()
     assert batched == (tmp_path / "plain" / "schedule.json").read_bytes()
+
+
+def _qubit_file(path) -> tuple[complex, complex]:
+    q = json.loads(path.read_text())
+    return complex(*q["alpha"]), complex(*q["beta"])
+
+
+@pytest.mark.parametrize("flags, floor", [
+    ([], 1 - 1e-9),
+    (["--counts", "1e5", "--seed", "3"], 0.999),
+    (["--probe", "20", "--counts", "1e5", "--seed", "3"], 0.999),
+], ids=["noiseless", "counts-1e5", "probe-20"])
+def test_hth_readout_qubit_matches_the_simulated_one(tmp_path, flags, floor):
+    # up to global phase and weight
+    circ = tmp_path / "hth.txt"
+    circ.write_text("H\nT\nH\n")
+    assert main(["simulate", str(circ), *out_args(tmp_path, "simulate")]) == EXIT_OK
+    assert main(["tomography", "--circuit", str(circ), *flags,
+                 *out_args(tmp_path, "tomography")]) == EXIT_OK
+    a, b = _qubit_file(tmp_path / "simulate" / "qubit.json")
+    x, y = _qubit_file(tmp_path / "tomography" / "readout_qubit.json")
+    fidelity = (abs(a.conjugate() * x + b.conjugate() * y) ** 2
+                / ((abs(a) ** 2 + abs(b) ** 2) * (abs(x) ** 2 + abs(y) ** 2)))
+    assert fidelity >= floor
+
+
+def _rx(t: float) -> np.ndarray:
+    return np.array([[math.cos(t), 1j * math.sin(t)], [1j * math.sin(t), math.cos(t)]])
+
+
+def test_compiled_large_angle_schedules_times_their_phase_are_their_gates(tmp_path):
+    # angles far past 2 pi, read back from schedule.json
+    circ = tmp_path / "large-angles.txt"
+    circ.write_text("RZ(1e300)\nRZ(0.5pi)\nRX(1e300)\n")
+    assert main(["compile", str(circ), *out_args(tmp_path)]) == EXIT_OK
+    targets = [np.diag([1, cmath.exp(1e300j)]), np.diag([1, 1j]), _rx(1e300)]
+    doc = json.loads((tmp_path / "out" / "schedule.json").read_text())
+    for entry, target in zip(doc["gates"], targets, strict=True):
+        realized = np.eye(2)
+        for el in entry["schedule"]["elements"]:
+            step = (_rx(-2 * el["pulse"]["g"][1]) if "pulse" in el
+                    else np.diag([1, 1j ** el["drift"]["quarter_units"]]))
+            realized = step @ realized
+        err = np.abs(complex(*entry["schedule"]["global_phase"]) * realized - target).max()
+        assert err < 1e-12, (entry["gate"], err)
+
+
+def test_3000_rx_gates_end_in_rx_of_their_angle_sum(tmp_path):
+    # distinct angles: compile_circuit builds their kernels in several blocks of
+    # KERNEL_BLOCK_CELLS; the comb qubit must be RX(sum of angles) |0>
+    angles = [0.001 * (i + 1) for i in range(3000)]
+    circ = tmp_path / "rx3000.txt"
+    circ.write_text("".join(f"RX({t})\n" for t in angles))
+    assert main(["simulate", str(circ), *out_args(tmp_path)]) == EXIT_OK
+    alpha, beta = _qubit_file(tmp_path / "out" / "qubit.json")
+    t = sum(angles)
+    assert abs(abs(alpha) - abs(math.cos(t))) < 1e-8
+    assert abs(abs(beta) - abs(math.sin(t))) < 1e-8

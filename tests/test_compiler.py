@@ -124,6 +124,17 @@ def test_parse_of_unparse_is_the_same_circuit(gates):
     assert parse_circuit(unparse(circuit)) == circuit
 
 
+@pytest.mark.parametrize("gates", [
+    *[tuple(Gate(name, angle=kind(0.3)) for name in ("RX", "RY", "RZ"))
+      for kind in (np.float64, np.float32)],
+    *[(Gate("U", entries=tuple(map(kind, (0, 1j, 1j, 0)))),)
+      for kind in (np.complex128, np.complex64)],
+], ids=["float64", "float32", "complex128", "complex64"])
+def test_parse_of_unparse_keeps_gates_of_numpy_scalars(gates):
+    circuit = Circuit(gates)
+    assert parse_circuit(unparse(circuit)) == circuit
+
+
 NAN_MATRIX = np.array([[np.nan, 0], [0, 1]])
 
 

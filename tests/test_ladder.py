@@ -185,6 +185,12 @@ def test_policy_validation():
         TruncationPolicy.adaptive(edge_margin=1)
 
 
+def test_adaptive_policy_rejects_a_half_width():
+    # an adaptive window follows the state, so a half-width would go unread
+    with pytest.raises(ValueError, match="adaptive mode takes no half_width"):
+        TruncationPolicy(mode="adaptive", half_width=5)
+
+
 def test_policy_half_width_must_be_an_integer():
     for half_width in (2.5, 3.0, "4"):
         with pytest.raises(ValueError, match="half_width must be an integer"):

@@ -229,6 +229,19 @@ def test_bessel_row_cut_meets_its_amplitude_bound(r):
     assert tail <= CHEBYSHEV_TAIL_TOL
 
 
+@pytest.mark.parametrize("r", [1.0, 10.0, 100.0, 500.0, 1000.0, 2000.0, 5000.0])
+def test_pulse_kernel_cut_meets_its_bounds_at_the_budget_in_use(r):
+    # pinem_kernel cuts at tol^2 / 8: the dropped tail's two-sided l2 norm, the
+    # per-amplitude bound, is at most tol / sqrt(8) (measured <= 0.85 of it). Its
+    # l1 norm, apply_pinem's bound on the state, stays within tol up to r = 1000
+    # (measured <= 0.80 tol; pulses reach r = 500) and passes it above r ~ 2000.
+    k = pinem_kernel(0.5j * r).size // 2
+    tail = jv(np.arange(k + 1, k + 400), r)
+    assert math.sqrt(2.0 * np.sum(tail * tail)) <= CHEBYSHEV_TAIL_TOL / math.sqrt(8.0)
+    if r <= 1000.0:
+        assert 2.0 * np.sum(np.abs(tail)) <= CHEBYSHEV_TAIL_TOL
+
+
 def test_fsp_zero_distance_is_identity():
     state = random_interior_state(np.random.default_rng(6), 4, 8)
     out = apply_fsp(state, FspPhase.quarter(0))
