@@ -24,6 +24,12 @@ scalars, and works on those in closed form: the angles from the first row of
 H u H at unit determinant, the global phase from the entries of Rx(a) Ry(b)
 Rx(c). A gate whose
 angle is not finite or whose matrix is not unitary raises ValueError.
+
+An XYX gate has more than one angle branch with the same 2x2 action, but on
+the full ladder they spread the electron by different amounts, and every
+later pulse convolves over that spread. The compile takes the branch whose
+kappa-symbol varies least (``_xyx_angles``); a branch other than the plain
+read-off must be better by more than the relative ``BRANCH_SCORE_MARGIN``.
 """
 
 from __future__ import annotations
@@ -43,6 +49,12 @@ from .qubit import project_qubit, qubit_gate
 
 ZERO_ANGLE_TOL = 1e-12
 UNITARY_TOL = 1e-9
+BRANCH_SCORE_MARGIN = 1e-9  # relative; how much lower an XYX branch must spread to be taken
+
+# (1 - J1(2b)/b) / b^2 = sum_m (-1)^m b^2m / ((m+1)! (m+2)!) as a polynomial
+# in b^2, highest power first; at |b| <= pi/2 the first omitted term is 1e-16
+_J1_RATIO_COEFFS = tuple((-1) ** m / (math.factorial(m + 1) * math.factorial(m + 2))
+                         for m in reversed(range(12)))
 
 _INV_SQRT2 = 1 / math.sqrt(2.0)
 _NAMED_ENTRIES = {  # each named gate's matrix, row-major
@@ -213,9 +225,14 @@ def euler_xyx(u: np.ndarray) -> tuple[float, float, float, complex]:
     """Angles (a, b, c) and unit phase with u = phase * Rx(a) * Ry(b) * Rx(c).
 
     The angles are the ones ``compile_gate`` emits for u, in the same scalar
-    arithmetic; the phase is ``_phase_to`` of the closed-form Rx(a) Ry(b)
-    Rx(c). A matrix that is not unitary raises ValueError. Public because it
-    gives the XYX angles of any target without building a schedule.
+    arithmetic: of the read-off (a, b, c), b in [-pi/2, 0], and the branches
+    (a, b, c) and (a + pi/2, -b, c - pi/2) with a and c folded into
+    (-pi/2, pi/2], the one of least spread a^2 + b^2 + c^2 + 2ac J1(2b)/b,
+    where a branch replaces the read-off only if lower by more than the
+    relative ``BRANCH_SCORE_MARGIN``. The phase is ``_phase_to`` of the
+    closed-form Rx(a) Ry(b) Rx(c). A matrix that is not unitary raises
+    ValueError. Public because it gives the XYX angles of any target without
+    building a schedule.
     """
     u = np.asarray(u, dtype=np.complex128).reshape(4).tolist()
     _require_unitary(u, "input")
@@ -239,13 +256,54 @@ def _hvh_row(u: list) -> tuple[complex, complex]:
     return complex(m.real, n.imag), complex(-n.real, m.imag)
 
 
+def _fold(theta: float) -> float:
+    """theta moved by a multiple of pi into (-pi/2, pi/2], for a theta in
+    (-3pi/2, 3pi/2]; Rx(theta - pi) = -Rx(theta)."""
+    if theta <= -0.5 * math.pi:
+        return theta + math.pi
+    if theta > 0.5 * math.pi:
+        return theta - math.pi
+    return theta
+
+
 def _xyx_angles(x: complex, y: complex) -> tuple[float, float, float]:
-    """The angles of ``euler_xyx``, a ZYZ read-off on ``_hvh_row``'s (x, y)."""
+    """The angles of ``euler_xyx``: of three XYX branches for ``_hvh_row``'s
+    (x, y), the one that spreads the electron least over the ladder.
+
+    A pulse acts on each comb pair (E, O)(kappa) as Rx(theta cos kappa) and a
+    drift as the kappa-free diag(1, i^q), so the schedule of (a, b, c) has the
+    symbol U(kappa) = Rx(a cos kappa) Ry(b cos kappa) Rx(c cos kappa). Its
+    spread, the kappa-mean of ||d/dkappa U||_F^2, is a^2 + b^2 + c^2 +
+    2ac J1(2b)/b, summed here as (a + c)^2 + b^2 - 2ac (1 - J1(2b)/b) to keep
+    its digits where a = -c and b is small.
+
+    The first branch is the ZYZ read-off, b in [-pi/2, 0] and a, c in
+    (-pi, pi]. The others are (fold a, b, fold c) and (fold(a + pi/2), -b,
+    fold(c - pi/2)), ``_fold`` taking an angle into (-pi/2, pi/2]: the same
+    gate up to sign, as Rx(pi/2) = iX and X Ry(-b) X = Ry(b). Each replaces
+    the best so far only if its spread is lower by more than
+    ``BRANCH_SCORE_MARGIN`` relative. So ties keep the read-off: H's
+    a = -pi/2 folds to +pi/2 at the same spread, but that symbol differs
+    away from kappa = 0 and widens ``H T H``'s ladder.
+    """
     b_bar = math.atan2(abs(y), abs(x))
     arg_x = cmath.phase(x) if abs(x) > 1e-14 else 0.0
     arg_y = cmath.phase(y) if abs(y) > 1e-14 else 0.0
-    return (_wrap_angle(0.5 * (arg_x + arg_y)), _wrap_angle(-b_bar),
-            _wrap_angle(0.5 * (arg_x - arg_y)))
+    a, b, c = (_wrap_angle(0.5 * (arg_x + arg_y)), _wrap_angle(-b_bar),
+               _wrap_angle(0.5 * (arg_x - arg_y)))
+    b2 = b * b
+    k = 0.0
+    for coef in _J1_RATIO_COEFFS:
+        k = k * b2 + coef
+    k *= 2.0 * b2  # 2 (1 - J1(2b)/b)
+    best, best_spread = None, math.inf
+    for cand in ((a, b, c), (_fold(a), b, _fold(c)),
+                 (_fold(a + 0.5 * math.pi), -b, _fold(c - 0.5 * math.pi))):
+        first, _, last = cand
+        spread = (first + last) ** 2 + b2 - first * last * k
+        if spread < best_spread * (1.0 - BRANCH_SCORE_MARGIN):
+            best, best_spread = cand, spread
+    return best
 
 
 def _xyx_entries(a: float, b: float, c: float) -> tuple:
@@ -328,7 +386,11 @@ def compile_gate(gate: Gate, beam: BeamParameters) -> Schedule:
     Quarter-turn phase gates become one drift, pure x-rotations one pulse,
     and everything else the XYX sequence, first applied first: pulse Rx(c),
     ``FspPhase.quarter(3)``, pulse Rx(b), ``FspPhase.quarter(1)``, pulse
-    Rx(a), since Ry(b) = F Rx(b) F^3. A null pulse or drift is left out. b
+    Rx(a), since Ry(b) = F Rx(b) F^3. The angles are ``euler_xyx``'s: the
+    branch that spreads the ladder least, the read-off kept unless another
+    is lower by more than ``BRANCH_SCORE_MARGIN``. The two drift orders
+    F^3 Rx(b) F and F Rx(-b) F^3 share one kappa-symbol, so only the branch
+    is chosen. A null pulse or drift is left out. b
     is never null there: |b| < 1e-12 puts both parts of the y that
     ``_as_x_rotation`` tests below its 1e-12, so such a gate is an
     x-rotation, and no two
@@ -387,12 +449,7 @@ def _as_x_rotation(x: complex, y: complex) -> float | None:
     """
     if abs(y.real) > 1e-12 or abs(y.imag) > 1e-12:
         return None
-    theta = math.atan2(x.imag, x.real)
-    if theta <= -0.5 * math.pi:
-        theta += math.pi
-    elif theta > 0.5 * math.pi:
-        theta -= math.pi
-    return theta
+    return _fold(math.atan2(x.imag, x.real))
 
 
 def compile_circuit(circuit: Circuit, beam: BeamParameters) -> list[Schedule]:

@@ -172,11 +172,16 @@ def xyx_schedule_oracle(kind: str, angle: float | None = None, entries=None,
       into (-pi/2, pi/2].
     - Otherwise u = phase Rx(a) Ry(b) Rx(c). With H the Hadamard gate, H V H
       = e^{iaZ} Ry(-b) e^{icZ}, whose first row is (cos b e^{i(a+c)},
-      -sin b e^{i(a-c)}); b <= 0 is read from it with the four-entry sums
-      (V00 + V01 + V10 + V11) / 2 and (V00 - V01 + V10 - V11) / 2, whose
-      cancellation the working precision absorbs. An argument is taken as 0
-      where the modulus is <= 1e-14, and angles lie in (-pi, pi]. The
-      schedule is pulse c, drift 3, pulse b, drift 1, pulse a.
+      -sin b e^{i(a-c)}); the read-off (a, b, c), with b = -atan2(|y|, |x|),
+      is taken from it with the four-entry sums x = (V00 + V01 + V10 + V11) / 2
+      and y = (V00 - V01 + V10 - V11) / 2, whose cancellation the working
+      precision absorbs. An argument is taken as 0 where the modulus is
+      <= 1e-14, and angles lie in (-pi, pi].
+    - The branch: with fold(t) the t + n pi in (-pi/2, pi/2], the candidates
+      (fold a, b, fold c) and (fold(a + pi/2), -b, fold(c - pi/2)) are tried
+      in that order against the read-off. Each replaces the best so far if
+      its spread a^2 + b^2 + c^2 + 2ac J1(2b)/b is below the best's times
+      1 - 1e-9. The schedule is pulse c, drift 3, pulse b, drift 1, pulse a.
     - A pulse of |theta| < 1e-12 is left out.
     The phase is tr(R^dag u) / |tr| for R the product of the kept elements'
     2x2 matrices, multiplied out here.
@@ -210,6 +215,18 @@ def xyx_schedule_oracle(kind: str, angle: float | None = None, entries=None,
             s = mp.arg(x) if abs(x) > arg_tol else mp.mpf(0)
             t = mp.arg(y) if abs(y) > arg_tol else mp.mpf(0)
             a, b, c = wrap((s + t) / 2), -mp.atan2(abs(y), abs(x)), wrap((s - t) / 2)
+
+            def fold(t):
+                return t + mp.pi if t <= -mp.pi / 2 else t - mp.pi if t > mp.pi / 2 else t
+
+            def spread(a, b, c):
+                return a ** 2 + b ** 2 + c ** 2 + 2 * a * c * mp.besselj(1, 2 * b) / b
+
+            best = (a, b, c)
+            for cand in ((fold(a), b, fold(c)), (fold(a + mp.pi / 2), -b, fold(c - mp.pi / 2))):
+                if spread(*cand) < spread(*best) * (1 - mp.mpf("1e-9")):
+                    best = cand
+            a, b, c = best
             steps = [("pulse", c), ("drift", 3), ("pulse", b), ("drift", 1), ("pulse", a)]
         steps = [(what, v) for what, v in steps if what == "drift" or abs(v) >= tol]
         realized = [mp.mpc(1), mp.mpc(0), mp.mpc(0), mp.mpc(1)]

@@ -244,17 +244,6 @@ def test_eigenphases_non_finite_coupling_is_config_error(tmp_path, g):
     assert main(["eigenphases", "--g", g, "--dim", "21", *out_args(tmp_path)]) == EXIT_CONFIG
 
 
-def test_out_of_memory_is_config_error(tmp_path, monkeypatch, capsys):
-    # an oversized --dim or --phases ends in MemoryError; allocate nothing here
-    def exhausted(*args, **kwargs):
-        raise MemoryError
-
-    monkeypatch.setattr("fequbit.cli.eigenphases", exhausted)
-    assert main(["eigenphases", "--g", "0.25", "--dim", "21",
-                 *out_args(tmp_path)]) == EXIT_CONFIG
-    assert "--dim" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("error, code, line", [
     (CircuitParseError("bad gate", line=3), EXIT_PARSE, "parse error: line 3: bad gate"),
     (ConfigurationError("bad value"), EXIT_CONFIG, "configuration error: bad value"),
