@@ -1,11 +1,12 @@
 """Command-line interface: simulate, compile, spectrum, eigenphases, tomography.
 
-Each setting is one ``RunConfig`` field, which holds its default, flag help,
-range check, and whether only ``tomography`` takes it; the flags, the
-config-file keys and the checks are built from those fields, and each
-command's other inputs come from the ``_COMMANDS`` table. Configuration
-precedence is CLI flags over config-file values over the defaults; validation
-problems are collected and reported in one message.
+Each setting is one ``RunConfig`` field, which holds its default, flag help
+and range check. Each command's row in the ``_COMMANDS`` table names its
+inputs and the settings it reads: the command takes the flag and the
+config-file key of those settings alone and checks only them, so another
+setting's flag ends with a usage error and its key with a configuration
+error. Configuration precedence is CLI flags over config-file values over the
+defaults; validation problems are collected and reported in one message.
 
 Scripts can branch on the exit code. ``_EXITS`` is the one table of codes:
 each row holds a code's meaning, which the epilog of ``fequbit --help``
@@ -110,27 +111,27 @@ MAX_WINDOW = 2**23
 2**24 + 1 levels, about 256 MiB per complex amplitude array."""
 
 
-def _setting(default, text: str, check=None, problem: str = "", *, tomography=False,
-             types=None):
-    """A ``RunConfig`` field that carries its flag, its range ``check`` with the
-    ``problem`` listed when the check fails, and whether only ``tomography``
-    takes it. The flag's help ``text`` ends with the default, unless the flag
-    is a switch or the text names ``(default`` itself. A value whose type
-    is not in ``types`` fails; they default to the default's own, and an int
-    also fits a float (bool is an int subclass but not an int here)."""
+def _setting(default, text: str, check=None, problem: str = "", *, types=None):
+    """A ``RunConfig`` field that carries its flag, and its range ``check``
+    with the ``problem`` listed when the check fails. The flag's help ``text``
+    ends with the default, unless the flag is a switch or the text names
+    ``(default`` itself. A value whose type is not in ``types`` fails; they
+    default to the default's own, and an int also fits a float (bool is an
+    int subclass but not an int here)."""
     kind = type(default)
     if kind is not bool and "(default" not in text:
         text += f" (default {default!r})" if kind is str else f" (default {default:g})"
     flag = {"help": text, **({"action": "store_true"} if kind is bool else {"type": kind})}
     return field(default=default, metadata={
-        "flag": flag, "check": check, "problem": problem, "tomography": tomography,
+        "flag": flag, "check": check, "problem": problem,
         "types": types or {float: (int, float)}.get(kind, (kind,))})
 
 
 @dataclass
 class RunConfig:
-    """Every setting of a command, read from its flag over a config file over
-    the default; the flags, config keys and checks are built from these fields."""
+    """Every setting of the commands, read from its flag over a config file over
+    the default; the flags, config keys and checks are built from these fields.
+    A setting that a command does not read keeps its default there."""
 
     beam_kev: float = _setting(200.0, "electron kinetic energy in keV", lambda v: v > 0,
                                "beam energy must be > 0 keV")
@@ -145,35 +146,40 @@ class RunConfig:
                         "out must be a non-empty path with no NUL character")
     csv: bool = _setting(False, "CSV instead of JSON for tabular outputs")
     probe: float = _setting(DEFAULT_PROBE_MAGNITUDE, "probe magnitude",
-                            lambda v: 0 < v <= MAX_PROBE, tomography=True,
+                            lambda v: 0 < v <= MAX_PROBE,
                             problem=f"probe magnitude must be in (0, {MAX_PROBE:g}]")
     phases: int = _setting(DEFAULT_N_PHASES, "scan phases", lambda v: 8 <= v <= MAX_PHASES,
-                           f"scan phases must be in [8, {MAX_PHASES}]", tomography=True)
+                           f"scan phases must be in [8, {MAX_PHASES}]")
     counts: float = _setting(0.0, "Poisson counts per column, 0 = noiseless",
-                             lambda v: 0 <= v <= MAX_COUNTS, tomography=True,
+                             lambda v: 0 <= v <= MAX_COUNTS,
                              problem=f"counts per column must be in [0, {MAX_COUNTS:.2g}]")
     restarts: int = _setting(DEFAULT_RESTARTS, "most fit starts, tried until one fits",
-                             lambda v: 1 <= v <= MAX_RESTARTS, tomography=True,
+                             lambda v: 1 <= v <= MAX_RESTARTS,
                              problem=f"reconstruction restarts must be in [1, {MAX_RESTARTS}]")
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file, and explicit flags; validate everything at once.
+    """Merge defaults, config file, and explicit flags of the settings
+    ``args.command`` reads; validate them all at once.
 
-    The command flags ``--g`` and ``--dim`` are range-checked here too, so one
-    message lists every problem before any command allocates.
+    A config-file key that the command does not read is a problem, whether or
+    not it names another command's setting. The command flags ``--g`` and
+    ``--dim`` are range-checked here too, so one message lists every problem
+    before any command allocates.
     """
+    read = _COMMANDS[args.command][3]
     values = {f.name: f.default for f in fields(RunConfig)}
     file_values = read_json(args.config) if getattr(args, "config", None) else {}
     if not isinstance(file_values, dict):
         raise ConfigurationError(f"config file {args.config}: expected a JSON object")
-    problems = [f"unknown config key {key!r}" for key in file_values if key not in values]
-    values.update({k: v for k, v in file_values.items() if k in values})
-    values.update({k: v for k, v in vars(args).items() if k in values and v is not None})
+    problems = [f"config key {key!r} is not read by {args.command}"
+                for key in file_values if key not in read]
+    values.update({k: v for k, v in file_values.items() if k in read})
+    values.update({k: v for k, v in vars(args).items() if k in read and v is not None})
     # a value of the wrong type or a number no float can hold is listed and
     # replaced by its default, so the checks below still run
     out_of_range = set()
-    for f in fields(RunConfig):
+    for f in [f for f in fields(RunConfig) if f.name in read]:
         kind, value, check = type(f.default), values[f.name], f.metadata["check"]
         if type(value) not in f.metadata["types"]:
             problems.append(f"{f.name} must be {kind.__name__}, got {value!r}")
@@ -194,8 +200,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         except ValueError:
             problems.append(f"window must be 'adaptive' or an integer, got {config.window!r}")
     # the beam cross-check quotes the values it is given, so it runs only on
-    # beam settings that passed their own checks
-    if not out_of_range & {"beam_kev", "wavelength_nm", "delta_e_ev"}:
+    # beam settings that the command reads and that passed their own checks
+    if set(_BEAM) <= set(read) - out_of_range:
         try:
             _beam(config)
         except ConfigurationError as exc:
@@ -366,15 +372,27 @@ own pattern misses exponent, inf and nan forms: it would take the value of
 ``--beam-kev -1e-3`` for an option and stop with a usage error before the
 configuration checks list the problem."""
 
+_BEAM = ("beam_kev", "wavelength_nm", "delta_e_ev")
+"""The beam settings: every command that can run a circuit builds a beam from them."""
+
 _COMMANDS = {
     # name: (function, help, what it reads: a positional circuit, --circuit or
-    # --state, or the pulse flags --g and --dim)
-    "simulate": (cmd_simulate, "run a circuit end to end from |0>", "circuit"),
-    "compile": (cmd_compile, "compile a circuit to pulse/drift schedules", "circuit"),
-    "spectrum": (cmd_spectrum, "energy spectrum of a state or circuit output", "--circuit"),
-    "eigenphases": (cmd_eigenphases, "eigenphases of one laser interaction", "--g"),
-    "tomography": (cmd_tomography, "spectrogram plus state reconstruction", "--circuit"),
+    # --state, or the pulse flags --g and --dim; then the settings it reads, in
+    # the order its help lists their flags)
+    "simulate": (cmd_simulate, "run a circuit end to end from |0>", "circuit",
+                 (*_BEAM, "window", "out")),
+    "compile": (cmd_compile, "compile a circuit to pulse/drift schedules", "circuit",
+                (*_BEAM, "out")),
+    "spectrum": (cmd_spectrum, "energy spectrum of a state or circuit output", "--circuit",
+                 (*_BEAM, "window", "out", "csv")),
+    "eigenphases": (cmd_eigenphases, "eigenphases of one laser interaction", "--g", ("out",)),
+    "tomography": (cmd_tomography, "spectrogram plus state reconstruction", "--circuit",
+                   ("probe", "phases", "counts", "restarts", *_BEAM, "window", "seed", "out")),
 }
+
+_SIZING = {"dim": "--dim", "phases": "--phases", "probe": "--probe", "window": "a fixed --window"}
+"""The flags whose values size a run's arrays, by their ``args`` names, as the
+out-of-memory line names them."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -386,9 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
-    # tomography's own settings come first, each group in field order
-    settings = sorted(fields(RunConfig), key=lambda f: not f.metadata["tomography"])
-    for name, (func, text, reads) in _COMMANDS.items():
+    flags = {f.name: f.metadata["flag"] for f in fields(RunConfig)}
+    for name, (func, text, reads, settings) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p._negative_number_matcher = _NEGATIVE_NUMBER
         if reads == "circuit":
@@ -400,10 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--g", type=float, required=True, help="coupling magnitude |g|")
             p.add_argument("--dim", type=int, required=True, help="odd window dimension")
-        for f in settings:
-            if name == "tomography" or not f.metadata["tomography"]:
-                p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None,
-                               **f.metadata["flag"])
+        for setting in settings:
+            p.add_argument("--" + setting.replace("_", "-"), dest=setting, default=None,
+                           **flags[setting])
         p.add_argument("--config", default=None, help="JSON config file")
         p.set_defaults(func=func)
     return parser
@@ -418,8 +434,10 @@ def main(argv=None) -> int:
         print(f"{_EXITS[code][2]}: {exc}", file=sys.stderr)
         return code
     except MemoryError:
-        print("configuration error: out of memory; reduce the sizing flags "
-              "(--dim, --phases, --probe, a fixed --window)", file=sys.stderr)
+        # the flags the command took, as the reader table gave them to its parser
+        sizing = ", ".join(flag for name, flag in _SIZING.items() if name in vars(args))
+        print("configuration error: out of memory"
+              + (f"; reduce the sizing flags ({sizing})" if sizing else ""), file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -251,7 +251,7 @@ def test_eigenphases_non_finite_coupling_is_config_error(tmp_path, g):
     (WindowError("off the window"), EXIT_TRUNCATION, "truncation error: off the window"),
     (OSError("disk full"), EXIT_IO, "i/o error: disk full"),
     (MemoryError(), EXIT_CONFIG, "configuration error: out of memory; reduce the sizing "
-                                 "flags (--dim, --phases, --probe, a fixed --window)"),
+                                 "flags (--dim)"),
 ], ids=["CircuitParseError", "ConfigurationError", "TruncationError", "WindowError",
         "OSError", "MemoryError"])
 def test_each_error_class_ends_with_its_code_and_stderr_line(tmp_path, monkeypatch, capsys,
@@ -262,6 +262,21 @@ def test_each_error_class_ends_with_its_code_and_stderr_line(tmp_path, monkeypat
     monkeypatch.setattr("fequbit.cli.eigenphases", fail)
     assert main(["eigenphases", "--g", "0.25", "--dim", "21", *out_args(tmp_path)]) == code
     assert capsys.readouterr().err == line + "\n"
+
+
+@pytest.mark.parametrize("command, sizing", [
+    ("simulate", "a fixed --window"), ("compile", None), ("spectrum", "a fixed --window"),
+    ("eigenphases", "--dim"), ("tomography", "--phases, --probe, a fixed --window")])
+def test_out_of_memory_names_the_sizing_flags_the_command_takes(
+        tmp_path, circuit_file, monkeypatch, capsys, command, sizing):
+    def fail(config):
+        raise MemoryError
+
+    monkeypatch.setattr("fequbit.cli._outdir", fail)
+    argv = [command, *(a.format(circuit=circuit_file) for a in READERS[command][1])]
+    assert main([*argv, *out_args(tmp_path)]) == EXIT_CONFIG
+    hint = f"; reduce the sizing flags ({sizing})" if sizing else ""
+    assert capsys.readouterr().err == f"configuration error: out of memory{hint}\n"
 
 
 @pytest.mark.parametrize("flags", [["--counts", "nan"], ["--counts", "inf"],
@@ -350,12 +365,11 @@ def test_bench_even_dim_is_config_error(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
-def test_flag_problems_are_reported_together(tmp_path, capsys):
-    code = main(["eigenphases", "--g", "nan", "--dim", "4", "--seed", "-1",
-                 *out_args(tmp_path)])
+def test_flag_problems_are_reported_together(capsys):
+    code = main(["eigenphases", "--g", "nan", "--dim", "4", "--out", ""])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    for problem in ("coupling magnitude", "odd dim", "seed must be >= 0"):
+    for problem in ("coupling magnitude", "odd dim", "out must be a non-empty path"):
         assert problem in err
 
 
@@ -523,14 +537,14 @@ def test_empty_out_is_config_error_before_any_run(tmp_path, monkeypatch, capsys,
     work = tmp_path / "work"
     work.mkdir()
     (work / "h.txt").write_text("H\n")
-    (work / "cfg.json").write_text(json.dumps({"out": "", "seed": -1}))
+    (work / "cfg.json").write_text(json.dumps({"out": "", "beam_kev": -1}))
     monkeypatch.chdir(work)
     monkeypatch.setattr("fequbit.cli.simulate_schedule", _allocates)
-    argv = (["--out", "", "--seed", "-1"] if source == "flag"
+    argv = (["--out", "", "--beam-kev", "-1"] if source == "flag"
             else ["--config", "cfg.json"])
     assert main(["simulate", "h.txt", *argv]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "NUL" in err and "seed must be >= 0" in err
+    assert "NUL" in err and "beam energy must be > 0 keV" in err
     assert sorted(p.name for p in work.iterdir()) == ["cfg.json", "h.txt"]
 
 
@@ -658,7 +672,9 @@ def test_each_setting_is_read_from_the_config_file_and_a_flag_overrides_it(
     default = {f.name: f.default for f in fields(RunConfig)}[name]
     assert in_file != default and from_flag != default
     cfg = tmp_path / "cfg.json"
-    argv = ["tomography", "--circuit", "h.txt", "--config", str(cfg)]
+    # tomography reads every setting but csv, which spectrum alone reads
+    command = "spectrum" if name == "csv" else "tomography"
+    argv = [command, "--circuit", "h.txt", "--config", str(cfg)]
     cfg.write_text(json.dumps({name: in_file}))
     # read as the default's type: a window's int is kept as its string
     assert getattr(_config_for(argv), name) == type(default)(in_file)
@@ -667,6 +683,44 @@ def test_each_setting_is_read_from_the_config_file_and_a_flag_overrides_it(
         cfg.write_text(json.dumps({name: file_value}))
         assert getattr(_config_for([*argv, *flag]), name) == from_flag
     assert getattr(_config_for(argv[:3]), name) == default
+
+
+_BEAM = ("beam_kev", "wavelength_nm", "delta_e_ev")
+# the settings each command reads, and its other inputs; a command refuses the
+# flag (argparse's exit 2) and the config-file key (exit 3) of any other setting
+READERS = {
+    "simulate": ({*_BEAM, "window", "out"}, ["{circuit}"]),
+    "compile": ({*_BEAM, "out"}, ["{circuit}"]),
+    "spectrum": ({*_BEAM, "window", "out", "csv"}, ["--circuit", "{circuit}"]),
+    "eigenphases": ({"out"}, ["--g", "2", "--dim", "9"]),
+    "tomography": ({*_BEAM, "window", "out", "seed", "probe", "phases", "counts", "restarts"},
+                   ["--circuit", "{circuit}"]),
+}
+
+
+@pytest.mark.parametrize("name, in_file, flag, from_flag", SETTING_SOURCES,
+                         ids=[case[0] for case in SETTING_SOURCES])
+@pytest.mark.parametrize("command", READERS)
+def test_each_command_takes_the_settings_it_reads_and_no_other(
+        tmp_path, circuit_file, capsys, command, name, in_file, flag, from_flag):
+    reads, inputs = READERS[command]
+    argv = [command, *(a.format(circuit=circuit_file) for a in inputs)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: in_file}))
+    if name in reads:
+        default = {f.name: f.default for f in fields(RunConfig)}[name]
+        assert getattr(_config_for([*argv, "--config", str(cfg)]), name) == type(default)(in_file)
+        assert getattr(_config_for([*argv, *flag]), name) == from_flag
+        return
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, *flag, "--out", str(out)])
+    assert stop.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert name in err and command in err
+    assert not out.exists()
 
 
 def _reject_constant(name):
@@ -684,21 +738,23 @@ def _assert_documented_exit(argv, out) -> None:
 
 
 # beam numbers at the ends of the float range, where the kinematics overflow
-# or vanish; flags are passed as --flag=value, so a leading '-' stays a value
+# or vanish, and an output directory that may be empty or hold a NUL; flags
+# are passed as --flag=value, so a leading '-' stays a value
 _FUZZ_FLOATS = st.floats() | st.sampled_from([1e300, 1e-300, 1e-3, 1e3])
 _FUZZ_FLAGS = st.fixed_dictionaries({}, optional={
     "--beam-kev": _FUZZ_FLOATS, "--wavelength-nm": _FUZZ_FLOATS,
-    "--delta-e-ev": _FUZZ_FLOATS, "--seed": st.integers(-2 ** 70, 2 ** 70),
-    "--window": st.integers(-2 ** 70, 2 ** 70) | st.text(max_size=3)})
+    "--delta-e-ev": _FUZZ_FLOATS})
 
 
-@given(flags=_FUZZ_FLAGS)
-def test_fuzzed_flags_end_in_a_documented_exit_code(tmp_path_factory, flags):
+@given(flags=_FUZZ_FLAGS, out=st.text(alphabet="ab\0", max_size=3))
+def test_fuzzed_flags_end_in_a_documented_exit_code(tmp_path_factory, flags, out):
+    # an empty out name leaves --out the run's own directory with a trailing
+    # slash, a valid path
     work = tmp_path_factory.mktemp("fuzz")
     (work / "h.txt").write_text("H\n")
     _assert_documented_exit(
-        ["compile", str(work / "h.txt"), "--out", str(work),
-         *(f"{flag}={value}" for flag, value in flags.items())], work)
+        ["compile", str(work / "h.txt"), f"--out={work}/{out}",
+         *(f"{flag}={value}" for flag, value in flags.items())], work / out)
 
 
 # up to three config keys with fuzzed values (no key sizes an array, as
@@ -720,6 +776,18 @@ def test_fuzzed_config_file_ends_in_a_documented_exit_code(tmp_path_factory, con
     _assert_documented_exit(
         ["compile", str(work / "h.txt"), "--config", str(work / "cfg.json")],
         work / out)
+
+
+@given(config=_FUZZ_CONFIG)
+def test_fuzzed_tomography_config_is_taken_or_listed(tmp_path_factory, config):
+    # compile reads the beam and out alone; tomography checks every other
+    # setting's config-file value, so the same keys are merged and checked here
+    cfg = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    try:
+        _config_for(["tomography", "--circuit", "h.txt", "--config", str(cfg)])
+    except ConfigurationError:
+        pass
 
 
 def test_compile_file_is_unchanged_by_the_pulse_kernels(tmp_path, monkeypatch):

@@ -31,7 +31,7 @@ from fequbit import operators
 from fequbit.ladder import NORM_TOL, TruncationPolicy
 from fequbit.operators import CHEBYSHEV_TAIL_TOL
 from fequbit.qubit import pinem_rotation
-from helpers import schedule_from_json, state_distance
+from helpers import padded, schedule_from_json, state_distance
 from oracles import haar_unitary, xyx_schedule_oracle
 
 BEAM = derive_beam(200e3, 800e-9)
@@ -525,3 +525,21 @@ def test_a_compiled_circuit_runs_without_the_scalar_kernel(monkeypatch):
     for schedule in schedules:
         state = simulate_schedule(schedule, state)
     assert abs(state.norm() - 1.0) <= NORM_TOL
+
+
+@pytest.mark.parametrize("seed", [101, 9001, 7])
+def test_compiled_circuits_keep_the_state_from_0_mirror_symmetric(seed):
+    # a compiled pulse's kernel has f_-k = f_k and a quarter drift's phase
+    # depends on l only through l^2, so every state reached from |0> has
+    # psi_-l = psi_l; a trim may cut the two ends unequally, so the window is
+    # not assumed centred
+    rng = np.random.default_rng(seed)
+    gates = [Gate(str(rng.choice(["H", "X", "Y", "Z", "S", "T"]))) if rng.random() < 0.4
+             else Gate("U", entries=tuple(complex(x) for x in haar_unitary(rng).ravel()))
+             for _ in range(200)]
+    state = basis_state(0, 8)
+    for schedule in compile_circuit(Circuit(tuple(gates)), BEAM):
+        state = simulate_schedule(schedule, state)
+        half = max(-state.l_min, state.l_min + state.dim - 1)
+        psi = padded(state, -half, half).amplitudes
+        assert np.max(np.abs(psi - psi[::-1])) <= 1e-13

@@ -19,9 +19,10 @@ noiseless spectrogram, the noisy one where the item has counts (each as
 restart. It keeps
 ``bessel_row`` on ``BESSEL_XS`` at the probe's budget 1e-24 and at the pulse
 kernels' CHEBYSHEV_TAIL_TOL^2 / 8: the cut K per x, and the rows end to end.
-It then runs the CLI's ``simulate``, ``compile`` and ``tomography --circuit``
-on ``H T H`` and keeps every number of each JSON and CSV file they write, in
-file order.
+It then runs each CLI command as ``CLI_RUNS`` lists it: ``simulate``,
+``compile``, ``tomography --circuit`` and ``spectrum --circuit`` (JSON and
+CSV) on ``H T H``, and ``eigenphases --g 2 --dim 9``. It keeps every number of
+each JSON and CSV file they write, in file order.
 
 ``compare`` prints, per output, how many entries changed and the largest
 absolute change; a changed shape is reported as such.
@@ -47,6 +48,9 @@ CLI_RUNS = {
     "simulate": ["simulate", "{hth}"],
     "compile": ["compile", "{hth}"],
     "tomography": ["tomography", "--circuit", "{hth}"],
+    "spectrum": ["spectrum", "--circuit", "{hth}"],
+    "spectrum-csv": ["spectrum", "--circuit", "{hth}", "--csv"],
+    "eigenphases": ["eigenphases", "--g", "2", "--dim", "9"],
 }
 
 
