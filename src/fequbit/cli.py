@@ -16,6 +16,12 @@ alone, save ``MemoryError``, whose message is fixed text. Every file a
 command reads goes through ``ladder.read_text``, and the reader of each
 format raises the package error whose code the table gives for a malformed
 file of it.
+
+A command computes everything first and returns its exit code with its
+files: an ordered map from each file name to the writer of that file.
+``main`` alone creates ``--out``, once the command has returned, runs the
+writers in order and prints one ``wrote <names> in <out>`` line. So a run
+that raises creates nothing.
 """
 
 from __future__ import annotations
@@ -236,8 +242,14 @@ def _outdir(config: RunConfig) -> str:
     return config.out
 
 
-def _write_json(path: str, obj) -> None:
-    write_text(path, json.dumps(obj, indent=2))
+def _text(text: str):
+    """The writer of a file that holds ``text``."""
+    return lambda path: write_text(path, text)
+
+
+def _json(obj):
+    """The writer of ``obj`` as an indented JSON file."""
+    return _text(json.dumps(obj, indent=2))
 
 
 def _state_from_inputs(args, config: RunConfig) -> LadderState:
@@ -265,22 +277,18 @@ def _run_circuit(path: str, config: RunConfig,
     return state
 
 
-def cmd_simulate(args, config: RunConfig) -> int:
+def cmd_simulate(args, config: RunConfig) -> tuple[int, dict]:
     rows = []
 
     def record(label, state):
         rows.append((str(len(rows)), label, project_qubit(state)))
 
     state = _run_circuit(args.circuit, config, record)
-    out = _outdir(config)
-    state.dump(os.path.join(out, "state.json"))
-    _write_json(os.path.join(out, "qubit.json"), rows[-1][2].to_json())
-    _write_bloch_csv(os.path.join(out, "bloch.csv"), rows)
     final = rows[-1][2]
     print(f"simulated {len(rows) - 1} gate(s); "
           f"qubit alpha={final.alpha:.6g} beta={final.beta:.6g}")
-    print(f"wrote state.json, qubit.json, bloch.csv in {out}")
-    return EXIT_OK
+    return EXIT_OK, {"state.json": state.dump, "qubit.json": _json(final.to_json()),
+                     "bloch.csv": lambda path: _write_bloch_csv(path, rows)}
 
 
 def _write_bloch_csv(path: str, rows) -> None:
@@ -297,54 +305,36 @@ def _write_bloch_csv(path: str, rows) -> None:
     write_text(path, buf.getvalue())
 
 
-def cmd_compile(args, config: RunConfig) -> int:
+def cmd_compile(args, config: RunConfig) -> tuple[int, dict]:
     circuit = _read_circuit(args.circuit)
     beam = _beam(config)
     schedules = compile_circuit(circuit, beam)
-    out = _outdir(config)
-    doc = {
-        "name": circuit.name,
-        "beam": beam.to_json(),
-        "gates": [
-            {"gate": gate.label(), "schedule": schedule.to_json()}
-            for gate, schedule in zip(circuit.gates, schedules)
-        ],
-    }
-    path = os.path.join(out, "schedule.json")
-    _write_json(path, doc)
     for gate, schedule in zip(circuit.gates, schedules):
         print(f"{gate.label()}: {schedule.n_pulses} pulse(s), "
               f"{schedule.n_drifts} drift(s)")
-    print(f"wrote {path}")
-    return EXIT_OK
+    return EXIT_OK, {"schedule.json": _json({
+        "name": circuit.name,
+        "beam": beam.to_json(),
+        "gates": [{"gate": gate.label(), "schedule": schedule.to_json()}
+                  for gate, schedule in zip(circuit.gates, schedules)],
+    })}
 
 
-def cmd_spectrum(args, config: RunConfig) -> int:
-    state = _state_from_inputs(args, config)
-    spec = eels_spectrum(state)
-    out = _outdir(config)
+def cmd_spectrum(args, config: RunConfig) -> tuple[int, dict]:
+    spec = eels_spectrum(_state_from_inputs(args, config))
     if config.csv:
-        path = os.path.join(out, "spectrum.csv")
-        write_text(path, "l,p\n" + "".join(
-            f"{l},{float(p)!r}\n" for l, p in zip(spec.indices, spec.probabilities)))
-    else:
-        path = os.path.join(out, "spectrum.json")
-        _write_json(path, spec.to_json())
-    print(f"wrote {path}")
-    return EXIT_OK
+        return EXIT_OK, {"spectrum.csv": _text("l,p\n" + "".join(
+            f"{l},{float(p)!r}\n" for l, p in zip(spec.indices, spec.probabilities)))}
+    return EXIT_OK, {"spectrum.json": _json(spec.to_json())}
 
 
-def cmd_eigenphases(args, config: RunConfig) -> int:
+def cmd_eigenphases(args, config: RunConfig) -> tuple[int, dict]:
     phases = eigenphases(PinemPulse.single(args.g), args.dim)
-    out = _outdir(config)
-    path = os.path.join(out, "eigenphases.csv")
-    write_text(path, "".join(f"{float(phi)!r}\n" for phi in phases))
     print(f"{phases.size} eigenphases in [{phases.min():.6f}, {phases.max():.6f}]")
-    print(f"wrote {path}")
-    return EXIT_OK
+    return EXIT_OK, {"eigenphases.csv": _text("".join(f"{float(phi)!r}\n" for phi in phases))}
 
 
-def cmd_tomography(args, config: RunConfig) -> int:
+def cmd_tomography(args, config: RunConfig) -> tuple[int, dict]:
     # narrow the fit window: the simulation already trims its padding, but it
     # keeps edge levels of per-cell probability up to 1e-18 that this cut
     # drops, and the reconstruction cost grows with the data window
@@ -352,17 +342,14 @@ def cmd_tomography(args, config: RunConfig) -> int:
     sg = spectrogram(state, probe_magnitude=config.probe, n_phases=config.phases)
     if config.counts > 0:
         sg = add_shot_noise(sg, config.counts, seed=config.seed)
-    out = _outdir(config)
     result = reconstruct_state(sg, window=_policy(config), n_restarts=config.restarts,
                                seed=config.seed)
-    sg.to_csv(os.path.join(out, "spectrogram.csv"))
-    _write_json(os.path.join(out, "reconstruction.json"), result.to_json())
     qubit = project_qubit(result.state, edge_margin=0)
-    _write_json(os.path.join(out, "readout_qubit.json"), qubit.to_json())
     print(f"reconstruction residual {result.residual:.3e} "
           f"({'ok' if result.ok else 'FAILED'}), restarts used {result.restarts}")
-    print(f"wrote spectrogram.csv, reconstruction.json, readout_qubit.json in {out}")
-    return EXIT_OK if result.ok else EXIT_RECONSTRUCTION
+    return EXIT_OK if result.ok else EXIT_RECONSTRUCTION, {
+        "spectrogram.csv": sg.to_csv, "reconstruction.json": _json(result.to_json()),
+        "readout_qubit.json": _json(qubit.to_json())}
 
 
 _NEGATIVE_NUMBER = re.compile(
@@ -428,7 +415,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args, build_config(args))
+        config = build_config(args)
+        code, files = args.func(args, config)
+        out = _outdir(config)
+        for name, write in files.items():
+            write(os.path.join(out, name))
+        print(f"wrote {', '.join(files)} in {out}")
+        return code
     except tuple(e for _, errors, _ in _EXITS.values() for e in errors) as exc:
         code = next(c for c, (_, errors, _) in _EXITS.items() if isinstance(exc, errors))
         print(f"{_EXITS[code][2]}: {exc}", file=sys.stderr)

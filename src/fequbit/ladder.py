@@ -110,7 +110,7 @@ class TruncationPolicy:
     ``edge_margin`` and ``leakage_tol`` are class attributes, not fields:
     every policy carries ``DEFAULT_EDGE_MARGIN`` and ``LEAKAGE_TOL``. The
     package and its tests read those constants themselves; only perfbench
-    reads the attributes, and ROADMAP item 5 deletes them. A ``half_width``
+    reads the attributes, and ROADMAP item 6 deletes them. A ``half_width``
     that is no integer raises ValueError, and so does any ``half_width`` given
     to an adaptive policy, which would otherwise ignore it.
     """
@@ -285,7 +285,7 @@ def occupied_levels(state: LadderState, coverage: float = 1.0 - 1e-6) -> int:
     Counts 2K + 1 levels even when part of that window lies outside the
     state's own (then probability-free) storage window. Nothing in the
     package calls it, only tests and perfbench's ``ladder.window_bloat``
-    metric; ROADMAP item 5 deletes it with that metric.
+    metric; ROADMAP item 6 deletes it with that metric.
     """
     p = state.probabilities()
     if p.sum() < coverage:

@@ -41,7 +41,7 @@ from .ladder import (DEFAULT_EDGE_MARGIN, DEFAULT_POLICY, LEAKAGE_TOL, LadderSta
 
 MATEXP_DENSE_MAX_DIM = 1024
 """Selects nothing; kept only because perfbench/layers.py reads it to label its
-apply_pinem_matexp timings. ROADMAP item 5 deletes it with that reader."""
+apply_pinem_matexp timings. ROADMAP item 6 deletes it with that reader."""
 
 CHEBYSHEV_TAIL_TOL = 1e-13
 """Amplitude error bound of every Bessel series the operators truncate."""
@@ -304,14 +304,14 @@ def _tail_run(amps: np.ndarray, limit: float, from_end: bool) -> int:
 
 def apply_pinem_bessel(state: LadderState, pulse: PinemPulse,
                        policy: TruncationPolicy = DEFAULT_POLICY) -> LadderState:
-    """Former name of ``apply_pinem``. Only perfbench reads it; ROADMAP item 5
+    """Former name of ``apply_pinem``. Only perfbench reads it; ROADMAP item 6
     deletes it and renames perfbench's calls."""
     return apply_pinem(state, pulse, policy)
 
 
 def apply_pinem_matexp(state: LadderState, pulse: PinemPulse,
                        policy: TruncationPolicy = DEFAULT_POLICY) -> LadderState:
-    """Former name of ``apply_pinem``. Only perfbench reads it; ROADMAP item 5
+    """Former name of ``apply_pinem``. Only perfbench reads it; ROADMAP item 6
     deletes it and renames perfbench's calls."""
     return apply_pinem(state, pulse, policy)
 

@@ -84,8 +84,8 @@ class Spectrum:
             raise ValueError("probabilities must be a non-empty 1-d array")
         if p.min() < 0.0:
             raise ValueError("negative probability")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
+        if not abs(p.sum() - 1.0) <= 1e-9:
+            raise ValueError(f"probabilities sum to {float(p.sum())!r}, not 1")
         p.flags.writeable = False
         object.__setattr__(self, "probabilities", p)
 
@@ -100,8 +100,8 @@ class Spectrum:
 def eels_spectrum(state: LadderState) -> Spectrum:
     """Population spectrum p_l = |psi_l|^2 of a normalized state."""
     p = state.probabilities()
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"state norm^2 = {p.sum()!r}; spectra need normalized states")
+    if not abs(p.sum() - 1.0) <= 1e-9:
+        raise ValueError(f"state norm^2 = {float(p.sum())!r}; spectra need normalized states")
     return Spectrum(state.l_min, p)
 
 

@@ -356,7 +356,7 @@ def test_dim_beyond_its_cap_is_config_error(tmp_path, monkeypatch, argv):
     assert main([*argv, *out_args(tmp_path)]) == EXIT_CONFIG
 
 
-def test_bench_even_dim_is_config_error(tmp_path, monkeypatch):
+def test_even_eigenphases_dim_is_config_error(tmp_path, monkeypatch):
     # an even dim has no symmetric window [-half, half]: nothing is built or written
     for name in ("eigenphases", "basis_state"):
         monkeypatch.setattr(f"fequbit.cli.{name}", _allocates)
@@ -583,6 +583,51 @@ def test_failed_fit_writes_all_three_outputs(tmp_path):
     assert code == EXIT_RECONSTRUCTION
     written = {p.name for p in (tmp_path / "out").iterdir()}
     assert written == {"spectrogram.csv", "reconstruction.json", "readout_qubit.json"}
+
+
+@pytest.mark.parametrize("argv, code, max_fit_cells", [
+    (["tomography", "--state", "{state}", "--window", "5"], EXIT_TRUNCATION, None),
+    (["tomography", "--circuit", "{hth}"], EXIT_CONFIG, 1000),
+    (["simulate", "{hth}", "--window", "3"], EXIT_TRUNCATION, None),
+], ids=["fit-window-off-the-data", "fit-beyond-its-cell-cap", "simulate-on-a-tiny-window"])
+def test_a_run_that_fails_creates_no_out(tmp_path, monkeypatch, capsys, argv, code,
+                                         max_fit_cells):
+    # a command returns its files and only then is --out made, so a fit that
+    # raises leaves no empty directory behind
+    hth = tmp_path / "hth.txt"
+    hth.write_text("H\nT\nH\n")
+    state_path = tmp_path / "state.json"
+    LadderState(100, np.array([0.6, 0.8j])).dump(state_path)
+    if max_fit_cells:
+        monkeypatch.setattr("fequbit.tomography.MAX_FIT_CELLS", max_fit_cells)
+    argv = [a.format(hth=hth, state=state_path) for a in argv]
+    assert main([*argv, *out_args(tmp_path)]) == code
+    assert capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "{circuit}"], EXIT_OK),
+    (["compile", "{circuit}"], EXIT_OK),
+    (["spectrum", "--circuit", "{circuit}"], EXIT_OK),
+    (["spectrum", "--circuit", "{circuit}", "--csv"], EXIT_OK),
+    (["eigenphases", "--g", "2", "--dim", "9"], EXIT_OK),
+    (["tomography", "--circuit", "{circuit}"], EXIT_OK),
+    (["tomography", "--state", "{state}", "--counts", "150", "--restarts", "2"],
+     EXIT_RECONSTRUCTION),
+], ids=["simulate", "compile", "spectrum", "spectrum-csv", "eigenphases", "tomography",
+        "tomography-failed-fit"])
+def test_the_wrote_line_names_exactly_the_files_in_out(tmp_path, circuit_file, capsys,
+                                                       argv, code):
+    state_path = tmp_path / "state.json"
+    basis_state(0, 6).dump(state_path)
+    out = tmp_path / "out"
+    argv = [a.format(circuit=circuit_file, state=state_path) for a in argv]
+    assert main([*argv, "--out", str(out)]) == code
+    last = capsys.readouterr().out.splitlines()[-1]
+    names = re.fullmatch(r"wrote (.+) in (.+)", last)
+    assert names and names[2] == str(out)
+    assert sorted(names[1].split(", ")) == sorted(p.name for p in out.iterdir())
 
 
 @pytest.mark.parametrize("counts", ["0.01", "1"])

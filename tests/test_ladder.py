@@ -50,6 +50,8 @@ def test_basis_state_offset():
 def test_basis_state_outside_window():
     with pytest.raises(WindowError):
         basis_state(9, 8)
+    with pytest.raises(ValueError, match="half-width must be >= 1"):
+        basis_state(0, 0)
 
 
 def test_basis_state_accepts_policy():
@@ -225,6 +227,12 @@ def test_state_is_immutable():
     state = basis_state(0, 4)
     with pytest.raises(ValueError):
         state.amplitudes[0] = 5.0
+
+
+@pytest.mark.parametrize("amplitudes", [np.array([]), np.ones((2, 2))], ids=["empty", "2-d"])
+def test_state_amplitudes_must_be_a_non_empty_1d_array(amplitudes):
+    with pytest.raises(ValueError, match="non-empty 1-d"):
+        LadderState(0, amplitudes)
 
 
 def test_state_window_accessors():

@@ -76,3 +76,17 @@ def test_record_keeps_each_readout_item(digest, monkeypatch, tmp_path):
         assert out[f"{key}/amplitudes"].size > 0 and out[f"{key}/l_min"].shape == (1,)
     again = digest.readout_outputs(101)
     assert all(" 0 of " in line for line in digest.compare(out, again))
+
+
+def test_record_keeps_each_cli_file_with_its_bytes(digest, monkeypatch, tmp_path):
+    monkeypatch.chdir(_PATH.parent.parent)  # it runs the CLI of the checkout it is in
+    out = digest.cli_outputs()
+    files = {key for key in out if not key.endswith("/bytes")}
+    assert {key.split("/")[1] for key in files} == set(digest.CLI_RUNS)
+    assert {key for key in out if key.endswith("/bytes")} == {f"{k}/bytes" for k in files}
+    for key in files:
+        # the bytes hold the very numbers kept for the file
+        path = tmp_path / key.rsplit("/", 1)[1]
+        path.write_bytes(out[f"{key}/bytes"].tobytes())
+        assert digest.compare({key: out[key]}, {key: digest._file_numbers(path)}) == [
+            f"{key}: 0 of {out[key].size} entries changed, largest 0.00e+00"]

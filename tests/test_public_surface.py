@@ -39,7 +39,7 @@ KEPT = {
     "Spectrogram.from_csv": "reads back the spectrogram.csv that fequbit tomography writes",
 }
 
-# read by perfbench alone until ROADMAP item 5 deletes them; of the policy's class
+# read by perfbench alone until ROADMAP item 6 deletes them; of the policy's class
 # attributes only an attribute read counts, as a parameter may share their spelling
 PERFBENCH_ONLY = {"apply_pinem_bessel", "apply_pinem_matexp", "MATEXP_DENSE_MAX_DIM"}
 POLICY_ATTRIBUTES = {"edge_margin", "leakage_tol"}

@@ -65,6 +65,8 @@ def test_eels_post_pulse_is_squared_bessel_and_phase_blind():
 def test_eels_rejects_unnormalized():
     with pytest.raises(ValueError):
         eels_spectrum(LadderState(0, np.array([0.5 + 0j, 0.5 + 0j])))
+    with pytest.raises(ValueError, match=r"norm\^2 = nan;"):
+        eels_spectrum(LadderState(0, np.array([np.nan, 1.0])))
 
 
 def test_spectrum_validation():
@@ -72,6 +74,13 @@ def test_spectrum_validation():
         Spectrum(0, np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
         Spectrum(0, np.array([1.1, -0.1]))
+    with pytest.raises(ValueError, match="sum to nan,"):
+        Spectrum(0, np.array([np.nan, 0.5]))
+    with pytest.raises(ValueError, match="sum to inf,"):
+        Spectrum(0, np.array([np.inf, 0.5]))
+    for bad in (np.array([]), np.ones((1, 1))):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            Spectrum(0, bad)
 
 
 def test_spectrum_json_roundtrip():
@@ -148,6 +157,8 @@ def test_spectrogram_validation():
         spectrogram(state, probe_magnitude=0.0)
     with pytest.raises(ValueError):
         spectrogram(state, n_phases=4)
+    with pytest.raises(ValueError, match=r"\(n_levels, n_phases\)"):
+        Spectrogram(np.array([0.0, 1.0]), 0, np.array([[1.0]]))
 
 
 def test_spectrogram_csv_roundtrip(tmp_path):
@@ -465,6 +476,13 @@ def test_levenberg_marquardt_solves_a_linear_problem():
     expected, (squares,), *_ = np.linalg.lstsq(m, b, rcond=None)
     assert np.max(np.abs(x - expected)) <= 1e-10
     assert cost == pytest.approx(squares / 2, rel=1e-12)
+
+
+def test_levenberg_marquardt_rejects_a_non_finite_start():
+    m = np.eye(2)
+    with pytest.raises(ValueError, match="not finite at the start"):
+        _levenberg_marquardt(lambda x: m @ x - np.array([np.nan, 0.0]), lambda x: m,
+                             np.zeros(2))
 
 
 def record_fits(monkeypatch):

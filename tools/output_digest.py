@@ -22,7 +22,8 @@ kernels' CHEBYSHEV_TAIL_TOL^2 / 8: the cut K per x, and the rows end to end.
 It then runs each CLI command as ``CLI_RUNS`` lists it: ``simulate``,
 ``compile``, ``tomography --circuit`` and ``spectrum --circuit`` (JSON and
 CSV) on ``H T H``, and ``eigenphases --g 2 --dim 9``. It keeps every number of
-each JSON and CSV file they write, in file order.
+each JSON and CSV file they write, in file order, and the file's bytes, so a
+change of its text that keeps the numbers shows too.
 
 ``compare`` prints, per output, how many entries changed and the largest
 absolute change; a changed shape is reported as such.
@@ -176,6 +177,8 @@ def cli_outputs() -> dict:
                            stdout=subprocess.DEVNULL)
             for path in sorted(Path(outdir).iterdir()):
                 out[f"cli/{name}/{path.name}"] = _file_numbers(path)
+                out[f"cli/{name}/{path.name}/bytes"] = np.frombuffer(path.read_bytes(),
+                                                                     dtype=np.uint8)
     return out
 
 
