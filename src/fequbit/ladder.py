@@ -156,8 +156,8 @@ class LadderState:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.size == 0:
-            raise ValueError("amplitudes must be a non-empty 1-d array")
+        if amps.ndim != 1 or amps.size == 0 or not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be a non-empty 1-d array of finite numbers")
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)

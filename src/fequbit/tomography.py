@@ -45,11 +45,12 @@ levels for None and adaptive windows, which may fall back to them. A fit
 holds its Jacobian and the complex factor it is formed from, 16 bytes per
 cell each, from its first step to its last, and beside them the damped
 step's square matrices of side 2 x fit levels. tracemalloc peaks of
-whole-window fits were 34.4 bytes per cell at 32 phases (9 and 41 levels at
-probe 20, 201 levels at probe 1) and 41.2 at 8 phases (201 levels), so
-0.6-0.7 GB at the bound. A fit on the state's own window holds less in all
-and more per cell: 0.66 MB, 59 bytes per cell, for 9 levels at probe 1. A
-2000-level state at 32 phases (1.3e8 cells) is rejected."""
+whole-window fits, with the Jacobian held level-major, were 33.4-34.8 bytes
+per cell at 32 phases (9 and 41 levels at probe 20, 201 levels at probe 1)
+and 42.3 at 8 phases (201 levels), so 0.6-0.7 GB at the bound. A fit on the
+state's own window holds less in all and more per cell: 0.65 MB, 58 bytes
+per cell, for 9 levels at probe 1. A 2000-level state at 32 phases (1.3e8
+cells) is rejected."""
 
 GAUGE_BLOCK_CELLS = 4096
 """Most gauge-table cells, scan phases x state levels, ``spectrogram`` forms
@@ -136,6 +137,23 @@ class Spectrogram:
         data.flags.writeable = False
         object.__setattr__(self, "scan_phases", phases)
         object.__setattr__(self, "data", data)
+
+    @classmethod
+    def _adopt(cls, scan_phases: np.ndarray, l_min: int, data: np.ndarray,
+               probe_magnitude: float, counts_per_column: float | None = None
+               ) -> "Spectrogram":
+        """A spectrogram that takes over ``scan_phases`` and ``data``, float64
+        arrays of matching shapes, finite, that no one else writes (a
+        read-only array may be shared): they are made read-only, not checked
+        or copied. ``spectrogram`` and ``add_shot_noise`` build theirs so."""
+        scan_phases.flags.writeable = False
+        data.flags.writeable = False
+        sg = object.__new__(cls)
+        for name, value in (("scan_phases", scan_phases), ("l_min", l_min), ("data", data),
+                            ("probe_magnitude", probe_magnitude),
+                            ("counts_per_column", counts_per_column)):
+            object.__setattr__(sg, name, value)
+        return sg
 
     @property
     def n_levels(self) -> int:
@@ -236,7 +254,7 @@ def spectrogram(state: LadderState, probe_magnitude: float = DEFAULT_PROBE_MAGNI
         gauged = _gauge(phases[start:start + block], state.dim) * state.amplitudes
         for j, psi in enumerate(gauged, start):
             np.square(np.abs(np.convolve(psi, row)), out=data[:, j])
-    return Spectrogram(phases, state.l_min - k_half, data, probe_magnitude)
+    return Spectrogram._adopt(phases, state.l_min - k_half, data, probe_magnitude)
 
 
 def add_shot_noise(sg: Spectrogram, counts_per_column: float, seed: int = 0) -> Spectrogram:
@@ -254,8 +272,8 @@ def add_shot_noise(sg: Spectrogram, counts_per_column: float, seed: int = 0) -> 
         raise ConfigurationError(
             f"{empty} of {totals.size} spectrogram columns counted no electron at "
             f"{counts_per_column:g} counts per column; raise the counts")
-    return Spectrogram(sg.scan_phases, sg.l_min, counts / totals, sg.probe_magnitude,
-                       counts_per_column)
+    return Spectrogram._adopt(sg.scan_phases, sg.l_min, counts / totals, sg.probe_magnitude,
+                              counts_per_column)
 
 
 @dataclass(frozen=True)
@@ -272,7 +290,8 @@ class ReconstructionResult:
         return {**doc, "state": self.state.to_json()}
 
 
-def _fit_window(sg: Spectrogram, window: TruncationPolicy | None) -> tuple[int, int]:
+def _fit_window(sg: Spectrogram, window: TruncationPolicy | None,
+                row: np.ndarray | None = None) -> tuple[int, int]:
     """(l_min, n_levels) of the fit; fixed(h) gives [-h, h] within the data window.
 
     None or an adaptive policy gives the levels whose whole image lies in the
@@ -282,11 +301,12 @@ def _fit_window(sg: Spectrogram, window: TruncationPolicy | None) -> tuple[int, 
     Only the cut row's outermost entry links that row to the narrowed window,
     so by Cauchy-Schwarz that is the most a normalized state inside it can put
     there; a spectrogram cropped closer to the state keeps that side's data
-    edge. An empty narrowed range gives the whole data window.
+    edge. An empty narrowed range gives the whole data window. ``row`` is
+    ``_probe_row`` of the spectrogram's probe, formed here when not given.
     """
     l_max = sg.l_min + sg.n_levels - 1
     if window is None or window.mode == "adaptive":
-        row = _probe_row(sg.probe_magnitude)
+        row = _probe_row(sg.probe_magnitude) if row is None else row
         k_half, bound = row.size // 2, row[0] ** 2 + 0.5e-24
         lo = sg.l_min + k_half if np.all(sg.data[0] <= bound) else sg.l_min
         hi = l_max - k_half if np.all(sg.data[-1] <= bound) else l_max
@@ -298,20 +318,25 @@ def _fit_window(sg: Spectrogram, window: TruncationPolicy | None) -> tuple[int, 
     return lo, hi - lo + 1
 
 
-def _probe_matrix(sg: Spectrogram, fit_l_min: int, n_par: int) -> np.ndarray:
+def _probe_matrix(sg: Spectrogram, fit_l_min: int, n_par: int,
+                  row: np.ndarray | None = None) -> np.ndarray:
     """The probe row as a Toeplitz map from fit levels m to data rows l:
-    entry (l, m) is J_{l-m}(2 m_p) within the row's cut and zero outside."""
-    row = _probe_row(sg.probe_magnitude)
+    entry (l, m) is J_{l-m}(2 m_p) within the row's cut and zero outside.
+    ``row`` is ``_probe_row`` of the spectrogram's probe, formed here when
+    not given."""
+    row = _probe_row(sg.probe_magnitude) if row is None else row
     k_half = row.size // 2
     lag = sg.indices[:, None] - np.arange(fit_l_min, fit_l_min + n_par)[None, :]
     return np.where(np.abs(lag) <= k_half, row[np.clip(lag + k_half, 0, row.size - 1)], 0.0)
 
 
-def _fourier_seed(sg: Spectrogram, bess: np.ndarray) -> np.ndarray:
+def _fourier_seed(sg: Spectrogram, bess: np.ndarray, imaged: bool = True) -> np.ndarray:
     """Start amplitudes on the fit window from the phase-Fourier diagonals of the data.
 
     ``bess`` is ``_probe_matrix`` on the fit window, J_{l-m} of shape
-    (n_rows, n_par).
+    (n_rows, n_par); ``imaged`` says that every fit level's whole image,
+    levels m - K..m + K for the probe row's half-width K, lies in the data
+    rows, as on the window ``_fit_window`` narrows to.
 
     Level l at scan phase chi holds p_l(chi) = sum_{m,n} rho_{m,n}
     e^{i(chi + pi)(n - m)} J_{l-m}(2 m_p) J_{l-n}(2 m_p) with rho = psi psi^dagger,
@@ -320,17 +345,33 @@ def _fourier_seed(sg: Spectrogram, bess: np.ndarray) -> np.ndarray:
     phases are evenly spaced and N is at least the state's width plus 2.
     D is formed from the recorded phases, not by an FFT over columns, so a
     spectrogram read with its own phase order gives the same seed. Diagonals
-    0, 1 and 2 are solved by least squares against their real kernels;
+    0, 1 and 2 are solved by least squares against their real kernels M_d;
     |psi_m| = sqrt(max(rho_mm, 0)), and each phase follows from the stronger
     of the links rho_{m-1,m}, rho_{m-2,m}, so a comb with empty odd levels
     still gets its phases. Noiseless, this is the state up to a global phase.
+
+    On an imaged window each diagonal is the solve of its small normal system
+    M_d^T M_d x = M_d^T D[d], a third of ``lstsq``'s time there; M_d had
+    cond <= 300 on 9- and 41-level states at probes 1e-14 to 100, and below
+    3e4 at 401 levels. Diagonal d is unobservable when d > 2K: no two entries
+    of the cut row lie d apart, so M_d is zero (at K = 0, probes below about
+    7e-13, for d = 1 and 2), and it is taken as zero, the answer ``lstsq``
+    gives. A window whose edge levels' images leave the data rows, such as
+    the whole data window of the fallback fit, keeps ``lstsq``: those levels
+    are barely constrained, and M_d reached cond 1e18 at probe 100.
     """
     n_par = bess.shape[1]
     diagonals = sg.data @ np.exp(-1j * np.outer(sg.scan_phases, np.arange(3))) / sg.n_phases
-    pop, link1, link2 = (
-        np.linalg.lstsq((-1) ** d * bess[:, :n_par - d] * bess[:, d:], diagonals[:, d],
-                        rcond=None)[0]
-        for d in range(3))
+
+    def solve(d):
+        kernel = (-1) ** d * bess[:, :n_par - d] * bess[:, d:]
+        if not imaged:
+            return np.linalg.lstsq(kernel, diagonals[:, d], rcond=None)[0]
+        if not kernel.any():  # d > 2K
+            return np.zeros(kernel.shape[1], dtype=np.complex128)
+        return np.linalg.solve(kernel.T @ kernel, kernel.T @ diagonals[:, d])
+
+    pop, link1, link2 = map(solve, range(3))
 
     # rho_{m-d,m} = psi_{m-d} conj(psi_m), so arg psi_m = arg psi_{m-d} - arg rho_{m-d,m}
     phase = np.zeros(n_par)
@@ -356,12 +397,19 @@ def _levenberg_marquardt(residuals, jacobian, x0: np.ndarray) -> tuple[np.ndarra
     The fit stops on the first of: |g|_inf < ``_FIT_TOL``; a taken step that
     lowers the cost by less than ``_FIT_TOL`` of it; a step shorter than
     ``_FIT_TOL`` (|x| + ``_FIT_TOL``); 300 evaluations of ``residuals``.
+
+    ``jacobian`` may return a transposed view: ``_fit`` holds J level-major,
+    (re, im) x levels by rows, and returns its transpose, so J^T is
+    C-contiguous and J^T J and J^T r run on it as stored. ``jacobian`` is
+    called at the start point and after each taken step, each time with the
+    very array the latest ``residuals`` call got, so it may reuse what that
+    call formed.
     """
     x, r = x0, residuals(x0)
     cost = 0.5 * float(r @ r)
     if not math.isfinite(cost):
         raise ValueError("residuals are not finite at the start point")
-    lam, taken = 1e-3, True
+    lam, taken, eps = 1e-3, True, np.finfo(float).eps
     for _ in range(299):
         if taken:
             jac = jacobian(x)
@@ -371,16 +419,17 @@ def _levenberg_marquardt(residuals, jacobian, x0: np.ndarray) -> tuple[np.ndarra
             a = jac.T @ jac  # formed only for a step
             del jac  # not held while the next one is built
             diagonal = a.diagonal().copy()
-            scale = np.maximum(diagonal, np.finfo(float).eps * diagonal.max())
+            scale = np.maximum(diagonal, eps * diagonal.max())
         a.flat[::len(a) + 1] = diagonal + lam * scale  # damped in place, no square temporary
         step = np.linalg.solve(a, -g)
-        r_trial = residuals(x + step)
+        x_trial = x + step
+        r_trial = residuals(x_trial)
         trial_cost = 0.5 * float(r_trial @ r_trial)
         taken = trial_cost < cost
         done = (taken and cost - trial_cost < _FIT_TOL * cost
                 or np.linalg.norm(step) < _FIT_TOL * (np.linalg.norm(x) + _FIT_TOL))
         if taken:
-            x, r, cost, lam = x + step, r_trial, trial_cost, lam / 3
+            x, r, cost, lam = x_trial, r_trial, trial_cost, lam / 3
         else:
             lam *= 4
         if done:
@@ -431,7 +480,8 @@ def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
     """
     if n_restarts < 1:
         raise ValueError("need at least one restart")
-    fit_l_min, n_par = _fit_window(sg, window)
+    row = _probe_row(sg.probe_magnitude)
+    fit_l_min, n_par = _fit_window(sg, window, row)
     widest = n_par if window is not None and window.mode == "fixed" else sg.n_levels
     if sg.n_phases * sg.n_levels * widest > MAX_FIT_CELLS:
         raise ConfigurationError(
@@ -440,42 +490,48 @@ def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
     if n_par < widest:
         if (sg.counts_per_column is None
                 or sg.n_phases / sg.counts_per_column <= FAIL_THRESHOLD ** 2):
-            narrowed = _fit(sg, fit_l_min, n_par, 1, seed)
+            narrowed = _fit(sg, row, fit_l_min, n_par, 1, seed)
             if narrowed.ok:
                 return narrowed
         fit_l_min, n_par = sg.l_min, sg.n_levels
-    return _fit(sg, fit_l_min, n_par, n_restarts, seed)
+    return _fit(sg, row, fit_l_min, n_par, n_restarts, seed)
 
 
-def _fit(sg: Spectrogram, fit_l_min: int, n_par: int, n_restarts: int,
+def _fit(sg: Spectrogram, row: np.ndarray, fit_l_min: int, n_par: int, n_restarts: int,
          seed: int) -> ReconstructionResult:
-    """``reconstruct_state``'s starts on the n_par levels from fit_l_min."""
-    bess = _probe_matrix(sg, fit_l_min, n_par)
+    """``reconstruct_state``'s starts on the n_par levels from fit_l_min, with
+    ``row`` the spectrogram's ``_probe_row``."""
+    bess = _probe_matrix(sg, fit_l_min, n_par, row)
     gauge = _gauge(sg.scan_phases, n_par)
     observed = sg.data.T  # (n_phases, n_rows)
-    # the Jacobian and its complex factor, filled in place at every taken step
-    weighted = np.empty((sg.n_phases, sg.n_levels, n_par), dtype=np.complex128)
-    jac = np.empty((sg.n_phases, sg.n_levels, 2, n_par))
-    conj_gauge, two_bess = np.conj(gauge), 2.0 * bess
+    # the Jacobian level-major and its complex factor, filled in place at every taken step
+    weighted = np.empty((n_par, sg.n_phases, sg.n_levels), dtype=np.complex128)
+    jac_t = np.empty((2, n_par, sg.n_phases, sg.n_levels))
+    conj_gauge_t, two_bess_t = np.conj(gauge).T[:, :, None], 2.0 * bess.T[:, None, :]
+    last = [None, None]  # the x the latest residuals saw, and its mixed
 
     def mixed(x):
         # probed amplitudes on the data rows, one row per scan phase
         return (gauge * (x[:n_par] + 1j * x[n_par:])) @ bess.T
 
     def residuals(x):
-        return (np.abs(mixed(x)) ** 2 - observed).ravel()
+        last[:] = x, mixed(x)
+        return (np.abs(last[1]) ** 2 - observed).ravel()
 
     def jacobian(x):
         # d|mixed|^2 / d(re, im) psi_m = 2 (re, -im) of conj(mixed) e^{-i(chi+pi)m} J_{l-m},
         # which is (re, im) of mixed e^{i(chi+pi)m} 2 J_{l-m}: formed as one complex
-        # product, whose interleaved (re, im) floats are then copied apart
-        np.multiply(mixed(x)[:, :, None], conj_gauge[:, None, :], out=weighted)
-        np.multiply(weighted, two_bess, out=weighted)
-        pairs = weighted.view(np.float64).reshape(*weighted.shape, 2)
-        np.copyto(jac, pairs.transpose(0, 1, 3, 2))
-        return jac.reshape(-1, 2 * n_par)
+        # product per level m, whose real and imaginary parts are then copied apart.
+        # At a taken step x is the very array the trial's residuals saw.
+        np.multiply(last[1] if last[0] is x else mixed(x), conj_gauge_t, out=weighted)
+        np.multiply(weighted, two_bess_t, out=weighted)
+        np.copyto(jac_t[0], weighted.real)
+        np.copyto(jac_t[1], weighted.imag)
+        return jac_t.reshape(2 * n_par, -1).T
 
-    seed_psi = _fourier_seed(sg, bess)
+    k_half = row.size // 2
+    imaged = sg.l_min + k_half <= fit_l_min <= sg.l_min + sg.n_levels - n_par - k_half
+    seed_psi = _fourier_seed(sg, bess, imaged)
     rng = np.random.default_rng(seed)
 
     best_x, best_cost, best_index = None, math.inf, 0

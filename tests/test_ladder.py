@@ -229,7 +229,9 @@ def test_state_is_immutable():
         state.amplitudes[0] = 5.0
 
 
-@pytest.mark.parametrize("amplitudes", [np.array([]), np.ones((2, 2))], ids=["empty", "2-d"])
+@pytest.mark.parametrize("amplitudes", [
+    np.array([]), np.ones((2, 2)), np.array([np.nan, 1.0]), np.array([1.0, 1j * np.inf])],
+    ids=["empty", "2-d", "nan", "inf"])
 def test_state_amplitudes_must_be_a_non_empty_1d_array(amplitudes):
     with pytest.raises(ValueError, match="non-empty 1-d"):
         LadderState(0, amplitudes)

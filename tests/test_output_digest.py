@@ -59,7 +59,8 @@ def test_record_keeps_each_readout_item(digest, monkeypatch, tmp_path):
 
     items = workloads.Readout(101).items
     out = digest.readout_outputs(101)
-    per_item = {"noiseless_l_min", "noiseless_data", "csv_bytes", "l_min", "amplitudes", "fit"}
+    per_item = {"noiseless_l_min", "noiseless_data", "csv_bytes", "l_min", "amplitudes", "fit",
+                "evaluations"}
     assert {key.rsplit("/", 1)[0] for key in out} == {f"readout101/{i.name}" for i in items}
     for item in items:
         key = f"readout101/{item.name}"
@@ -73,6 +74,11 @@ def test_record_keeps_each_readout_item(digest, monkeypatch, tmp_path):
         assert sg.data.tobytes() == out[f"{key}/{kept}_data"].tobytes()
         residual, ok, restarts, best_restart = out[f"{key}/fit"]
         assert ok and residual <= 0.05 and 0 <= best_restart < restarts
+        # one [residuals, Jacobian] count per start, a narrowed try included
+        evaluations = out[f"{key}/evaluations"]
+        assert evaluations.shape[1] == 2 and evaluations.shape[0] >= restarts
+        assert np.all(evaluations[:, 0] >= 1) and np.all(evaluations[:, 1] >= 1)
+        assert np.all(evaluations[:, 1] <= evaluations[:, 0])
         assert out[f"{key}/amplitudes"].size > 0 and out[f"{key}/l_min"].shape == (1,)
     again = digest.readout_outputs(101)
     assert all(" 0 of " in line for line in digest.compare(out, again))

@@ -66,7 +66,7 @@ def test_eels_rejects_unnormalized():
     with pytest.raises(ValueError):
         eels_spectrum(LadderState(0, np.array([0.5 + 0j, 0.5 + 0j])))
     with pytest.raises(ValueError, match=r"norm\^2 = nan;"):
-        eels_spectrum(LadderState(0, np.array([np.nan, 1.0])))
+        eels_spectrum(LadderState._adopt(0, np.array([np.nan, 1.0], dtype=np.complex128)))
 
 
 def test_spectrum_validation():
@@ -449,6 +449,17 @@ def test_fourier_seed_follows_the_recorded_phases():
     assert fid == pytest.approx(seed_fidelity(sg, true), abs=1e-12)
 
 
+@pytest.mark.parametrize("probe", [1e-13, 1e-14])
+def test_reconstruct_at_a_probe_row_of_j0_alone(probe):
+    # the cut row is [J_0]: diagonals 1 and 2 of rho leave no trace in the
+    # data, their kernels are zero, and the seed takes them as zero
+    assert _probe_row(probe).size == 1
+    result = reconstruct_state(spectrogram(normalized_random_state(25, 3, -1),
+                                           probe_magnitude=probe), seed=0)
+    assert result.ok
+    assert result.residual <= 1e-12
+
+
 def test_reconstruct_even_comb_noiseless():
     true = even_comb_state()
     result = reconstruct_state(spectrogram(true), seed=0)
@@ -519,6 +530,21 @@ def test_fit_never_ends_above_its_start_cost(monkeypatch):
     assert len(fits) == 18
     assert all(f["cost"] <= f["start_cost"] for f in fits)
     assert all(f["cost"] < f["start_cost"] for f in fits[1::3])
+
+
+def test_seed_on_the_whole_data_window_is_exact(monkeypatch):
+    # a fixed window past the data fits every data row; the edge levels'
+    # images leave the data, so the seed's kernels are ill-conditioned there
+    # (normal equations gave 1 - F = 5e-6 at this probe, 0.5 at probe 30)
+    fits = record_fits(monkeypatch)
+    true = normalized_random_state(26)
+    sg = spectrogram(true, probe_magnitude=10.0)
+    result = reconstruct_state(sg, window=TruncationPolicy.fixed(60), n_restarts=1)
+    (fit,) = fits
+    n = sg.n_levels
+    assert (result.state.l_min, result.state.dim) == (sg.l_min, n)
+    start = LadderState(sg.l_min, fit["x0"][:n] + 1j * fit["x0"][n:])
+    assert state_fidelity(start, true) >= 1 - 1e-10
 
 
 @pytest.mark.parametrize("gate", ["H", "T", "NOT"])

@@ -15,8 +15,11 @@ result (``l_min`` and amplitudes), closure defect and eigenphases. It runs the
 perfbench ``readout`` items as that workload does and keeps per item the
 noiseless spectrogram, the noisy one where the item has counts (each as
 ``l_min`` and data), the bytes of the CSV the item writes, the reconstructed
-``l_min`` and amplitudes, and the fit's residual, ok, restarts and best
-restart. It keeps
+``l_min`` and amplitudes, the fit's residual, ok, restarts and best
+restart, and per start of ``_levenberg_marquardt`` (the narrowed try of a
+fit that falls back included) its counts of residual and Jacobian
+evaluations, so a change of the fit's arithmetic shows whether it moved the
+path of the fit and not only its numbers. It keeps
 ``bessel_row`` on ``BESSEL_XS`` at the probe's budget 1e-24 and at the pulse
 kernels' CHEBYSHEV_TAIL_TOL^2 / 8: the cut K per x, and the rows end to end.
 It then runs each CLI command as ``CLI_RUNS`` lists it: ``simulate``,
@@ -100,6 +103,35 @@ def pulse_outputs(seed: int) -> dict:
     return out
 
 
+def _counted_fit(sg, seed: int):
+    """``reconstruct_state(sg, seed=seed)``, and the counts of residual and
+    Jacobian evaluations of each of its ``_levenberg_marquardt`` starts."""
+    from fequbit import tomography
+
+    counts = []
+    levenberg_marquardt = tomography._levenberg_marquardt
+
+    def counted(residuals, jacobian, x0):
+        count = [0, 0]
+        counts.append(count)
+
+        def counted_residuals(x):
+            count[0] += 1
+            return residuals(x)
+
+        def counted_jacobian(x):
+            count[1] += 1
+            return jacobian(x)
+        return levenberg_marquardt(counted_residuals, counted_jacobian, x0)
+
+    tomography._levenberg_marquardt = counted
+    try:
+        result = tomography.reconstruct_state(sg, seed=seed)
+    finally:
+        tomography._levenberg_marquardt = levenberg_marquardt
+    return result, np.array(counts)
+
+
 def readout_outputs(seed: int) -> dict:
     import workloads
     from fequbit import tomography
@@ -119,7 +151,7 @@ def readout_outputs(seed: int) -> dict:
                 out[f"{key}/noisy_data"] = sg.data
             sg.to_csv(path)
             out[f"{key}/csv_bytes"] = np.frombuffer(Path(path).read_bytes(), dtype=np.uint8)
-            result = tomography.reconstruct_state(sg, seed=item.fit_seed)
+            result, out[f"{key}/evaluations"] = _counted_fit(sg, item.fit_seed)
             out[f"{key}/l_min"] = np.array([result.state.l_min])
             out[f"{key}/amplitudes"] = result.state.amplitudes
             out[f"{key}/fit"] = np.array([result.residual, result.ok, result.restarts,
