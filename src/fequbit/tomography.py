@@ -5,11 +5,12 @@ not. Scanning the phase chi of a second, known probe pulse of magnitude m_p
 and recording a spectrum per phase gives interference data that pins the
 phases too. The probe is one real Bessel row J_k(2 m_p), cut once by its
 tail budget; a scan phase only gauges the state by e^{-i(chi + pi) m} before
-the convolution with that row. The forward model gauges the state for a
-block of scan phases with one ``exp`` and convolves each phase's gauged copy
-with the row; the seed and the fit use the row as one Toeplitz matrix from
-fit levels to data rows. Over evenly spaced phases, the phase-Fourier
-transform of the data splits by diagonal of rho = psi psi^dagger:
+the convolution with that row. There is one forward model: the probed
+amplitudes of every scan phase are (gauge * psi) @ T^T, with T the row as a
+Toeplitz map from levels to data rows (``_toeplitz``). ``spectrogram`` takes
+that product over blocks of levels, the fit over its window. Over evenly
+spaced phases, the phase-Fourier transform of the data splits by diagonal
+of rho = psi psi^dagger:
 D_l[d] = (-1)^d sum_m J_{l-m}(2 m_p) J_{l-m-d}(2 m_p) rho_{m,m+d}, as in the
 SQUIRRELS reconstruction of attosecond electron pulse trains (Priebe et al.,
 Nature Photonics 11, 793, 2017). Solving diagonals 0, 1 and 2 seeds a
@@ -28,9 +29,10 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError, WindowError
-from .ladder import LadderState, TruncationPolicy, bessel_row, read_text, write_text
+from .ladder import LadderState, TruncationPolicy, _as_index, bessel_row, read_text, write_text
 
 DEFAULT_PROBE_MAGNITUDE = 1.0
 DEFAULT_N_PHASES = 32
@@ -52,14 +54,21 @@ state's own window holds less in all and more per cell: 0.65 MB, 58 bytes
 per cell, for 9 levels at probe 1. A 2000-level state at 32 phases (1.3e8
 cells) is rejected."""
 
-GAUGE_BLOCK_CELLS = 4096
-"""Most gauge-table cells, scan phases x state levels, ``spectrogram`` forms
-with one ``exp``: blocks of max(1, 4096 // levels) phases, 64 kB of complex
-table. Against one ``exp`` per phase, one BLAS thread, the whole
-``spectrogram`` took 0.29 -> 0.13 ms at 9 levels x 32 phases (one block),
-9.4 -> 4.4 ms at 9 x 1024 (3 blocks), 1.8 -> 1.6 ms at 601 x 32 (blocks of
-6) and 7.7 -> 7.5 ms at 1245 x 64 (blocks of 3). One table of all 64 phases
-at 1245 levels was 20-25% slower than blocks of 3."""
+MODEL_BLOCK_LEVELS = 64
+"""Most state levels ``spectrogram`` takes into one product with the probe's
+Toeplitz block; a wider state runs block after block. A block of w levels
+multiplies w x (w + 2K) entries, 2K + 1 of them nonzero per level, so a wide
+block wastes work and a narrow one pays more per-block overhead. 64 keeps
+every ``readout`` state (at most 25 levels) and the 35-level ``H T H`` state
+in one block. Against one ``np.convolve`` per phase, one BLAS thread, best
+of 5 processes: 9 levels x 32 phases took 148 -> 51 us at probe 1 and
+675 -> 224 us at probe 100, 35 x 32 195 -> 99 us, 401 x 1024 31.9 -> 27.4 ms,
+1245 x 64 5.2 -> 4.7 ms at probe 1 and 18.4 -> 15.0 ms at probe 100, and
+101 to 1601 levels x 32 phases 0.70-1.05x as long. Blocks of 96 and 128
+levels took up to 1.17x and 1.25x as long as the convolution at 401-1601
+levels; blocks of 36 were up to 1.15x, and 48 within noise of 64. The
+tracemalloc peak was 1.6x the data's bytes at 1245 x 64 (3.4x at probe 100)
+and 2.4x at 401 x 1024."""
 
 _FIT_TOL = 1e-8
 """Tolerance of the fit's three stop rules (``_levenberg_marquardt``): the
@@ -220,14 +229,31 @@ def _probe_row(probe_magnitude: float) -> np.ndarray:
     return bessel_row(2.0 * probe_magnitude, 1e-24)
 
 
-def _gauge(scan_phases, n: int) -> np.ndarray:
-    """e^{-i(chi_j + pi) m} for m = 0..n-1, one row per scan phase.
+def _gauge(scan_phases, n: int, start: int = 0) -> np.ndarray:
+    """e^{-i(chi_j + pi) m} for m = start..start+n-1, one row per scan phase.
 
     sum_m e^{i(chi + pi)(l - m)} J_{l-m} psi_m is e^{i(chi + pi) l} times the
     convolution of the row with the gauged psi; the phase of level l drops
     out of |.|^2, and so does any shift of m.
     """
-    return np.exp(-1j * np.multiply.outer(np.add(scan_phases, np.pi), np.arange(n)))
+    return np.exp(-1j * np.multiply.outer(np.add(scan_phases, np.pi), np.arange(start, start + n)))
+
+
+def _toeplitz(row: np.ndarray, rows_l_min: int, n_rows: int, l_min: int, n: int) -> np.ndarray:
+    """The probe row as a Toeplitz map from the n levels from l_min to the
+    n_rows data rows from rows_l_min: entry (l, m) is J_{l-m}(2 m_p) within
+    the row's cut and zero outside. Built as a C-contiguous copy of a strided
+    view of one vector that holds the entry of every lag l - m, from the
+    smallest up, so that row i is that vector's n entries from i, reversed:
+    about 6 us against 15 us for an ``np.where`` over the lags at 55 x 25."""
+    k_half = row.size // 2
+    lowest = rows_l_min - l_min - (n - 1)
+    lags = np.zeros(n_rows + n - 1)
+    lo, hi = max(0, -k_half - lowest), min(lags.size, k_half - lowest + 1)
+    if lo < hi:
+        lags[lo:hi] = row[lo + lowest + k_half:hi + lowest + k_half]
+    step = lags.strides[0]
+    return as_strided(lags[n - 1:], (n_rows, n), (step, -step)).copy()
 
 
 def spectrogram(state: LadderState, probe_magnitude: float = DEFAULT_PROBE_MAGNITUDE,
@@ -235,35 +261,50 @@ def spectrogram(state: LadderState, probe_magnitude: float = DEFAULT_PROBE_MAGNI
     """Forward model: probe-pulse-then-spectrum for each phase on a uniform grid.
 
     Column j is |row * (e^{-i(chi_j + pi) m} psi_m)|^2 for chi_j = 2 pi j /
-    n_phases, one ``np.convolve`` per phase. The gauge (``_gauge``) is formed
-    for a block of phases at a time, at most ``GAUGE_BLOCK_CELLS`` cells, with
-    one ``exp`` and one product with the amplitudes; each entry is the float a
-    gauge of its phase alone gives, so the data are those of the per-phase
-    gauge and convolution, bit for bit.
+    n_phases, with m counted from the state's first level. The probed
+    amplitudes of all phases are the fit's own product (gauge * psi) @ T^T
+    (see ``_fit``), taken over blocks of at most ``MODEL_BLOCK_LEVELS``
+    levels: T depends only on l - m, so one Toeplitz block of w + 2K rows
+    serves every block of w levels, and each block's product is added onto
+    the 2K rows it shares with the blocks before it. A state of at most one
+    block is one product, the very ``mixed`` of a fit on its own window, so
+    its noiseless data are an exact zero of that fit's residuals.
+    ``n_phases`` must be an integer of at least 8.
     """
     if probe_magnitude <= 0:
         raise ValueError("probe magnitude must be > 0")
+    n_phases = _as_index(n_phases, "n_phases")
     if n_phases < 8:
         raise ValueError("need at least 8 scan phases")
     phases = 2.0 * np.pi * np.arange(n_phases) / n_phases
     row = _probe_row(probe_magnitude)
-    k_half = row.size // 2
-    data = np.empty((state.dim + 2 * k_half, n_phases), dtype=np.float64)
-    block = max(1, GAUGE_BLOCK_CELLS // state.dim)
-    for start in range(0, n_phases, block):
-        gauged = _gauge(phases[start:start + block], state.dim) * state.amplitudes
-        for j, psi in enumerate(gauged, start):
-            np.square(np.abs(np.convolve(psi, row)), out=data[:, j])
-    return Spectrogram._adopt(phases, state.l_min - k_half, data, probe_magnitude)
+    span = row.size - 1  # 2K rows past a block's last level
+    width = min(state.dim, MODEL_BLOCK_LEVELS)
+    block = _toeplitz(row, -(span // 2), width + span, 0, width)
+    data = np.empty((state.dim + span, n_phases), dtype=np.float64)
+    shared = None  # the probed amplitudes the earlier blocks put on the next block's rows
+    for start in range(0, state.dim, width):
+        w = min(width, state.dim - start)
+        gauged = _gauge(phases, w, start) * state.amplitudes[start:start + w]
+        mixed = gauged @ block[:w + span, :w].T
+        if shared is not None:
+            mixed[:, :span] += shared
+        done = w if start + w < state.dim else w + span
+        np.square(np.abs(mixed[:, :done]).T, out=data[start:start + done])
+        shared = mixed[:, w:]
+    return Spectrogram._adopt(phases, state.l_min - span // 2, data, probe_magnitude)
 
 
 def add_shot_noise(sg: Spectrogram, counts_per_column: float, seed: int = 0) -> Spectrogram:
     """Poisson counting noise, independent per (level, phase), renormalized per column.
 
-    A column in which no electron was counted is not a spectrum: it raises
+    ``counts_per_column`` must be finite and >= 0, else ValueError. A column
+    in which no electron was counted is not a spectrum: it raises
     ConfigurationError rather than pass on as an all-zero column that a fit
     would match with the zero state.
     """
+    if not 0 <= counts_per_column < math.inf:
+        raise ValueError(f"counts_per_column must be finite and >= 0, got {counts_per_column!r}")
     rng = np.random.default_rng(seed)
     counts = rng.poisson(sg.data * counts_per_column).astype(np.float64)
     totals = counts.sum(axis=0)
@@ -320,14 +361,11 @@ def _fit_window(sg: Spectrogram, window: TruncationPolicy | None,
 
 def _probe_matrix(sg: Spectrogram, fit_l_min: int, n_par: int,
                   row: np.ndarray | None = None) -> np.ndarray:
-    """The probe row as a Toeplitz map from fit levels m to data rows l:
-    entry (l, m) is J_{l-m}(2 m_p) within the row's cut and zero outside.
-    ``row`` is ``_probe_row`` of the spectrogram's probe, formed here when
-    not given."""
+    """``_toeplitz`` from the n_par fit levels from fit_l_min to the data rows
+    of ``sg``. ``row`` is ``_probe_row`` of the spectrogram's probe, formed
+    here when not given."""
     row = _probe_row(sg.probe_magnitude) if row is None else row
-    k_half = row.size // 2
-    lag = sg.indices[:, None] - np.arange(fit_l_min, fit_l_min + n_par)[None, :]
-    return np.where(np.abs(lag) <= k_half, row[np.clip(lag + k_half, 0, row.size - 1)], 0.0)
+    return _toeplitz(row, sg.l_min, sg.n_levels, fit_l_min, n_par)
 
 
 def _fourier_seed(sg: Spectrogram, bess: np.ndarray, imaged: bool = True) -> np.ndarray:
@@ -373,14 +411,15 @@ def _fourier_seed(sg: Spectrogram, bess: np.ndarray, imaged: bool = True) -> np.
 
     pop, link1, link2 = map(solve, range(3))
 
-    # rho_{m-d,m} = psi_{m-d} conj(psi_m), so arg psi_m = arg psi_{m-d} - arg rho_{m-d,m}
-    phase = np.zeros(n_par)
+    # rho_{m-d,m} = psi_{m-d} conj(psi_m), so arg psi_m = arg psi_{m-d} - arg rho_{m-d,m};
+    # the arguments and the link comparison are taken as arrays, the chain on Python floats
+    arg1, arg2 = np.angle(link1).tolist(), np.angle(link2).tolist()
+    second = (np.abs(link2) > np.abs(link1[1:])).tolist()  # rho_{m-2,m} the stronger link
+    phase = [0.0]
     for m in range(1, n_par):
-        if m >= 2 and abs(link2[m - 2]) > abs(link1[m - 1]):
-            phase[m] = phase[m - 2] - np.angle(link2[m - 2])
-        else:
-            phase[m] = phase[m - 1] - np.angle(link1[m - 1])
-    return np.sqrt(np.clip(pop.real, 0.0, None)) * np.exp(1j * phase)
+        phase.append(phase[m - 2] - arg2[m - 2] if m >= 2 and second[m - 2]
+                     else phase[m - 1] - arg1[m - 1])
+    return np.sqrt(np.clip(pop.real, 0.0, None)) * np.exp(1j * np.array(phase))
 
 
 def _levenberg_marquardt(residuals, jacobian, x0: np.ndarray) -> tuple[np.ndarray, float]:

@@ -270,18 +270,54 @@ def spectrogram_csv_oracle(scan_phases, probe_magnitude: float, l_min: int,
     return "\n".join(lines) + "\n"
 
 
+def probed_amplitudes_oracle(scan_phases, bess: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """mixed_{j,l} = sum_m e^{-i(chi_j + pi) m} psi_m J_{l-m}, one row per scan
+    phase: the gauge from one ``np.exp`` over phases x levels, times psi, times
+    ``bess`` (J_{l-m}(2 m_p), data rows by levels) transposed."""
+    gauge = np.exp(-1j * np.multiply.outer(np.add(scan_phases, np.pi), np.arange(psi.size)))
+    return (gauge * psi) @ bess.T
+
+
+def toeplitz_oracle(row: np.ndarray, rows_l_min: int, n_rows: int, l_min: int,
+                    n: int) -> np.ndarray:
+    """J_{l-m}(2 m_p) from the n levels from l_min to the n_rows data rows
+    from rows_l_min, entry by entry: ``row`` (k = -K..K) at lag l - m within
+    the cut, zero elsewhere."""
+    k_half = row.size // 2
+    bess = np.zeros((n_rows, n))
+    for i in range(n_rows):
+        for j in range(n):
+            lag = (rows_l_min + i) - (l_min + j)
+            if abs(lag) <= k_half:
+                bess[i, j] = row[lag + k_half]
+    return bess
+
+
+def spectrogram_product_oracle(amplitudes: np.ndarray, row: np.ndarray,
+                               n_phases: int) -> np.ndarray:
+    """Spectrogram data (levels, phases) as |mixed|^2 of one product over all
+    levels (``probed_amplitudes_oracle`` with ``toeplitz_oracle`` onto the
+    n + 2K rows the state reaches), the fit's forward model, at
+    chi_j = 2 pi j / n_phases."""
+    phases = 2.0 * np.pi * np.arange(n_phases) / n_phases
+    n, k_half = amplitudes.size, row.size // 2
+    bess = toeplitz_oracle(row, -k_half, n + 2 * k_half, 0, n)
+    mixed = probed_amplitudes_oracle(phases, bess, amplitudes)
+    return np.ascontiguousarray((np.abs(mixed) ** 2).T)
+
+
 def fit_jacobian_oracle(scan_phases, bess: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Jacobian of the spectrogram fit's residuals at x = (re psi, im psi).
 
-    ``bess`` is J_{l-m}(2 m_p), data rows by fit levels. With mixed_{j,l} =
-    sum_m e^{-i(chi_j + pi) m} psi_m J_{l-m} and weighted = conj(mixed)
+    ``bess`` is J_{l-m}(2 m_p), data rows by fit levels. With mixed from
+    ``probed_amplitudes_oracle`` and weighted = conj(mixed)
     e^{-i(chi_j + pi) m}, the derivative of |mixed_{j,l}|^2 by re psi_m is
     2 J_{l-m} Re(weighted) and by im psi_m is -2 J_{l-m} Im(weighted); rows
     are (phase, data row), columns re psi then im psi.
     """
     n_par = bess.shape[1]
     gauge = np.exp(-1j * np.multiply.outer(np.add(scan_phases, np.pi), np.arange(n_par)))
-    mixed = (gauge * (x[:n_par] + 1j * x[n_par:])) @ bess.T
+    mixed = probed_amplitudes_oracle(scan_phases, bess, x[:n_par] + 1j * x[n_par:])
     weighted = np.conj(mixed)[:, :, None] * gauge[:, None, :]
     jac = np.empty(weighted.shape[:2] + (2, n_par))
     jac[:, :, 0] = weighted.real * (2.0 * bess)

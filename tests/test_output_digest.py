@@ -65,7 +65,8 @@ def test_record_keeps_each_readout_item(digest, monkeypatch, tmp_path):
     for item in items:
         key = f"readout101/{item.name}"
         got = {k.rsplit("/", 1)[1] for k in out if k.rsplit("/", 1)[0] == key}
-        assert got == (per_item | {"noisy_l_min", "noisy_data"} if item.counts else per_item)
+        assert got == (per_item | {"noisy_l_min", "noisy_data"} if item.counts
+                       else per_item | {"true_residual_max"})
         kept = "noisy" if item.counts else "noiseless"
         path = tmp_path / "sg.csv"
         path.write_bytes(out[f"{key}/csv_bytes"].tobytes())
@@ -80,6 +81,9 @@ def test_record_keeps_each_readout_item(digest, monkeypatch, tmp_path):
         assert np.all(evaluations[:, 0] >= 1) and np.all(evaluations[:, 1] >= 1)
         assert np.all(evaluations[:, 1] <= evaluations[:, 0])
         assert out[f"{key}/amplitudes"].size > 0 and out[f"{key}/l_min"].shape == (1,)
+        if not item.counts:
+            # the spectrogram and the fit share one forward model, bit for bit
+            assert out[f"{key}/true_residual_max"].tolist() == [0.0]
     again = digest.readout_outputs(101)
     assert all(" 0 of " in line for line in digest.compare(out, again))
 

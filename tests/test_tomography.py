@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -157,6 +158,10 @@ def test_spectrogram_validation():
         spectrogram(state, probe_magnitude=0.0)
     with pytest.raises(ValueError):
         spectrogram(state, n_phases=4)
+    # a float count, even a whole one, is no phase count
+    for n_phases in (8.5, 32.0):
+        with pytest.raises(ValueError, match="n_phases must be an integer"):
+            spectrogram(state, n_phases=n_phases)
     with pytest.raises(ValueError, match=r"\(n_levels, n_phases\)"):
         Spectrogram(np.array([0.0, 1.0]), 0, np.array([[1.0]]))
 
@@ -293,6 +298,19 @@ def test_shot_noise_with_a_column_that_counted_nothing_is_config_error():
     sg = spectrogram(normalized_random_state(6), n_phases=8)
     with pytest.raises(ConfigurationError, match="counts per column"):
         add_shot_noise(sg, 0.01, seed=0)
+
+
+@pytest.mark.parametrize("counts", [math.nan, math.inf, -5.0, -math.inf])
+def test_shot_noise_counts_must_be_finite_and_not_negative(counts):
+    sg = spectrogram(normalized_random_state(6), n_phases=8)
+    with pytest.raises(ValueError, match="counts_per_column"):
+        add_shot_noise(sg, counts, seed=0)
+
+
+def test_shot_noise_at_zero_counts_counted_no_electron():
+    sg = spectrogram(normalized_random_state(6), n_phases=8)
+    with pytest.raises(ConfigurationError, match="counted no electron"):
+        add_shot_noise(sg, 0, seed=0)
 
 
 # ---------------------------------------------------------------- reconstruction

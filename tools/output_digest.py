@@ -19,7 +19,10 @@ noiseless spectrogram, the noisy one where the item has counts (each as
 restart, and per start of ``_levenberg_marquardt`` (the narrowed try of a
 fit that falls back included) its counts of residual and Jacobian
 evaluations, so a change of the fit's arithmetic shows whether it moved the
-path of the fit and not only its numbers. It keeps
+path of the fit and not only its numbers. For a noiseless item it also keeps
+the largest |residual| of the first start's fit, which runs on the state's
+own window, at the state's true amplitudes: 0 where the spectrogram and the
+fit share one forward model bit for bit. It keeps
 ``bessel_row`` on ``BESSEL_XS`` at the probe's budget 1e-24 and at the pulse
 kernels' CHEBYSHEV_TAIL_TOL^2 / 8: the cut K per x, and the rows end to end.
 It then runs each CLI command as ``CLI_RUNS`` lists it: ``simulate``,
@@ -104,11 +107,12 @@ def pulse_outputs(seed: int) -> dict:
 
 
 def _counted_fit(sg, seed: int):
-    """``reconstruct_state(sg, seed=seed)``, and the counts of residual and
-    Jacobian evaluations of each of its ``_levenberg_marquardt`` starts."""
+    """``reconstruct_state(sg, seed=seed)``, the counts of residual and
+    Jacobian evaluations of each of its ``_levenberg_marquardt`` starts, and
+    the first start's (counted) residuals callable."""
     from fequbit import tomography
 
-    counts = []
+    counts, fits = [], []
     levenberg_marquardt = tomography._levenberg_marquardt
 
     def counted(residuals, jacobian, x0):
@@ -122,6 +126,7 @@ def _counted_fit(sg, seed: int):
         def counted_jacobian(x):
             count[1] += 1
             return jacobian(x)
+        fits.append(counted_residuals)
         return levenberg_marquardt(counted_residuals, counted_jacobian, x0)
 
     tomography._levenberg_marquardt = counted
@@ -129,7 +134,7 @@ def _counted_fit(sg, seed: int):
         result = tomography.reconstruct_state(sg, seed=seed)
     finally:
         tomography._levenberg_marquardt = levenberg_marquardt
-    return result, np.array(counts)
+    return result, np.array(counts), fits[0]
 
 
 def readout_outputs(seed: int) -> dict:
@@ -151,11 +156,14 @@ def readout_outputs(seed: int) -> dict:
                 out[f"{key}/noisy_data"] = sg.data
             sg.to_csv(path)
             out[f"{key}/csv_bytes"] = np.frombuffer(Path(path).read_bytes(), dtype=np.uint8)
-            result, out[f"{key}/evaluations"] = _counted_fit(sg, item.fit_seed)
+            result, out[f"{key}/evaluations"], residuals = _counted_fit(sg, item.fit_seed)
             out[f"{key}/l_min"] = np.array([result.state.l_min])
             out[f"{key}/amplitudes"] = result.state.amplitudes
             out[f"{key}/fit"] = np.array([result.residual, result.ok, result.restarts,
                                           result.best_restart])
+            if not item.counts:
+                true_x = np.concatenate([state.amplitudes.real, state.amplitudes.imag])
+                out[f"{key}/true_residual_max"] = np.array([np.max(np.abs(residuals(true_x)))])
     return out
 
 
