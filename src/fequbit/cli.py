@@ -55,6 +55,7 @@ from .tomography import (
     DEFAULT_N_PHASES,
     DEFAULT_PROBE_MAGNITUDE,
     DEFAULT_RESTARTS,
+    MAX_COUNTS,
     add_shot_noise,
     eels_spectrum,
     reconstruct_state,
@@ -80,9 +81,6 @@ _EXITS = {
 }
 
 BLOCH_WEIGHT_FLOOR = 1e-9
-
-MAX_COUNTS = 9.2e18
-"""Largest counts per column numpy's Poisson sampler accepts (its limit is near 2**63)."""
 
 MAX_PROBE = 100.0
 """Largest probe magnitude. The data rows grow with the probe width, the fit

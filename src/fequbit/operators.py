@@ -8,7 +8,8 @@ convolution per harmonic. Harmonic h has the Jacobi-Anger kernel
 
     f_k = exp(i k arg(-g_h)) J_k(2|g_h|)
 
-placed on every h-th level, its orders cut by ``ladder.bessel_row``. For a
+placed on every h-th level, its orders cut by ``ladder.bessel_row``, and
+``apply_pinem`` composes a pulse's harmonics into one kernel. For a
 purely imaginary g_h, the only kind the compiler emits, arg(-g_h) = +-pi/2
 and the factor is exactly (+-i)^k, so ``pinem_kernel`` writes that kernel
 with no floating-point phase; any other coupling takes exp(i k arg(-g_h))
@@ -17,8 +18,9 @@ at once, the Bessel rows of the purely imaginary ones built together;
 ``compiler.compile_circuit`` builds its pulses' kernels that way and hands
 each pulse its own. ``apply_pinem`` is the one function that applies a
 pulse to a state, with the pulse's kernel where it carries one and
-``pinem_kernel`` otherwise; under an adaptive policy it places the support
-of the convolutions, with guard cells, on the result's window in one step.
+``pinem_kernel`` otherwise, as one convolution with the composed kernel;
+under an adaptive policy it places the support of that convolution, with
+guard cells, on the result's window in one step.
 ``eigenphases`` works on the truncated generator, where the truncation is
 the point; its spectrum has a closed form (a tridiagonal Toeplitz matrix),
 so no eigensolver runs.
@@ -229,19 +231,36 @@ def pinem_kernels(gs) -> list[np.ndarray]:
 
 def apply_pinem(state: LadderState, pulse: PinemPulse,
                 policy: TruncationPolicy = DEFAULT_POLICY) -> LadderState:
-    """Apply a laser interaction as one Bessel-kernel convolution per harmonic.
+    """Apply a laser interaction as one convolution with one Bessel kernel.
 
-    Harmonic h convolves with ``pinem_kernel(g_h)`` placed on every h-th
-    level; a pulse from ``compiler.compile_circuit`` carries that kernel
-    already, and no kernel is ever stored on a pulse here. Cutting that
-    kernel at K moves the state by at most 2 sum_{k>K} |J_k(2|g_h|)| in l2
-    norm, the l1 norm of the dropped tail, so a multi-harmonic pulse moves
-    it by at most the sum of those over its harmonics (up to products of
-    tails). At the kernel's budget that l1 tail stays within
-    CHEBYSHEV_TAIL_TOL up to 2|g_h| = 1000 (at most 0.80 tol, measured
-    against scipy's jv), but passes it above 2|g_h| ~ 2000: 1.015 tol at
-    2000 and 1.172 tol at 5000. ``pinem_kernel``'s per-amplitude bound,
-    tol / sqrt(8), is the cut's own rule and holds at any coupling.
+    Harmonic h contributes ``pinem_kernel(g_h)`` placed on every h-th level;
+    a pulse from ``compiler.compile_circuit`` carries that kernel already,
+    and no kernel is ever stored on a pulse here. The nonzero harmonics'
+    kernels are composed with ``np.convolve`` in harmonic order, and the
+    state is convolved once with the result. Cutting harmonic h's kernel at
+    K moves the state by at most 2 sum_{k>K} |J_k(2|g_h|)| in l2 norm, the
+    l1 norm of the dropped tail, so a multi-harmonic pulse moves it by at
+    most the sum of those over its harmonics (up to products of tails). At
+    the kernel's budget that l1 tail stays within CHEBYSHEV_TAIL_TOL up to
+    2|g_h| = 1000 (at most 0.80 tol, measured against scipy's jv), but
+    passes it above 2|g_h| ~ 2000: 1.015 tol at 2000 and 1.172 tol at 5000.
+    ``pinem_kernel``'s per-amplitude bound, tol / sqrt(8), is the cut's own
+    rule and holds at any coupling.
+
+    With two or more nonzero harmonics, the composed kernel drops from each
+    end the longest run of taps whose summed |tap| is at most
+    CHEBYSHEV_TAIL_TOL / 2, found by ``_tail_run`` as the state's trim below
+    finds its runs. Those tails are products of the harmonics' cut tails,
+    with outermost taps near 1e-40 at |g| = 4, 2, 1 on h = 1, 2, 3. By
+    Young's inequality, a kernel that moves by at most tol in l1 moves a
+    normalized state by at most CHEBYSHEV_TAIL_TOL in l2, on top of the
+    bound above. Measured, the trim drops 0.49-0.79 tol on the perfbench
+    ``pulses`` workload's 3-harmonic pulses, whose 237 taps fall to 115-127,
+    and 0.34-0.996 tol on random-phase pulses at |g| = |g_1| (1, 1/2, 1/4)
+    with |g_1| = 1, 10 and 50, whose 141, 361 and 959 taps fall to 67-73,
+    178-210 and 565-651. A single-harmonic kernel is not trimmed: its cut
+    already meets the budget, and a trim would change the bits of every
+    compiled pulse.
 
     Adaptive policies put the result on its support plus ``DEFAULT_EDGE_MARGIN``
     guard cells per side. The support drops, from each end of the
@@ -260,22 +279,28 @@ def apply_pinem(state: LadderState, pulse: PinemPulse,
     harmonics = [(h, g) for h, g in pulse.couplings if g != 0]
     if not harmonics:
         return state
-    amps, amps_l_min = state.amplitudes, state.l_min
+    kernel, centre = None, 0
     for h, g in harmonics:
-        kernel = pinem_kernel(g) if pulse._kernel is None else pulse._kernel
-        k_half = (kernel.size - 1) // 2
+        factor = pinem_kernel(g) if pulse._kernel is None else pulse._kernel
+        k_half = (factor.size - 1) // 2
         if h > 1:  # the kernel steps over every h-th level
             dilated = np.zeros(2 * h * k_half + 1, dtype=np.complex128)
-            dilated[::h] = kernel
-            kernel = dilated
-        amps = np.convolve(amps, kernel)
-        amps_l_min -= h * k_half
+            dilated[::h] = factor
+            factor = dilated
+        kernel = factor if kernel is None else np.convolve(kernel, factor)
+        centre += h * k_half
+    half_tol = CHEBYSHEV_TAIL_TOL / 2.0
+    if len(harmonics) > 1:  # the composed tails are products of cut tails
+        lo = _tail_run(kernel, half_tol, from_end=False)
+        kernel = kernel[lo:kernel.size - _tail_run(kernel, half_tol, from_end=True)]
+        centre -= lo
+    amps = np.convolve(state.amplitudes, kernel)
+    amps_l_min = state.l_min - centre
     if policy.mode == "fixed":
         result = LadderState._adopt(state.l_min,
                                     _aligned(amps, amps_l_min, state.l_min, state.dim))
         check_edge_leakage(result, DEFAULT_EDGE_MARGIN, LEAKAGE_TOL)
         return result
-    half_tol = CHEBYSHEV_TAIL_TOL / 2.0
     lo = _tail_run(amps, half_tol, from_end=False)
     hi = _tail_run(amps, half_tol, from_end=True)
     if lo + hi >= amps.size:  # l1 norm <= tol, e.g. an all-zero state: no support

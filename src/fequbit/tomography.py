@@ -40,6 +40,12 @@ DEFAULT_RESTARTS = 16
 FAIL_THRESHOLD = 0.05
 """Largest fit residual that counts as a successful reconstruction."""
 
+MAX_COUNTS = 9.2e18
+"""Largest counts per column ``add_shot_noise`` accepts: numpy's Poisson
+sampler refuses a mean above about 9.2234e18 (near 2**63), and no cell of a
+spectrogram's probabilities, each at most 1, asks for more than the column's
+counts."""
+
 MAX_FIT_CELLS = 2 ** 24
 """Most phases x data rows x fit levels one fit may take; ``reconstruct_state``
 rejects a larger fit before it allocates, counting every data row as fit
@@ -298,13 +304,14 @@ def spectrogram(state: LadderState, probe_magnitude: float = DEFAULT_PROBE_MAGNI
 def add_shot_noise(sg: Spectrogram, counts_per_column: float, seed: int = 0) -> Spectrogram:
     """Poisson counting noise, independent per (level, phase), renormalized per column.
 
-    ``counts_per_column`` must be finite and >= 0, else ValueError. A column
-    in which no electron was counted is not a spectrum: it raises
+    ``counts_per_column`` must be in [0, ``MAX_COUNTS``], else ValueError. A
+    column in which no electron was counted is not a spectrum: it raises
     ConfigurationError rather than pass on as an all-zero column that a fit
     would match with the zero state.
     """
-    if not 0 <= counts_per_column < math.inf:
-        raise ValueError(f"counts_per_column must be finite and >= 0, got {counts_per_column!r}")
+    if not 0 <= counts_per_column <= MAX_COUNTS:
+        raise ValueError(f"counts_per_column must be in [0, {MAX_COUNTS:.2g}], "
+                         f"got {counts_per_column!r}")
     rng = np.random.default_rng(seed)
     counts = rng.poisson(sg.data * counts_per_column).astype(np.float64)
     totals = counts.sum(axis=0)

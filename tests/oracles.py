@@ -107,6 +107,32 @@ def adaptive_trim_oracle(amps: np.ndarray, l_min: int, edge_margin: int,
     return out_l_min, out
 
 
+def composed_kernel_oracle(kernels, tol: float) -> tuple[np.ndarray, int]:
+    """(kernel, centre) of one pulse: ``kernels`` lists (h, f) per nonzero
+    harmonic, f its kernel at k = -K..K, in harmonic order.
+
+    Each f is placed on a zero-filled copy that steps over every h-th level,
+    and the copies are composed with one ``np.convolve`` each, in order.
+    With two or more harmonics the longest run at each end whose summed
+    |tap| is at most tol / 2 is dropped, found with np.abs of the whole
+    kernel and one np.cumsum from each end. ``centre`` is the index of the
+    composed k = 0 tap, so the result of a state at l_min starts at
+    l_min - centre.
+    """
+    kernel, centre = None, 0
+    for h, f in kernels:
+        dilated = np.zeros(h * (f.size - 1) + 1, dtype=np.complex128)
+        dilated[::h] = f
+        kernel = dilated if kernel is None else np.convolve(kernel, dilated)
+        centre += h * (f.size // 2)
+    if len(kernels) > 1:
+        mass = np.abs(kernel)
+        lo = int(np.searchsorted(np.cumsum(mass), tol / 2, side="right"))
+        hi = int(np.searchsorted(np.cumsum(mass[::-1]), tol / 2, side="right"))
+        kernel, centre = kernel[lo:kernel.size - hi], centre - lo
+    return kernel, centre
+
+
 def pinem_generator(pulse, dim: int) -> np.ndarray:
     """Anti-Hermitian generator of the laser interaction on a dim-level window."""
     if dim < 3:

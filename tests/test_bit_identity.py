@@ -9,6 +9,12 @@ builds many kernels at once, and ``compile_circuit`` hands them to its
 pulses; ``LadderState.to_json`` and ``Spectrum.to_json`` read their floats
 with one ``tolist``. Each is compared here with the computation it replaced,
 bit for bit.
+
+A multi-harmonic pulse is one convolution with its harmonics' kernels
+composed, the composed ends trimmed by the same end scan. Its bits are
+pinned to ``oracles.composed_kernel_oracle``, which trims by whole-array
+sums; the per-harmonic convolutions it replaced are pinned only to within
+CHEBYSHEV_TAIL_TOL in l2, the trim's bound.
 """
 
 import json
@@ -39,25 +45,40 @@ from fequbit import ladder, operators
 from fequbit.compiler import ZERO_ANGLE_TOL
 from fequbit.ladder import DEFAULT_EDGE_MARGIN
 from fequbit.operators import _KERNEL_BUDGET, CHEBYSHEV_TAIL_TOL, KERNEL_BLOCK_CELLS, pinem_kernels
-from oracles import adaptive_trim_oracle, gate_matrix_oracle, haar_unitary, residue_sums_add_at
+from oracles import (adaptive_trim_oracle, composed_kernel_oracle, gate_matrix_oracle,
+                     haar_unitary, residue_sums_add_at)
 
 ADAPTIVE = TruncationPolicy.adaptive()
 BEAM = derive_beam(200e3, 800e-9)
 
 
 def dilated_convolution(state: LadderState, pulse: PinemPulse) -> tuple[np.ndarray, int]:
-    """The pulse's convolutions, every kernel placed on a zero-filled dilated
-    copy (h = 1 included): (amplitudes, l_min) before any trim."""
+    """The pulse's one convolution with ``composed_kernel_oracle``'s kernel of
+    its nonzero harmonics' ``pinem_kernel`` (h = 1 dilated too): (amplitudes,
+    l_min) before any trim of the state."""
+    kernels = [(h, pinem_kernel(g)) for h, g in pulse.couplings if g != 0]
+    kernel, centre = composed_kernel_oracle(kernels, CHEBYSHEV_TAIL_TOL)
+    return np.convolve(state.amplitudes, kernel), state.l_min - centre
+
+
+def sequential_convolution(state: LadderState, pulse: PinemPulse) -> tuple[np.ndarray, int]:
+    """The pulse as one untrimmed convolution per nonzero harmonic, in
+    harmonic order: (amplitudes, l_min)."""
     amps, l_min = state.amplitudes, state.l_min
     for h, g in pulse.couplings:
-        if g == 0:
-            continue
-        kernel = pinem_kernel(g)
-        dilated = np.zeros(h * (kernel.size - 1) + 1, dtype=np.complex128)
-        dilated[::h] = kernel
-        amps = np.convolve(amps, dilated)
-        l_min -= h * (kernel.size // 2)
+        if g != 0:
+            kernel, centre = composed_kernel_oracle([(h, pinem_kernel(g))], CHEBYSHEV_TAIL_TOL)
+            amps, l_min = np.convolve(amps, kernel), l_min - centre
     return amps, l_min
+
+
+def on_window(amps: np.ndarray, l_min: int, window_l_min: int, dim: int) -> np.ndarray:
+    """``amps`` from ``l_min`` on the dim levels from window_l_min, zero-filled."""
+    out = np.zeros(dim, dtype=np.complex128)
+    lo, hi = max(l_min, window_l_min), min(l_min + amps.size, window_l_min + dim)
+    if lo < hi:
+        out[lo - window_l_min:hi - window_l_min] = amps[lo - l_min:hi - l_min]
+    return out
 
 
 def assert_adaptive_matches_oracle(state: LadderState, pulse: PinemPulse) -> tuple[int, int]:
@@ -96,20 +117,64 @@ def test_adaptive_pulse_is_the_whole_array_trim(seed):
                                        random_pulse(rng))
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_fixed_pulse_is_the_crop_of_the_convolution(seed):
-    rng = np.random.default_rng(100 + seed)
-    pad, n = 150, int(rng.integers(1, 300))  # zeros beyond every kernel's reach
+def padded_state(rng: np.random.Generator, pad: int = 150) -> LadderState:
+    """A normalized random state of 1-299 levels centred on a symmetric window
+    with ``pad`` zero levels or more on each side."""
+    n = int(rng.integers(1, 300))
     amps = np.zeros(n + 2 * pad + (n + 1) % 2, dtype=np.complex128)
     amps[pad:pad + n] = rng.normal(size=n) + 1j * rng.normal(size=n)
-    half = amps.size // 2
-    state = LadderState(-half, amps / np.linalg.norm(amps))
-    pulse = random_pulse(rng)
+    return LadderState(-(amps.size // 2), amps / np.linalg.norm(amps))
+
+
+def assert_fixed_matches_crop(state: LadderState, pulse: PinemPulse) -> None:
     conv, l_min = dilated_convolution(state, pulse)
-    got = apply_pinem(state, pulse, TruncationPolicy.fixed(half))
+    got = apply_pinem(state, pulse, TruncationPolicy.fixed(-state.l_min))
     want = conv[state.l_min - l_min:state.l_min - l_min + state.dim]
     assert got.l_min == state.l_min
     assert got.amplitudes.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fixed_pulse_is_the_crop_of_the_convolution(seed):
+    rng = np.random.default_rng(100 + seed)
+    state = padded_state(rng)  # zeros beyond every kernel's reach
+    assert_fixed_matches_crop(state, random_pulse(rng))
+
+
+@pytest.mark.parametrize("couplings", [{1: 2.0 - 1.0j, 2: 0.7j}, {2: 1.5, 3: -0.4 + 0.9j},
+                                       {1: 4.0 * np.exp(0.4j), 2: 2.0j, 3: -1.0},
+                                       {1: 0.5, 2: 0.0, 3: 0.3j}])
+def test_fixed_multi_harmonic_pulse_is_the_crop_of_the_composed_convolution(couplings):
+    # the seeds above draw no pulse of two nonzero harmonics
+    assert_fixed_matches_crop(padded_state(np.random.default_rng(105)),
+                              PinemPulse.multi(couplings))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_composed_pulse_is_within_tol_of_the_per_harmonic_convolutions(seed):
+    # Young: a kernel that moves by d in l1 moves a normalized state by <= d in l2
+    rng = np.random.default_rng(300 + seed)
+    tol, reach = CHEBYSHEV_TAIL_TOL, 900  # beyond three harmonics' kernels at |g| = 50
+    impulse = np.zeros(2 * reach + 1, dtype=np.complex128)
+    impulse[reach] = 1.0
+    impulse = LadderState(-reach, impulse)
+    for _ in range(4):
+        harmonics = rng.choice([1, 2, 3], size=int(rng.integers(2, 4)), replace=False)
+        pulse = PinemPulse.multi({int(h): 10.0 ** rng.uniform(-2.0, math.log10(50.0))
+                                  * np.exp(2j * np.pi * rng.random()) for h in harmonics})
+        # the kernel apply_pinem uses, as its image of |0>, against the untrimmed one
+        kernel = apply_pinem(impulse, pulse, TruncationPolicy.fixed(reach)).amplitudes
+        full, full_l_min = sequential_convolution(impulse, pulse)
+        kept = np.flatnonzero(kernel)
+        lo = kept[0] - reach - full_l_min
+        hi = full_l_min + full.size - 1 - (kept[-1] - reach)
+        assert np.abs(full[:lo]).sum() <= tol / 2 and np.abs(full[full.size - hi:]).sum() <= tol / 2
+        wide = padded_state(rng, reach)
+        for state, policy in ((padded_state(rng), ADAPTIVE),
+                              (wide, TruncationPolicy.fixed(-wide.l_min))):
+            got = apply_pinem(state, pulse, policy)
+            want = on_window(*sequential_convolution(state, pulse), got.l_min, got.dim)
+            assert np.linalg.norm(got.amplitudes - want) <= tol
 
 
 @pytest.mark.parametrize("faint_at", ["low", "high", "both"])

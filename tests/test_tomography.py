@@ -27,7 +27,7 @@ from fequbit import (
     spectrogram,
 )
 from fequbit.tomography import _fit_window, _fourier_seed, _levenberg_marquardt, _probe_matrix
-from fequbit.tomography import DEFAULT_PROBE_MAGNITUDE, _probe_row
+from fequbit.tomography import DEFAULT_PROBE_MAGNITUDE, MAX_COUNTS, _probe_row
 from helpers import padded, random_interior_state, state_fidelity
 from oracles import bessel_series
 
@@ -305,6 +305,21 @@ def test_shot_noise_counts_must_be_finite_and_not_negative(counts):
     sg = spectrogram(normalized_random_state(6), n_phases=8)
     with pytest.raises(ValueError, match="counts_per_column"):
         add_shot_noise(sg, counts, seed=0)
+
+
+@pytest.mark.parametrize("counts", [1e300, 9.3e18])
+def test_shot_noise_counts_past_the_poisson_sampler_are_refused(counts):
+    sg = spectrogram(normalized_random_state(6), n_phases=8)
+    with pytest.raises(ValueError, match="counts_per_column"):
+        add_shot_noise(sg, counts, seed=0)
+
+
+def test_shot_noise_at_max_counts_on_a_one_cell_column():
+    # every column asks the sampler for MAX_COUNTS in one cell
+    data = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+    noisy = add_shot_noise(Spectrogram(np.array([0.0, 1.0]), -1, data), MAX_COUNTS, seed=0)
+    assert np.array_equal(noisy.data, data)
+    assert noisy.counts_per_column == MAX_COUNTS
 
 
 def test_shot_noise_at_zero_counts_counted_no_electron():
