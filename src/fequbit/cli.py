@@ -5,8 +5,11 @@ and range check. Each command's row in the ``_COMMANDS`` table names its
 inputs and the settings it reads: the command takes the flag and the
 config-file key of those settings alone and checks only them, so another
 setting's flag ends with a usage error and its key with a configuration
-error. Configuration precedence is CLI flags over config-file values over the
-defaults; validation problems are collected and reported in one message.
+error. Only ``compile`` reads the beam settings: the simulated ladder, its
+spectrum and its read-out are in units of the dispersion length z_D, and the
+beam only turns a schedule's drifts into metres. Configuration precedence is
+CLI flags over config-file values over the defaults; validation problems are
+collected and reported in one message.
 
 Scripts can branch on the exit code. ``_EXITS`` is the one table of codes:
 each row holds a code's meaning, which the epilog of ``fequbit --help``
@@ -19,9 +22,12 @@ file of it.
 
 A command computes everything first and returns its exit code with its
 files: an ordered map from each file name to the writer of that file.
-``main`` alone creates ``--out``, once the command has returned, runs the
-writers in order and prints one ``wrote <names> in <out>`` line. So a run
-that raises creates nothing.
+``main`` alone creates ``--out``, once the command has returned. It runs the
+writers in order into a staging directory inside ``--out``, and only when
+every file is written and no target is a directory renames them into place;
+the staging directory is removed on every path. Then it prints one ``wrote
+<names> in <out>`` line. So a run that raises creates nothing, and a failed
+write leaves the files in ``--out`` as they were.
 """
 
 from __future__ import annotations
@@ -33,7 +39,9 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, field, fields
 
 from .compiler import compile_circuit, parse_circuit, simulate_schedule
@@ -56,6 +64,7 @@ from .tomography import (
     DEFAULT_PROBE_MAGNITUDE,
     DEFAULT_RESTARTS,
     MAX_COUNTS,
+    MIN_PHASES,
     add_shot_noise,
     eels_spectrum,
     reconstruct_state,
@@ -141,7 +150,7 @@ class RunConfig:
                                "beam energy must be > 0 keV")
     wavelength_nm: float = _setting(800.0, "laser wavelength in nm", lambda v: v > 0,
                                     "wavelength must be > 0 nm")
-    delta_e_ev: float = _setting(0.0, "beam energy spread in eV, metadata only",
+    delta_e_ev: float = _setting(0.0, "energy spread in eV, written into schedule.json's beam",
                                  lambda v: v >= 0, "energy spread must be >= 0 eV")
     window: str = _setting("adaptive", "'adaptive' (default) or a fixed half-width integer",
                            types=(str, int))
@@ -152,8 +161,9 @@ class RunConfig:
     probe: float = _setting(DEFAULT_PROBE_MAGNITUDE, "probe magnitude",
                             lambda v: 0 < v <= MAX_PROBE,
                             problem=f"probe magnitude must be in (0, {MAX_PROBE:g}]")
-    phases: int = _setting(DEFAULT_N_PHASES, "scan phases", lambda v: 8 <= v <= MAX_PHASES,
-                           f"scan phases must be in [8, {MAX_PHASES}]")
+    phases: int = _setting(DEFAULT_N_PHASES, "scan phases",
+                           lambda v: MIN_PHASES <= v <= MAX_PHASES,
+                           f"scan phases must be in [{MIN_PHASES}, {MAX_PHASES}]")
     counts: float = _setting(0.0, "Poisson counts per column, 0 = noiseless",
                              lambda v: 0 <= v <= MAX_COUNTS,
                              problem=f"counts per column must be in [0, {MAX_COUNTS:.2g}]")
@@ -203,8 +213,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 problems.append(f"window half-width must be an integer in [1, {MAX_WINDOW}]")
         except ValueError:
             problems.append(f"window must be 'adaptive' or an integer, got {config.window!r}")
-    # the beam cross-check quotes the values it is given, so it runs only on
-    # beam settings that the command reads and that passed their own checks
+    # the beam cross-check quotes the values it is given, so it runs only for
+    # compile, the one command that reads them, once they passed their own checks
     if set(_BEAM) <= set(read) - out_of_range:
         try:
             _beam(config)
@@ -264,7 +274,11 @@ def _state_from_inputs(args, config: RunConfig) -> LadderState:
 def _run_circuit(path: str, config: RunConfig,
                  visit=lambda label, state: None) -> LadderState:
     """Parse and compile the DSL file, then simulate it from |0>; ``visit``
-    sees |0> and the state after each gate, with the gate's label."""
+    sees |0> and the state after each gate, with the gate's label.
+
+    No command that runs a circuit reads the beam settings, so ``config``
+    holds their ``RunConfig`` defaults. The beam sets only the schedules'
+    metres, which these commands never write."""
     circuit = _read_circuit(path)
     policy = _policy(config)
     state = basis_state(0, policy)
@@ -358,21 +372,22 @@ own pattern misses exponent, inf and nan forms: it would take the value of
 configuration checks list the problem."""
 
 _BEAM = ("beam_kev", "wavelength_nm", "delta_e_ev")
-"""The beam settings: every command that can run a circuit builds a beam from them."""
+"""The beam settings: only ``compile`` reads them, to write the beam and the
+drifts' metres into ``schedule.json`` (see ``_run_circuit``)."""
 
 _COMMANDS = {
     # name: (function, help, what it reads: a positional circuit, --circuit or
     # --state, or the pulse flags --g and --dim; then the settings it reads, in
     # the order its help lists their flags)
     "simulate": (cmd_simulate, "run a circuit end to end from |0>", "circuit",
-                 (*_BEAM, "window", "out")),
+                 ("window", "out")),
     "compile": (cmd_compile, "compile a circuit to pulse/drift schedules", "circuit",
                 (*_BEAM, "out")),
     "spectrum": (cmd_spectrum, "energy spectrum of a state or circuit output", "--circuit",
-                 (*_BEAM, "window", "out", "csv")),
+                 ("window", "out", "csv")),
     "eigenphases": (cmd_eigenphases, "eigenphases of one laser interaction", "--g", ("out",)),
     "tomography": (cmd_tomography, "spectrogram plus state reconstruction", "--circuit",
-                   ("probe", "phases", "counts", "restarts", *_BEAM, "window", "seed", "out")),
+                   ("probe", "phases", "counts", "restarts", "window", "seed", "out")),
 }
 
 _SIZING = {"dim": "--dim", "phases": "--phases", "probe": "--probe", "window": "a fixed --window"}
@@ -416,8 +431,17 @@ def main(argv=None) -> int:
         config = build_config(args)
         code, files = args.func(args, config)
         out = _outdir(config)
-        for name, write in files.items():
-            write(os.path.join(out, name))
+        stage = tempfile.mkdtemp(prefix=".staging-", dir=out)
+        try:
+            for name, write in files.items():
+                write(os.path.join(stage, name))
+            for name in files:
+                if os.path.isdir(os.path.join(out, name)):
+                    raise IsADirectoryError(f"{os.path.join(out, name)} is a directory")
+            for name in files:
+                os.replace(os.path.join(stage, name), os.path.join(out, name))
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
         print(f"wrote {', '.join(files)} in {out}")
         return code
     except tuple(e for _, errors, _ in _EXITS.values() for e in errors) as exc:

@@ -36,6 +36,8 @@ from .ladder import LadderState, TruncationPolicy, _as_index, bessel_row, read_t
 
 DEFAULT_PROBE_MAGNITUDE = 1.0
 DEFAULT_N_PHASES = 32
+MIN_PHASES = 8
+"""Fewest scan phases ``spectrogram`` takes."""
 DEFAULT_RESTARTS = 16
 FAIL_THRESHOLD = 0.05
 """Largest fit residual that counts as a successful reconstruction."""
@@ -75,6 +77,9 @@ levels took up to 1.17x and 1.25x as long as the convolution at 401-1601
 levels; blocks of 36 were up to 1.15x, and 48 within noise of 64. The
 tracemalloc peak was 1.6x the data's bytes at 1245 x 64 (3.4x at probe 100)
 and 2.4x at 401 x 1024."""
+
+_PROBE_BUDGET = 1e-24
+"""The probability the probe row's cut may drop per column (``_probe_row``)."""
 
 _FIT_TOL = 1e-8
 """Tolerance of the fit's three stop rules (``_levenberg_marquardt``): the
@@ -227,12 +232,13 @@ class Spectrogram:
 def _probe_row(probe_magnitude: float) -> np.ndarray:
     """J_k(2 m_p) for k = -K..K, the one cut of the probe's Bessel kernel.
 
-    K is the smallest cut that drops at most 1e-24 probability per column.
+    K is the smallest cut that drops at most ``_PROBE_BUDGET`` probability
+    per column.
     For the probe g = m_p e^{i chi} the kernel is e^{ik(chi + pi)} J_k(2 m_p),
     so each scan phase only gauges the state (``_gauge``) before it is
     convolved with this real row.
     """
-    return bessel_row(2.0 * probe_magnitude, 1e-24)
+    return bessel_row(2.0 * probe_magnitude, _PROBE_BUDGET)
 
 
 def _gauge(scan_phases, n: int, start: int = 0) -> np.ndarray:
@@ -275,13 +281,13 @@ def spectrogram(state: LadderState, probe_magnitude: float = DEFAULT_PROBE_MAGNI
     the 2K rows it shares with the blocks before it. A state of at most one
     block is one product, the very ``mixed`` of a fit on its own window, so
     its noiseless data are an exact zero of that fit's residuals.
-    ``n_phases`` must be an integer of at least 8.
+    ``n_phases`` must be an integer of at least ``MIN_PHASES``.
     """
     if probe_magnitude <= 0:
         raise ValueError("probe magnitude must be > 0")
     n_phases = _as_index(n_phases, "n_phases")
-    if n_phases < 8:
-        raise ValueError("need at least 8 scan phases")
+    if n_phases < MIN_PHASES:
+        raise ValueError(f"need at least {MIN_PHASES} scan phases")
     phases = 2.0 * np.pi * np.arange(n_phases) / n_phases
     row = _probe_row(probe_magnitude)
     span = row.size - 1  # 2K rows past a block's last level
@@ -345,17 +351,18 @@ def _fit_window(sg: Spectrogram, window: TruncationPolicy | None,
     None or an adaptive policy gives the levels whose whole image lies in the
     data window, [l_min + K, l_max - K] for the probe row's half-width K: the
     window ``spectrogram`` recorded the state on. A side is narrowed only when
-    its outermost data row holds at most row[0]^2 + 0.5e-24 in every column.
-    Only the cut row's outermost entry links that row to the narrowed window,
-    so by Cauchy-Schwarz that is the most a normalized state inside it can put
-    there; a spectrogram cropped closer to the state keeps that side's data
-    edge. An empty narrowed range gives the whole data window. ``row`` is
-    ``_probe_row`` of the spectrogram's probe, formed here when not given.
+    its outermost data row holds at most row[0]^2 + ``_PROBE_BUDGET`` / 2 in
+    every column. Only the cut row's outermost entry links that row to the
+    narrowed window, so by Cauchy-Schwarz that is the most a normalized state
+    inside it can put there; a spectrogram cropped closer to the state keeps
+    that side's data edge. An empty narrowed range gives the whole data
+    window. ``row`` is ``_probe_row`` of the spectrogram's probe, formed here
+    when not given.
     """
     l_max = sg.l_min + sg.n_levels - 1
     if window is None or window.mode == "adaptive":
         row = _probe_row(sg.probe_magnitude) if row is None else row
-        k_half, bound = row.size // 2, row[0] ** 2 + 0.5e-24
+        k_half, bound = row.size // 2, row[0] ** 2 + _PROBE_BUDGET / 2
         lo = sg.l_min + k_half if np.all(sg.data[0] <= bound) else sg.l_min
         hi = l_max - k_half if np.all(sg.data[-1] <= bound) else l_max
         return (lo, hi - lo + 1) if lo <= hi else (sg.l_min, sg.n_levels)

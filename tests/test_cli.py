@@ -50,6 +50,8 @@ def out_args(tmp_path, sub="out"):
     return ["--out", str(tmp_path / sub)]
 
 
+_BEAM = ("beam_kev", "wavelength_nm", "delta_e_ev")
+
 # nested deeper than the json module's recursion limit on every supported Python
 NESTED_JSON = "[" * 100_000 + "]" * 100_000
 
@@ -104,7 +106,8 @@ def test_malformed_gate_line_is_parse_error_naming_its_line(tmp_path, capsys, li
 
 
 def test_simulate_invalid_config_aggregates(tmp_path, circuit_file, capsys):
-    code = main(["simulate", circuit_file, "--beam-kev", "-2",
+    # on compile, the one command that reads the beam
+    code = main(["compile", circuit_file, "--beam-kev", "-2",
                  "--wavelength-nm", "0", *out_args(tmp_path)])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -115,13 +118,13 @@ def test_simulate_invalid_config_aggregates(tmp_path, circuit_file, capsys):
 @pytest.mark.parametrize("flags", [["--beam-kev", "nan"], ["--wavelength-nm", "nan"],
                                    ["--delta-e-ev", "nan"]])
 def test_simulate_non_finite_flag_is_config_error(tmp_path, circuit_file, flags):
-    assert main(["simulate", circuit_file, *flags, *out_args(tmp_path)]) == EXIT_CONFIG
+    assert main(["compile", circuit_file, *flags, *out_args(tmp_path)]) == EXIT_CONFIG
 
 
 def test_config_number_beyond_float_range_is_config_error(tmp_path, circuit_file, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"beam_kev": 1' + "0" * 400 + "}")
-    code = main(["simulate", circuit_file, "--config", str(cfg), *out_args(tmp_path)])
+    code = main(["compile", circuit_file, "--config", str(cfg), *out_args(tmp_path)])
     assert code == EXIT_CONFIG
     assert "beam_kev must be finite" in capsys.readouterr().err
 
@@ -436,6 +439,18 @@ def test_output_path_that_is_a_directory_is_io_error(tmp_path, circuit_file, cap
     assert "i/o error" in capsys.readouterr().err
 
 
+def test_a_failed_write_leaves_out_as_it_was(tmp_path, circuit_file, capsys):
+    # qubit.json is written after state.json; its failure must not leave a
+    # new state.json beside the old files, nor the staging directory
+    out = tmp_path / "out"
+    (out / "qubit.json").mkdir(parents=True)
+    (out / "state.json").write_text("earlier")
+    assert main(["simulate", circuit_file, "--out", str(out)]) == EXIT_IO
+    assert "qubit.json" in capsys.readouterr().err
+    assert (out / "state.json").read_text() == "earlier"
+    assert sorted(p.name for p in out.iterdir()) == ["qubit.json", "state.json"]
+
+
 # JSON numbers the reader must survive: nan, inf, bools and ints no float holds
 _FUZZ_NUMBERS = (st.floats() | st.booleans() | st.integers()
                  | st.sampled_from([2 ** 62, -2 ** 63, 10 ** 400]))
@@ -537,14 +552,14 @@ def test_empty_out_is_config_error_before_any_run(tmp_path, monkeypatch, capsys,
     work = tmp_path / "work"
     work.mkdir()
     (work / "h.txt").write_text("H\n")
-    (work / "cfg.json").write_text(json.dumps({"out": "", "beam_kev": -1}))
+    (work / "cfg.json").write_text(json.dumps({"out": "", "window": 0}))
     monkeypatch.chdir(work)
     monkeypatch.setattr("fequbit.cli.simulate_schedule", _allocates)
-    argv = (["--out", "", "--beam-kev", "-1"] if source == "flag"
+    argv = (["--out", "", "--window", "0"] if source == "flag"
             else ["--config", "cfg.json"])
     assert main(["simulate", "h.txt", *argv]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "NUL" in err and "beam energy must be > 0 keV" in err
+    assert "NUL" in err and "window half-width must be an integer" in err
     assert sorted(p.name for p in work.iterdir()) == ["cfg.json", "h.txt"]
 
 
@@ -648,8 +663,11 @@ def test_spectrogram_column_with_no_counts_is_config_error(tmp_path, counts, cap
 @pytest.mark.parametrize("value", ["-1e-3", "-2.5E+1", "-inf", "-nan"])
 def test_negative_float_in_any_form_is_config_error(tmp_path, circuit_file, capsys, flag,
                                                     problem, value):
-    # exponent, inf and nan forms reach the checks as numbers, not option names
-    code = main(["tomography", "--circuit", circuit_file, flag, value, *out_args(tmp_path)])
+    # exponent, inf and nan forms reach the checks as numbers, not option names;
+    # compile alone reads the beam
+    command = (["compile", circuit_file] if flag == "--beam-kev"
+               else ["tomography", "--circuit", circuit_file])
+    code = main([*command, flag, value, *out_args(tmp_path)])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "invalid configuration" in err and problem in err
@@ -717,9 +735,11 @@ def test_each_setting_is_read_from_the_config_file_and_a_flag_overrides_it(
     default = {f.name: f.default for f in fields(RunConfig)}[name]
     assert in_file != default and from_flag != default
     cfg = tmp_path / "cfg.json"
-    # tomography reads every setting but csv, which spectrum alone reads
-    command = "spectrum" if name == "csv" else "tomography"
-    argv = [command, "--circuit", "h.txt", "--config", str(cfg)]
+    # tomography reads every setting but csv, which spectrum alone reads, and
+    # the beam, which compile alone reads
+    argv = (["compile", "h.txt"] if name in _BEAM
+            else ["spectrum" if name == "csv" else "tomography", "--circuit", "h.txt"])
+    argv += ["--config", str(cfg)]
     cfg.write_text(json.dumps({name: in_file}))
     # read as the default's type: a window's int is kept as its string
     assert getattr(_config_for(argv), name) == type(default)(in_file)
@@ -727,18 +747,17 @@ def test_each_setting_is_read_from_the_config_file_and_a_flag_overrides_it(
     for file_value in (in_file, default):
         cfg.write_text(json.dumps({name: file_value}))
         assert getattr(_config_for([*argv, *flag]), name) == from_flag
-    assert getattr(_config_for(argv[:3]), name) == default
+    assert getattr(_config_for(argv[:-2]), name) == default
 
 
-_BEAM = ("beam_kev", "wavelength_nm", "delta_e_ev")
 # the settings each command reads, and its other inputs; a command refuses the
 # flag (argparse's exit 2) and the config-file key (exit 3) of any other setting
 READERS = {
-    "simulate": ({*_BEAM, "window", "out"}, ["{circuit}"]),
+    "simulate": ({"window", "out"}, ["{circuit}"]),
     "compile": ({*_BEAM, "out"}, ["{circuit}"]),
-    "spectrum": ({*_BEAM, "window", "out", "csv"}, ["--circuit", "{circuit}"]),
+    "spectrum": ({"window", "out", "csv"}, ["--circuit", "{circuit}"]),
     "eigenphases": ({"out"}, ["--g", "2", "--dim", "9"]),
-    "tomography": ({*_BEAM, "window", "out", "seed", "probe", "phases", "counts", "restarts"},
+    "tomography": ({"window", "out", "seed", "probe", "phases", "counts", "restarts"},
                    ["--circuit", "{circuit}"]),
 }
 
@@ -766,6 +785,52 @@ def test_each_command_takes_the_settings_it_reads_and_no_other(
     err = capsys.readouterr().err
     assert name in err and command in err
     assert not out.exists()
+
+
+# per (command, setting) that a command takes, but out, which sets where the
+# files go rather than what they hold: the command's inputs, and the flag of a
+# value other than the default that changes at least one byte of its files
+SETTING_EFFECTS = {
+    ("simulate", "window"): (["{hth}"], ["--window", "40"]),
+    ("compile", "beam_kev"): (["{hth}"], ["--beam-kev", "30"]),
+    ("compile", "wavelength_nm"): (["{hth}"], ["--wavelength-nm", "400"]),
+    ("compile", "delta_e_ev"): (["{hth}"], ["--delta-e-ev", "0.5"]),
+    ("spectrum", "window"): (["--circuit", "{hth}"], ["--window", "40"]),
+    ("spectrum", "csv"): (["--circuit", "{hth}"], ["--csv"]),
+    ("tomography", "probe"): (["--circuit", "{hth}"], ["--probe", "2"]),
+    ("tomography", "phases"): (["--circuit", "{hth}"], ["--phases", "16"]),
+    ("tomography", "counts"): (["--circuit", "{hth}"], ["--counts", "1e5"]),
+    # at 150 counts the fit fails and runs every start
+    ("tomography", "restarts"): (["--state", "{state}", "--counts", "150", "--restarts", "3"],
+                                 ["--restarts", "2"]),
+    ("tomography", "window"): (["--circuit", "{hth}"], ["--window", "40"]),
+    ("tomography", "seed"): (["--circuit", "{hth}", "--counts", "1e5"], ["--seed", "3"]),
+}
+TAKEN = sorted((command, setting) for command, row in cli._COMMANDS.items()
+               for setting in row[3] if setting != "out")
+
+
+def test_setting_effects_list_exactly_the_settings_the_commands_take():
+    assert sorted(SETTING_EFFECTS) == TAKEN
+
+
+def _files_written(argv, out) -> dict:
+    assert main([*argv, "--out", str(out)]) in (EXIT_OK, EXIT_RECONSTRUCTION)
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("command, setting", TAKEN, ids=[f"{c}-{s}" for c, s in TAKEN])
+def test_every_setting_a_command_takes_changes_a_file_it_writes(tmp_path, command, setting):
+    # a setting that changes nothing a command writes can only fail its runs
+    assert (command, setting) in SETTING_EFFECTS, "no effect is listed for this setting"
+    inputs, flag = SETTING_EFFECTS[command, setting]
+    hth = tmp_path / "hth.txt"
+    hth.write_text("H\nT\nH\n")
+    state_path = tmp_path / "state.json"
+    basis_state(0, 6).dump(state_path)
+    argv = [command, *(a.format(hth=hth, state=state_path) for a in inputs)]
+    assert (_files_written(argv, tmp_path / "default")
+            != _files_written([*argv, *flag], tmp_path / "set"))
 
 
 def _reject_constant(name):

@@ -26,10 +26,12 @@ fit share one forward model bit for bit. It keeps
 ``bessel_row`` on ``BESSEL_XS`` at the probe's budget 1e-24 and at the pulse
 kernels' CHEBYSHEV_TAIL_TOL^2 / 8: the cut K per x, and the rows end to end.
 It then runs each CLI command as ``CLI_RUNS`` lists it: ``simulate``,
-``compile``, ``tomography --circuit`` and ``spectrum --circuit`` (JSON and
-CSV) on ``H T H``, and ``eigenphases --g 2 --dim 9``. It keeps every number of
-each JSON and CSV file they write, in file order, and the file's bytes, so a
-change of its text that keeps the numbers shows too.
+``compile`` (at the default beam, and at 30 keV, 400 nm and 0.5 eV, since
+``compile`` alone reads the beam), ``tomography --circuit`` and ``spectrum
+--circuit`` (JSON and CSV) on ``H T H``, and ``eigenphases --g 2 --dim 9``.
+It keeps every number of each JSON and CSV file they write, in file order,
+and the file's bytes, so a change of its text that keeps the numbers shows
+too.
 
 ``compare`` prints, per output, how many entries changed and the largest
 absolute change; a changed shape is reported as such.
@@ -54,6 +56,8 @@ BESSEL_XS = np.geomspace(1e-8, 500.0, 240)
 CLI_RUNS = {
     "simulate": ["simulate", "{hth}"],
     "compile": ["compile", "{hth}"],
+    "compile-beam": ["compile", "{hth}", "--beam-kev", "30", "--wavelength-nm", "400",
+                     "--delta-e-ev", "0.5"],
     "tomography": ["tomography", "--circuit", "{hth}"],
     "spectrum": ["spectrum", "--circuit", "{hth}"],
     "spectrum-csv": ["spectrum", "--circuit", "{hth}", "--csv"],
