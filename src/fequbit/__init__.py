@@ -32,7 +32,6 @@ from .ladder import (
     TruncationPolicy,
     basis_state,
     derive_beam,
-    occupied_levels,
     support_leakage,
 )
 from .operators import (
@@ -40,8 +39,6 @@ from .operators import (
     PinemPulse,
     apply_fsp,
     apply_pinem,
-    apply_pinem_bessel,
-    apply_pinem_matexp,
     eigenphases,
     pinem_kernel,
 )

@@ -231,9 +231,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _policy(config: RunConfig) -> TruncationPolicy:
-    if config.window == "adaptive":
-        return TruncationPolicy.adaptive()
-    return TruncationPolicy.fixed(int(config.window))
+    return TruncationPolicy(None if config.window == "adaptive" else int(config.window))
 
 
 def _beam(config: RunConfig) -> BeamParameters:

@@ -87,11 +87,11 @@ def read_json(path):
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Window-sizing rule for ladder states: a mode and, if fixed, a half-width.
+    """Window-sizing rule for ladder states: a fixed half-width, or None for adaptive.
 
     ``fixed(L)`` always uses the symmetric window [-L, L] and never grows it;
     a pulse result that carries more than ``LEAKAGE_TOL`` probability within
-    ``DEFAULT_EDGE_MARGIN`` cells of its edge is rejected. ``adaptive`` lets
+    ``DEFAULT_EDGE_MARGIN`` cells of its edge is rejected. ``adaptive()`` lets
     every pulse result take the whole support of its Bessel kernels, each cut
     by its own tail budget (``operators.pinem_kernel``), plus
     ``DEFAULT_EDGE_MARGIN`` zero guard cells per side. The result is then
@@ -101,42 +101,32 @@ class TruncationPolicy:
     most CHEBYSHEV_TAIL_TOL in l1 norm. No pulse window is sized by a margin:
     each is the support its kernels' tail budgets give. An adaptive state
     starts on [-ADAPTIVE_START_HALF_WIDTH, ADAPTIVE_START_HALF_WIDTH]
-    (``basis_state``). Fits read the policy too (``tomography._fit_window``):
-    fixed(L) fits [-L, L] within the data window, and adaptive, like None,
-    fits the levels the spectrogram fully images, [l_min + K, l_max - K] for
-    the probe row's half-width K, falling back to every data row when that
-    fit is not ok.
+    (``basis_state``). Fits read the policy too (``tomography._fit_window``).
 
     ``edge_margin`` and ``leakage_tol`` are class attributes, not fields:
     every policy carries ``DEFAULT_EDGE_MARGIN`` and ``LEAKAGE_TOL``. The
     package and its tests read those constants themselves; only perfbench
     reads the attributes, and ROADMAP item 6 deletes them. A ``half_width``
-    that is no integer raises ValueError, and so does any ``half_width`` given
-    to an adaptive policy, which would otherwise ignore it.
+    that is no integer, or below 1, raises ValueError.
     """
 
-    mode: str = "adaptive"
     half_width: int | None = None
     edge_margin = DEFAULT_EDGE_MARGIN
     leakage_tol = LEAKAGE_TOL
 
     def __post_init__(self):
-        if self.mode not in ("fixed", "adaptive"):
-            raise ValueError(f"unknown truncation mode {self.mode!r}")
-        if self.mode == "adaptive" and self.half_width is not None:
-            raise ValueError("adaptive mode takes no half_width")
         if self.half_width is not None:
             object.__setattr__(self, "half_width", _as_index(self.half_width, "half_width"))
-        if self.mode == "fixed" and (self.half_width is None or self.half_width < 1):
-            raise ValueError("fixed mode needs a positive half_width")
+            if self.half_width < 1:
+                raise ValueError("fixed mode needs a positive half_width")
 
     @classmethod
     def fixed(cls, half_width: int) -> "TruncationPolicy":
-        return cls(mode="fixed", half_width=half_width)
+        return cls(_as_index(half_width, "half_width"))  # None is no fixed half-width
 
     @classmethod
     def adaptive(cls) -> "TruncationPolicy":
-        return cls(mode="adaptive")
+        return cls()
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -266,7 +256,7 @@ def basis_state(l: int, window: TruncationPolicy | int = DEFAULT_POLICY) -> Ladd
     contain ``l``; a level or half-width that is no integer raises ValueError.
     """
     if isinstance(window, TruncationPolicy):
-        half = window.half_width if window.mode == "fixed" else ADAPTIVE_START_HALF_WIDTH
+        half = ADAPTIVE_START_HALF_WIDTH if window.half_width is None else window.half_width
     else:
         half = _as_index(window, "window half-width")
     l = _as_index(l, "level")

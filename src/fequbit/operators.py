@@ -296,7 +296,7 @@ def apply_pinem(state: LadderState, pulse: PinemPulse,
         centre -= lo
     amps = np.convolve(state.amplitudes, kernel)
     amps_l_min = state.l_min - centre
-    if policy.mode == "fixed":
+    if policy.half_width is not None:
         result = LadderState._adopt(state.l_min,
                                     _aligned(amps, amps_l_min, state.l_min, state.dim))
         check_edge_leakage(result, DEFAULT_EDGE_MARGIN, LEAKAGE_TOL)

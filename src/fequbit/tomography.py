@@ -32,7 +32,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError, WindowError
-from .ladder import LadderState, TruncationPolicy, _as_index, bessel_row, read_text, write_text
+from .ladder import (DEFAULT_POLICY, LadderState, TruncationPolicy, _as_index, bessel_row,
+                     read_text, write_text)
 
 DEFAULT_PROBE_MAGNITUDE = 1.0
 DEFAULT_N_PHASES = 32
@@ -51,7 +52,7 @@ counts."""
 MAX_FIT_CELLS = 2 ** 24
 """Most phases x data rows x fit levels one fit may take; ``reconstruct_state``
 rejects a larger fit before it allocates, counting every data row as fit
-levels for None and adaptive windows, which may fall back to them. A fit
+levels for an adaptive window, which may fall back to them. A fit
 holds its Jacobian and the complex factor it is formed from, 16 bytes per
 cell each, from its first step to its last, and beside them the damped
 step's square matrices of side 2 x fit levels. tracemalloc peaks of
@@ -182,10 +183,6 @@ class Spectrogram:
     @property
     def n_phases(self) -> int:
         return self.data.shape[1]
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.arange(self.l_min, self.l_min + self.n_levels)
 
     def to_csv(self, path) -> None:
         """Header row: scan phases, then a probe row; data rows labeled by l.
@@ -344,49 +341,36 @@ class ReconstructionResult:
         return {**doc, "state": self.state.to_json()}
 
 
-def _fit_window(sg: Spectrogram, window: TruncationPolicy | None,
-                row: np.ndarray | None = None) -> tuple[int, int]:
+def _fit_window(sg: Spectrogram, window: TruncationPolicy, row: np.ndarray) -> tuple[int, int]:
     """(l_min, n_levels) of the fit; fixed(h) gives [-h, h] within the data window.
 
-    None or an adaptive policy gives the levels whose whole image lies in the
-    data window, [l_min + K, l_max - K] for the probe row's half-width K: the
+    An adaptive policy gives the levels whose whole image lies in the data
+    window, [l_min + K, l_max - K] for the probe row's half-width K: the
     window ``spectrogram`` recorded the state on. A side is narrowed only when
     its outermost data row holds at most row[0]^2 + ``_PROBE_BUDGET`` / 2 in
     every column. Only the cut row's outermost entry links that row to the
     narrowed window, so by Cauchy-Schwarz that is the most a normalized state
     inside it can put there; a spectrogram cropped closer to the state keeps
     that side's data edge. An empty narrowed range gives the whole data
-    window. ``row`` is ``_probe_row`` of the spectrogram's probe, formed here
-    when not given.
+    window. ``row`` is ``_probe_row`` of the spectrogram's probe.
     """
     l_max = sg.l_min + sg.n_levels - 1
-    if window is None or window.mode == "adaptive":
-        row = _probe_row(sg.probe_magnitude) if row is None else row
+    if window.half_width is None:
         k_half, bound = row.size // 2, row[0] ** 2 + _PROBE_BUDGET / 2
         lo = sg.l_min + k_half if np.all(sg.data[0] <= bound) else sg.l_min
         hi = l_max - k_half if np.all(sg.data[-1] <= bound) else l_max
         return (lo, hi - lo + 1) if lo <= hi else (sg.l_min, sg.n_levels)
-    lo = max(sg.l_min, -window.half_width)
-    hi = min(l_max, window.half_width)
+    lo, hi = max(sg.l_min, -window.half_width), min(l_max, window.half_width)
     if lo > hi:
         raise WindowError("reconstruction window does not overlap the data window")
     return lo, hi - lo + 1
 
 
-def _probe_matrix(sg: Spectrogram, fit_l_min: int, n_par: int,
-                  row: np.ndarray | None = None) -> np.ndarray:
-    """``_toeplitz`` from the n_par fit levels from fit_l_min to the data rows
-    of ``sg``. ``row`` is ``_probe_row`` of the spectrogram's probe, formed
-    here when not given."""
-    row = _probe_row(sg.probe_magnitude) if row is None else row
-    return _toeplitz(row, sg.l_min, sg.n_levels, fit_l_min, n_par)
-
-
 def _fourier_seed(sg: Spectrogram, bess: np.ndarray, imaged: bool = True) -> np.ndarray:
     """Start amplitudes on the fit window from the phase-Fourier diagonals of the data.
 
-    ``bess`` is ``_probe_matrix`` on the fit window, J_{l-m} of shape
-    (n_rows, n_par); ``imaged`` says that every fit level's whole image,
+    ``bess`` is ``_toeplitz`` from the fit window to the data rows, J_{l-m}
+    of shape (n_rows, n_par); ``imaged`` says that every fit level's whole image,
     levels m - K..m + K for the probe row's half-width K, lies in the data
     rows, as on the window ``_fit_window`` narrows to.
 
@@ -490,7 +474,7 @@ def _levenberg_marquardt(residuals, jacobian, x0: np.ndarray) -> tuple[np.ndarra
     return x, cost
 
 
-def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
+def reconstruct_state(sg: Spectrogram, window: TruncationPolicy = DEFAULT_POLICY,
                       n_restarts: int = DEFAULT_RESTARTS, seed: int = 0
                       ) -> ReconstructionResult:
     """Least-squares fit of complex amplitudes to a spectrogram.
@@ -519,23 +503,23 @@ def reconstruct_state(sg: Spectrogram, window: TruncationPolicy | None = None,
 
     The fit window follows ``window`` (``_fit_window``). A fixed(h) policy
     fits [-h, h] within the data window and raises WindowError when the two
-    do not overlap. None or an adaptive policy first fits the levels the
-    data window fully images, which for a spectrogram this module made is
-    the state's own window, from the seeded start alone. If that fit is not
+    do not overlap. An adaptive policy, the default, first fits the levels
+    the data window fully images, which for a spectrogram this module made
+    is the state's own window, from the seeded start alone. If that fit is not
     ok, the procedure above runs on every data row, as it does when nothing
     can be narrowed, and its result does not depend on the narrowed try.
     The try is skipped when the spectrogram's recorded counts put the noise
     floor sqrt(n_phases / counts) above ``FAIL_THRESHOLD``: no start can be
     ok there, so it would only add a fit. A fit of more than
     ``MAX_FIT_CELLS`` phases x data rows x fit levels raises
-    ConfigurationError before anything is allocated; for None and adaptive
-    policies the fit levels are every data row, which the fallback fits.
+    ConfigurationError before anything is allocated; for an adaptive policy
+    the fit levels are every data row, which the fallback fits.
     """
     if n_restarts < 1:
         raise ValueError("need at least one restart")
     row = _probe_row(sg.probe_magnitude)
     fit_l_min, n_par = _fit_window(sg, window, row)
-    widest = n_par if window is not None and window.mode == "fixed" else sg.n_levels
+    widest = sg.n_levels if window.half_width is None else n_par
     if sg.n_phases * sg.n_levels * widest > MAX_FIT_CELLS:
         raise ConfigurationError(
             f"a fit of {sg.n_phases} phases x {sg.n_levels} data rows x {widest} levels "
@@ -554,7 +538,7 @@ def _fit(sg: Spectrogram, row: np.ndarray, fit_l_min: int, n_par: int, n_restart
          seed: int) -> ReconstructionResult:
     """``reconstruct_state``'s starts on the n_par levels from fit_l_min, with
     ``row`` the spectrogram's ``_probe_row``."""
-    bess = _probe_matrix(sg, fit_l_min, n_par, row)
+    bess = _toeplitz(row, sg.l_min, sg.n_levels, fit_l_min, n_par)
     gauge = _gauge(sg.scan_phases, n_par)
     observed = sg.data.T  # (n_phases, n_rows)
     # the Jacobian level-major and its complex factor, filled in place at every taken step

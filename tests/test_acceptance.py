@@ -27,7 +27,6 @@ from fequbit import (
     effective_qubit_gate,
     eigenphases,
     gate_fidelity,
-    occupied_levels,
     project_period_p,
     project_qubit,
     qubit_gate,
@@ -35,6 +34,7 @@ from fequbit import (
     simulate_schedule,
     spectrogram,
 )
+from fequbit.ladder import occupied_levels
 from helpers import padded, random_interior_state, state_distance, state_fidelity
 from oracles import (
     bessel_series,

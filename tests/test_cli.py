@@ -579,7 +579,7 @@ def test_number_no_int_holds_is_config_error(tmp_path, circuit_file):
 def test_fit_beyond_its_cell_cap_is_config_error(tmp_path, circuit_file, monkeypatch, capsys):
     # the cap is checked before the fit builds its first array
     monkeypatch.setattr("fequbit.tomography.MAX_FIT_CELLS", 1000)
-    monkeypatch.setattr("fequbit.tomography._probe_matrix", _allocates)
+    monkeypatch.setattr("fequbit.tomography._fit", _allocates)
     assert main(["tomography", "--circuit", circuit_file, *out_args(tmp_path)]) == EXIT_CONFIG
     assert "cells" in capsys.readouterr().err
 

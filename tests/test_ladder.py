@@ -20,10 +20,9 @@ from fequbit import (
     apply_pinem,
     basis_state,
     derive_beam,
-    occupied_levels,
     support_leakage,
 )
-from fequbit.ladder import bessel_row, write_text
+from fequbit.ladder import bessel_row, occupied_levels, write_text
 from fequbit.operators import CHEBYSHEV_TAIL_TOL
 from helpers import padded
 from oracles import bessel_series
@@ -179,18 +178,12 @@ def test_adaptive_half_width_guarantee():
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        TruncationPolicy(mode="nope")
-    with pytest.raises(ValueError):
         TruncationPolicy.fixed(0)
+    with pytest.raises(ValueError):  # None is the adaptive policy's half-width, no fixed one
+        TruncationPolicy.fixed(None)
     # the edge margin and leakage tolerance are constants, not settings
     with pytest.raises(TypeError):
         TruncationPolicy.adaptive(edge_margin=1)
-
-
-def test_adaptive_policy_rejects_a_half_width():
-    # an adaptive window follows the state, so a half-width would go unread
-    with pytest.raises(ValueError, match="adaptive mode takes no half_width"):
-        TruncationPolicy(mode="adaptive", half_width=5)
 
 
 def test_policy_half_width_must_be_an_integer():

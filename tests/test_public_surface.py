@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 import fequbit
+from fequbit.ladder import DEFAULT_POLICY
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -112,3 +113,22 @@ def test_no_test_reads_a_name_only_perfbench_may_read():
                 read.add(f".{node.attr}")
             readers |= {f"{path.name} reads {name}" for name in read}
     assert not readers, "; ".join(sorted(readers))
+
+
+def test_the_package_exports_no_perfbench_only_name():
+    # perfbench reads these through their modules, which keep them
+    exported = PERFBENCH_ONLY | {"occupied_levels"}
+    assert sorted(exported & set(vars(fequbit))) == []
+
+
+def test_every_policy_parameter_defaults_to_the_default_policy():
+    # one default spelling: no exported function takes None for "the default policy"
+    takers = {}
+    for name, obj in public_surface().items():
+        if not callable(obj) or inspect.isclass(obj):
+            continue
+        for param in inspect.signature(obj).parameters.values():
+            if "TruncationPolicy" in str(param.annotation):
+                takers[f"{name}({param.name})"] = param.default
+    assert {"apply_pinem(policy)", "basis_state(window)", "reconstruct_state(window)"} <= set(takers)
+    assert [name for name, default in takers.items() if default is not DEFAULT_POLICY] == []

@@ -117,12 +117,13 @@ def test_csv_is_the_repr_of_each_float(tmp_path):
 
 def recorded_jacobians(monkeypatch, sg: Spectrogram, **kwargs) -> tuple[list, int]:
     """(bess, x, Jacobian) for every Jacobian the fit forms on ``sg``, and the
-    number of starts."""
+    number of starts. ``sg`` is built before the hooks go in, so every
+    ``_toeplitz`` call they see is a fit's."""
     calls, mats, starts = [], [], []
-    probe_matrix, levenberg_marquardt = tomography._probe_matrix, tomography._levenberg_marquardt
+    toeplitz, levenberg_marquardt = tomography._toeplitz, tomography._levenberg_marquardt
 
-    def recording_probe_matrix(*args):
-        mats.append(probe_matrix(*args))
+    def recording_toeplitz(*args):
+        mats.append(toeplitz(*args))
         return mats[-1]
 
     def recording_lm(residuals, jacobian, x0):
@@ -135,7 +136,7 @@ def recorded_jacobians(monkeypatch, sg: Spectrogram, **kwargs) -> tuple[list, in
             return jac
         return levenberg_marquardt(residuals, recorded, x0)
 
-    monkeypatch.setattr(tomography, "_probe_matrix", recording_probe_matrix)
+    monkeypatch.setattr(tomography, "_toeplitz", recording_toeplitz)
     monkeypatch.setattr(tomography, "_levenberg_marquardt", recording_lm)
     reconstruct_state(sg, **kwargs)
     return calls, len(starts)

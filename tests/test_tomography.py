@@ -26,7 +26,8 @@ from fequbit import (
     simulate_schedule,
     spectrogram,
 )
-from fequbit.tomography import _fit_window, _fourier_seed, _levenberg_marquardt, _probe_matrix
+from fequbit.ladder import DEFAULT_POLICY
+from fequbit.tomography import _fit_window, _fourier_seed, _levenberg_marquardt, _toeplitz
 from fequbit.tomography import DEFAULT_PROBE_MAGNITUDE, MAX_COUNTS, _probe_row
 from helpers import padded, random_interior_state, state_fidelity
 from oracles import bessel_series
@@ -124,7 +125,7 @@ def test_spectrogram_matches_pulse_plus_eels():
     expected = np.array([
         spec.probabilities[l - spec.l_min]
         if spec.l_min <= l <= spec.l_min + spec.probabilities.size - 1 else 0.0
-        for l in sg.indices])
+        for l in np.arange(sg.l_min, sg.l_min + sg.n_levels)])
     assert np.max(np.abs(sg.data[:, 5] - expected)) < 1e-12
 
 
@@ -148,7 +149,7 @@ def test_spectrogram_column_is_a_probe_pulse_then_eels(amps, l_min, probe, n_pha
                          PinemPulse.single(probe * np.exp(1j * sg.scan_phases[j])),
                          TruncationPolicy.fixed(half))
     spec = eels_spectrum(probed)
-    rows = sg.indices - spec.l_min
+    rows = np.arange(sg.l_min, sg.l_min + sg.n_levels) - spec.l_min
     assert np.max(np.abs(sg.data[:, j] - spec.probabilities[rows])) <= 1e-12
 
 
@@ -453,8 +454,9 @@ def gate_prepared(gate):
 
 
 def seed_fidelity(sg, true):
-    fit_l_min, n_par = _fit_window(sg, None)
-    seed = _fourier_seed(sg, _probe_matrix(sg, fit_l_min, n_par))
+    row = _probe_row(sg.probe_magnitude)
+    fit_l_min, n_par = _fit_window(sg, DEFAULT_POLICY, row)
+    seed = _fourier_seed(sg, _toeplitz(row, sg.l_min, sg.n_levels, fit_l_min, n_par))
     return state_fidelity(LadderState(fit_l_min, seed), true)
 
 
@@ -625,9 +627,8 @@ def test_readout_after_hadamard():
 
 def test_adaptive_policy_fits_the_same_window_as_none():
     # an adaptive policy sizes no fit window of its own: it fits the levels the
-    # data fully images, as None does
+    # data fully images
     sg = spectrogram(gate_prepared("H"))
-    assert _fit_window(sg, TruncationPolicy.adaptive()) == _fit_window(sg, None)
     result = reconstruct_state(sg, window=TruncationPolicy.adaptive())
     qubit = project_qubit(result.state, edge_margin=0)
     # 1 + 2.6e-10 on the state's own [-12, 12] window; a [-8, 8] fit gave 1 - 7e-6
@@ -654,7 +655,7 @@ def test_spectrogram_output_is_fitted_on_the_state_window(make, counts):
     sg = spectrogram(true)
     if counts:
         sg = add_shot_noise(sg, counts, seed=6)
-    assert _fit_window(sg, None) == (true.l_min, true.dim)
+    assert _fit_window(sg, DEFAULT_POLICY, _probe_row(sg.probe_magnitude)) == (true.l_min, true.dim)
     result = reconstruct_state(sg, seed=0)
     assert result.ok and result.restarts == 1
     assert (result.state.l_min, result.state.dim) == (true.l_min, true.dim)
@@ -662,7 +663,7 @@ def test_spectrogram_output_is_fitted_on_the_state_window(make, counts):
 
 
 def fit_edges(sg):
-    lo, n = _fit_window(sg, None)
+    lo, n = _fit_window(sg, DEFAULT_POLICY, _probe_row(sg.probe_magnitude))
     return lo, lo + n - 1
 
 
